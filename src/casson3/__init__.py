@@ -35,14 +35,8 @@ from .errors import (
     SnapFailure,
     UnsupportedFamily,
 )
-from .exact_arith import FloatEstimate, Rational, kahan_sum, snap_to_rational, solve_vandermonde
-from .flat_moduli import (
-    FlatConnection,
-    count_connections,
-    e_invariant,
-    e_reduced,
-    enumerate_connections,
-)
+from .exact_arith import FloatEstimate, Rational, snap_to_rational, solve_vandermonde
+from .flat_moduli import FlatConnection, count_connections, enumerate_connections
 from .floer import (
     GF2Matrix,
     MorseMove,

@@ -3,8 +3,7 @@
 Subcommands: reps, rho, invariants, table, fit, conjecture, floer-sim.
 Output is deterministic for a fixed configuration: rationals are serialized
 as exact "p/q" strings, JSON objects carry the schema tag "casson3/1", and
-rows are emitted in sorted (q, K) order.  CASSON3_THREADS caps the number of
-worker threads used for independent (q, K) cells.
+rows are emitted in sorted (q, K) order.
 
 Exit codes: 0 success, 1 computation error, 2 usage error, 3 when `table`
 finds a MISMATCH row.
@@ -13,16 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from random import Random
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import __version__
-from ._kernels import active_backend
 from .assembly import (
     SUPPORTED_Q,
     assemble,
@@ -61,6 +56,16 @@ class RunConfig:
                 raise ValueError(f"q must be odd and >= 3, got {q}")
         if any(k == 0 for k in self.k_list):
             raise ValueError("K range must exclude 0")
+        if self.subcommand == "fit":
+            degree, samples = self.options["degree"], self.options["samples"]
+            if degree < 0:
+                raise ValueError(f"--degree must be >= 0, got {degree}")
+            if samples < degree + 1:
+                raise ValueError(f"--samples must be >= --degree + 1, got {samples}")
+        if self.subcommand == "conjecture" and self.options.get("samples", 5) < 3:
+            raise ValueError("--samples must be >= 3 for the quadratic fits")
+        if self.subcommand == "floer_sim" and self.options.get("max_dim", 4) < 0:
+            raise ValueError("--max-dim must be >= 0")
 
 
 def _parse_k_range(text: str) -> tuple[int, ...]:
@@ -79,23 +84,10 @@ def _parse_k_range(text: str) -> tuple[int, ...]:
 
 
 def _parse_q_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CASSON3_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_cells(fn: Callable, items: Sequence) -> list:
-    threads = _thread_count()
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    qs = tuple(int(part) for part in text.split(",") if part.strip())
+    if not qs:
+        raise ValueError(f"q list {text!r} names no value")
+    return qs
 
 
 def _emit_csv(header: Sequence[str], rows: Iterable[Sequence], out) -> None:
@@ -150,9 +142,8 @@ def cmd_rho(cfg: RunConfig, out) -> int:
                              repr(rv.float_check.error_bound)))
     else:
         header = ("q", "K", "C")
-        values = _map_cells(lambda cell: c_correction(from_surgery(*cell), path=cfg.path),
-                            _cells(cfg))
-        rows = [(q, K, v) for (q, K), v in zip(_cells(cfg), values)]
+        rows = [(q, K, c_correction(from_surgery(q, K), path=cfg.path))
+                for q, K in _cells(cfg)]
     if cfg.fmt == "json":
         _emit_json({"schema": SCHEMA, "path": cfg.path,
                     "rows": [dict(zip(header, map(str, r))) for r in rows]}, out)
@@ -164,7 +155,7 @@ def cmd_rho(cfg: RunConfig, out) -> int:
 def cmd_invariants(cfg: RunConfig, out) -> int:
     header = ("q", "K", "A", "B", "C", "D", "lambda_su2", "lambda_su3",
               "Lambda_su3", "four_Lambda_integral")
-    reports = _map_cells(lambda cell: assemble(*cell, path=cfg.path), _cells(cfg))
+    reports = [assemble(q, K, path=cfg.path) for q, K in _cells(cfg)]
     rows = [
         (r.q, r.K, r.A, r.B, r.C, r.D, r.lambda_su2, r.lambda_su3, r.Lambda_su3,
          (4 * r.Lambda_su3).denominator == 1)
@@ -183,7 +174,7 @@ def cmd_invariants(cfg: RunConfig, out) -> int:
 def cmd_table(cfg: RunConfig, out) -> int:
     header = ("q", "K", "Lambda_computed", "Lambda_reference", "C_computed",
               "C_reference", "status")
-    reports = _map_cells(lambda cell: assemble(*cell, path=cfg.path), _cells(cfg))
+    reports = [assemble(q, K, path=cfg.path) for q, K in _cells(cfg)]
     rows = []
     mismatches = 0
     for r in reports:
@@ -254,6 +245,7 @@ def cmd_conjecture(cfg: RunConfig, out) -> int:
 def cmd_floer_sim(cfg: RunConfig, out) -> int:
     rng = Random(cfg.seed)
     cc = random_complex(rng, cfg.options.get("max_dim", 4))
+    starting_dims = list(cc.dims)
     transcript = []
     for step in range(cfg.options.get("moves", 50)):
         mv = random_move(rng, cc)
@@ -268,7 +260,7 @@ def cmd_floer_sim(cfg: RunConfig, out) -> int:
             "correction_after": after,
             "delta": after - before,
         })
-    _emit_json({"schema": SCHEMA, "seed": cfg.seed, "starting_dims": list(cc.dims),
+    _emit_json({"schema": SCHEMA, "seed": cfg.seed, "starting_dims": starting_dims,
                 "transcript": transcript}, out)
     return 0
 
@@ -372,7 +364,7 @@ _COMMANDS = {
 def run(config: RunConfig, out=None) -> int:
     """Execute one validated configuration; returns the process exit status."""
     if config.verbosity:
-        print(f"casson3: backend={active_backend()} threads={_thread_count()}",
+        print(f"casson3 {__version__}: {config.subcommand} path={config.path}",
               file=sys.stderr)
     return _COMMANDS[config.subcommand](config, out or sys.stdout)
 

@@ -17,19 +17,20 @@ rho_nat, and the aggregate correction is
 
 which is therefore orientation-invariant.
 
-Three evaluation paths are provided and cross-validated:
+Two evaluation paths are provided and cross-validated:
 
-* ``float``   - compensated double summation (numba/numpy kernel), then
-                snapping to the unique rational with denominator <= 4*a1*a2*a3;
-                escalates to the exact path if the snap window fails.
+* ``float``   - the numpy kernel's double sum, snapped to the unique rational
+                with denominator <= 4*a1*a2*a3; escalates to the exact path
+                if the snap window fails.
 * ``exact``   - closed form over the integers: writing cot(pi j/n) =
                 (i/n)(x+1)U(x) at x = exp(2 pi i j/n) with U(x) = sum r x^r
                 and expanding, S(A,e,n) = -(2 N(0) - N(1) - N(-1)) / (4n)
                 where N(s) = sum_r p_r p_{(-A r - e s) mod n} and
                 p = [n-1, 1, 3, ..., 2n-3].
-* ``lattice`` - the same integer N(s) rewritten as weighted sums of greatest
-                integer functions (lattice points between lines), evaluated
-                independently.
+
+``cot_sum_lattice`` rewrites the same integer N(s) as weighted sums of
+greatest integer functions (lattice points between lines); it is no path of
+its own, only an independent reference for the exact kernel.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from .exact_arith import FloatEstimate, snap_to_rational
 from .flat_moduli import FlatConnection, enumerate_connections
 from .seifert import BrieskornSphere, from_surgery
 
-PATHS = ("float", "exact", "lattice")
+PATHS = ("float", "exact")
 
 SNAP_DENOMINATOR_FACTOR = 4  # snap bound is 4*a1*a2*a3
 MAX_SNAP_ERROR = 1e-6  # snapping is refused above this accumulated error
@@ -94,11 +95,10 @@ def cot_sum_lattice(A: int, e: int, n: int) -> Fraction:
     return Fraction(-(2 * N(0) - N(1) - N(-1)), 4 * n)
 
 
-def cotangent_total_exact(a: tuple[int, int, int], e: int, lattice: bool = False) -> Fraction:
+def cotangent_total_exact(a: tuple[int, int, int], e: int) -> Fraction:
     """sum_i (2/a_i) S(a/a_i, e, a_i), exactly."""
-    kernel = cot_sum_lattice if lattice else cot_sum_exact
     prod = a[0] * a[1] * a[2]
-    return sum((Fraction(2, ai) * kernel(prod // ai, e, ai) for ai in a), Fraction(0))
+    return sum((Fraction(2, ai) * cot_sum_exact(prod // ai, e, ai) for ai in a), Fraction(0))
 
 
 def cotangent_total_float(a: tuple[int, int, int], e: int) -> FloatEstimate:
@@ -112,15 +112,15 @@ def cotangent_total_float(a: tuple[int, int, int], e: int) -> FloatEstimate:
     return FloatEstimate(value, err)
 
 
-def rho_natural_exact(a: tuple[int, int, int], e: int, lattice: bool = False) -> Fraction:
+def rho_natural_exact(a: tuple[int, int, int], e: int) -> Fraction:
     """rho of the naturally oriented sphere: -2*(3/2 + cotangent total)."""
-    return -3 - 2 * cotangent_total_exact(a, e, lattice=lattice)
+    return -3 - 2 * cotangent_total_exact(a, e)
 
 
 def rho_natural_float(a: tuple[int, int, int], e: int) -> FloatEstimate:
     total = cotangent_total_float(a, e)
     value = -3.0 - 2.0 * total.value
-    err = 2.0 * total.error_bound + 8 * 2.220446049250313e-16 * (3.0 + 2.0 * abs(total.value))
+    err = 2.0 * total.error_bound + 8 * _kernels.EPS * (3.0 + 2.0 * abs(total.value))
     return FloatEstimate(value, err)
 
 
@@ -152,9 +152,9 @@ def snap_rho(estimate: FloatEstimate, X: BrieskornSphere) -> Fraction:
 def rho_adjoint(c: FlatConnection, path: str = "float") -> RhoValue:
     """Adjoint rho invariant of one connection on its oriented host sphere.
 
-    path 'float' snaps the compensated double sum and silently escalates to
-    the exact path on a snap failure; 'exact' and 'lattice' are pure integer
-    arithmetic.  The float cross-check is always attached.
+    path 'float' snaps the double sum and silently escalates to the exact
+    path on a snap failure; 'exact' is pure integer arithmetic.  The float
+    cross-check is always attached.
     """
     if path not in PATHS:
         raise ValueError(f"path must be one of {PATHS}, got {path!r}")
@@ -167,10 +167,8 @@ def rho_adjoint(c: FlatConnection, path: str = "float") -> RhoValue:
             exact = snap_rho(est, X)
         except SnapFailure:
             exact = sign * rho_natural_exact(X.a, c.e)
-    elif path == "exact":
-        exact = sign * rho_natural_exact(X.a, c.e)
     else:
-        exact = sign * rho_natural_exact(X.a, c.e, lattice=True)
+        exact = sign * rho_natural_exact(X.a, c.e)
     return RhoValue(exact=exact, float_check=est, connection=c)
 
 

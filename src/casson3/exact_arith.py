@@ -1,5 +1,5 @@
-"""Exact rational substrate: compensated float summation, rational snapping,
-and exact polynomial interpolation.
+"""Exact rational substrate: float estimates with error bounds, rational
+snapping, and exact polynomial interpolation.
 
 Rational values are stdlib fractions.Fraction throughout: always in lowest
 terms with positive denominator, immutable and hashable, and arithmetic never
@@ -10,14 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import AmbiguousSnap, NoCandidate, SingularSystem
 from .polynomial import RationalPoly
 
 Rational = Fraction
-
-_EPS = 2.220446049250313e-16  # double precision machine epsilon
 
 
 @dataclass(frozen=True)
@@ -30,23 +28,6 @@ class FloatEstimate:
     def __post_init__(self):
         if not (self.error_bound >= 0.0):
             raise ValueError("error_bound must be >= 0")
-
-
-def kahan_sum(terms: Iterable[float]) -> FloatEstimate:
-    """Compensated sum with error bound (term count) * eps * (largest magnitude seen)."""
-    total = 0.0
-    comp = 0.0
-    largest = 0.0
-    count = 0
-    for term in terms:
-        count += 1
-        largest = max(largest, abs(term))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    largest = max(largest, abs(total))
-    return FloatEstimate(total, count * _EPS * largest)
 
 
 def farey_neighbors(r: Fraction, denominator_bound: int) -> tuple[Fraction, Fraction]:

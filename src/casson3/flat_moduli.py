@@ -71,16 +71,6 @@ def enumerate_connections(X: BrieskornSphere) -> list[FlatConnection]:
     return out
 
 
-def e_invariant(c: FlatConnection) -> int:
-    """e = sum_i L_i * (a / a_i), unreduced (the tables' normalization)."""
-    return c.e
-
-
-def e_reduced(c: FlatConnection) -> int:
-    """Residue of e modulo 2a; every downstream use of e only depends on this."""
-    return c.e % (2 * c.host.fiber_product)
-
-
 def count_connections(q: int, k: int) -> int:
     """(q^2 - 1) k / 4; equals len(enumerate_connections) for both surgery signs."""
     if q < 3 or q % 2 == 0 or k < 1:

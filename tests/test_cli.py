@@ -2,10 +2,12 @@ import io
 import json
 import subprocess
 import sys
+from random import Random
 
 import pytest
 
 from casson3.cli import main
+from casson3.floer import random_complex
 
 
 def run_cli(args):
@@ -110,6 +112,7 @@ def test_floer_sim_transcript():
             assert delta in (1, -1)
     # determinism for a fixed seed
     assert run_cli(args)[1] == out
+    assert payload["starting_dims"] == list(random_complex(Random(7), 4).dims)
 
 
 def test_floer_sim_seed_changes_output():
@@ -128,6 +131,18 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         run_cli(["rho", "--q", "3", "--K", "0"])  # K range excludes 0
     assert exc.value.code == 2
+    for args in (
+        ["rho", "--q", "3", "--K", "1", "--path", "lattice"],
+        ["fit", "--q", "3", "--sign", "+", "--degree", "2", "--samples", "2"],
+        ["fit", "--q", "3", "--sign", "+", "--degree", "-1", "--samples", "2"],
+        ["conjecture", "--samples", "2"],
+        ["floer-sim", "--max-dim", "-1"],
+        ["table", "--q", ","],
+        ["conjecture", "--q-list", ","],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2, args
 
 
 def test_computation_error_exit_1():

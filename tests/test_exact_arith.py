@@ -7,7 +7,6 @@ from casson3.errors import AmbiguousSnap, NoCandidate, SingularSystem
 from casson3.exact_arith import (
     FloatEstimate,
     farey_neighbors,
-    kahan_sum,
     snap_to_rational,
     solve_vandermonde,
 )
@@ -84,12 +83,6 @@ def test_fraction_normalized_invariants():
     r = Fraction(6, -4)
     assert r.denominator > 0 and abs(Fraction(r.numerator, r.denominator)) == abs(r)
     assert Fraction(2, 4) == Fraction(1, 2)
-
-
-def test_kahan_sum_bound():
-    est = kahan_sum([0.1] * 1000)
-    assert abs(est.value - 100.0) <= est.error_bound
-    assert kahan_sum([]).value == 0.0
 
 
 def test_vandermonde_quadratic_closed_form():

@@ -5,8 +5,6 @@ import pytest
 from casson3.errors import UnsupportedFamily
 from casson3.flat_moduli import (
     count_connections,
-    e_invariant,
-    e_reduced,
     enumerate_connections,
     is_admissible,
     surgery_parameters,
@@ -62,16 +60,13 @@ def test_q9_row_discrepancy_is_real():
         assert c.e != 324 * 1 + 36 * c.t_index - 49
 
 
-def test_e_invariant_definition():
+def test_e_definition():
+    # e = sum_i L_i * (a / a_i), unreduced (the tables' normalization)
     for K in (1, -2, 3):
         X = from_surgery(7, K)
         a = X.fiber_product
         for c in enumerate_connections(X):
-            assert e_invariant(c) == sum(
-                L * (a // ai) for L, ai in zip(c.L, X.a)
-            )
-            assert 0 <= e_reduced(c) < 2 * a
-            assert (e_invariant(c) - e_reduced(c)) % (2 * a) == 0
+            assert c.e == sum(L * (a // ai) for L, ai in zip(c.L, X.a))
 
 
 def test_exhaustive_complement_small_spheres():

@@ -2,8 +2,6 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
-
 from casson3 import _kernels
 from casson3.dedekind import cot_sum_exact
 
@@ -22,48 +20,5 @@ def _random_cases(count, seed):
 
 def test_numpy_kernel_matches_exact():
     for A, e, n in _random_cases(40, 1):
-        value, bound = _kernels.cot_sum_numpy(A, e, n)
+        value, bound = _kernels.cot_sum(A, e, n)
         assert abs(Fraction(value) - cot_sum_exact(A, e, n)) <= Fraction(bound)
-
-
-@pytest.mark.skipif(not _kernels._HAVE_NUMBA, reason="numba not installed")
-def test_numba_kernel_matches_exact():
-    for A, e, n in _random_cases(40, 2):
-        value, bound = _kernels.cot_sum_numba(A, e, n)
-        assert abs(Fraction(value) - cot_sum_exact(A, e, n)) <= Fraction(bound)
-
-
-@pytest.mark.skipif(not _kernels._HAVE_NUMBA, reason="numba not installed")
-def test_backends_agree():
-    for A, e, n in _random_cases(40, 3):
-        v1, b1 = _kernels.cot_sum_numba(A, e, n)
-        v2, b2 = _kernels.cot_sum_numpy(A, e, n)
-        assert abs(v1 - v2) <= b1 + b2
-
-
-def test_backend_env_selection(monkeypatch):
-    monkeypatch.setenv("CASSON3_BACKEND", "numpy")
-    assert _kernels.active_backend() == "numpy"
-    assert not _kernels.using_numba()
-    monkeypatch.setenv("CASSON3_BACKEND", "bogus")
-    with pytest.raises(ValueError):
-        _kernels.active_backend()
-    monkeypatch.setenv("CASSON3_BACKEND", "auto")
-    assert _kernels.active_backend() in ("numba", "numpy")
-    if _kernels._HAVE_NUMBA:
-        monkeypatch.setenv("CASSON3_BACKEND", "numba")
-        assert _kernels.active_backend() == "numba"
-
-
-def test_dispatch_respects_numpy_env(monkeypatch):
-    monkeypatch.setenv("CASSON3_BACKEND", "numpy")
-    v_np, _ = _kernels.cot_sum_numpy(7, 31, 30)
-    v, _ = _kernels.cot_sum(7, 31, 30)
-    assert v == v_np
-
-
-def test_python_reference_loop_matches_numpy():
-    for A, e, n in _random_cases(20, 4):
-        v1, b1 = _kernels._cot_sum_python(A, e, n)
-        v2, b2 = _kernels.cot_sum_numpy(A, e, n)
-        assert abs(v1 - v2) <= b1 + b2
