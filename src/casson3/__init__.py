@@ -35,7 +35,7 @@ from .errors import (
     SnapFailure,
     UnsupportedFamily,
 )
-from .exact_arith import FloatEstimate, Rational, snap_to_rational, solve_vandermonde
+from .exact_arith import FloatEstimate, snap_to_rational, solve_vandermonde
 from .flat_moduli import FlatConnection, count_connections, enumerate_connections
 from .floer import (
     GF2Matrix,

@@ -36,21 +36,53 @@ from .seifert import from_surgery
 
 SCHEMA = "casson3/1"
 
+# Output formats of each subcommand; the first is its default.
+_FORMATS = {
+    "reps": ("csv", "json"),
+    "rho": ("csv", "json"),
+    "invariants": ("csv", "json", "markdown-table"),
+    "table": ("csv", "json", "markdown-table"),
+    "fit": ("json",),
+    "conjecture": ("json", "markdown-table"),
+    "floer_sim": ("json",),
+}
+
+# Default of every option a subcommand reads; the parser sets none of them.
+_DEFAULTS = {
+    "per_connection": False,
+    "target": "Lambda",
+    "samples": 5,
+    "seed": 0,
+    "moves": 50,
+    "max_dim": 4,
+}
+
+_ALL_Q = ",".join(str(q) for q in SUPPORTED_Q)
+
 
 @dataclass
 class RunConfig:
-    """Validated run description; one subcommand plus its options."""
+    """Validated run description; one subcommand plus its options.
+
+    fmt None picks the subcommand's default format and options are merged over
+    `_DEFAULTS`, so a config built in code prints what the command line with
+    the same settings prints.
+    """
 
     subcommand: str
     q_list: tuple[int, ...] = ()
     k_list: tuple[int, ...] = ()
-    fmt: str = "csv"
+    fmt: Optional[str] = None
     path: str = "float"
-    seed: int = 0
-    verbosity: int = 0
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        formats = _FORMATS[self.subcommand]
+        if self.fmt is None:
+            self.fmt = formats[0]
+        elif self.fmt not in formats:
+            raise ValueError(f"{self.subcommand} prints {formats}, not {self.fmt!r}")
+        self.options = {**_DEFAULTS, **self.options}
         for q in self.q_list:
             if q < 3 or q % 2 == 0:
                 raise ValueError(f"q must be odd and >= 3, got {q}")
@@ -62,10 +94,13 @@ class RunConfig:
                 raise ValueError(f"--degree must be >= 0, got {degree}")
             if samples < degree + 1:
                 raise ValueError(f"--samples must be >= --degree + 1, got {samples}")
-        if self.subcommand == "conjecture" and self.options.get("samples", 5) < 3:
+        if self.subcommand == "conjecture" and self.options["samples"] < 3:
             raise ValueError("--samples must be >= 3 for the quadratic fits")
-        if self.subcommand == "floer_sim" and self.options.get("max_dim", 4) < 0:
-            raise ValueError("--max-dim must be >= 0")
+        if self.subcommand == "floer_sim":
+            if self.options["max_dim"] < 0:
+                raise ValueError("--max-dim must be >= 0")
+            if self.options["moves"] < 0:
+                raise ValueError("--moves must be >= 0")
 
 
 def _parse_k_range(text: str) -> tuple[int, ...]:
@@ -90,21 +125,25 @@ def _parse_q_list(text: str) -> tuple[int, ...]:
     return qs
 
 
-def _emit_csv(header: Sequence[str], rows: Iterable[Sequence], out) -> None:
+def _emit_json(payload: dict, out) -> None:
+    out.write(json.dumps({"schema": SCHEMA, **payload}, indent=2, sort_keys=True) + "\n")
+
+
+def _emit(cfg: RunConfig, header: Sequence[str], rows: Iterable[Sequence],
+          payload: dict, out) -> None:
+    """The rows as csv or a markdown table, or the payload as JSON, per cfg.fmt."""
+    if cfg.fmt == "json":
+        _emit_json(payload, out)
+        return
+    if cfg.fmt == "markdown-table":
+        out.write("| " + " | ".join(header) + " |\n")
+        out.write("|" + "|".join("---" for _ in header) + "|\n")
+        for row in rows:
+            out.write("| " + " | ".join(str(v) for v in row) + " |\n")
+        return
     out.write(",".join(header) + "\n")
     for row in rows:
         out.write(",".join(str(v) for v in row) + "\n")
-
-
-def _emit_json(payload: dict, out) -> None:
-    out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _emit_markdown(header: Sequence[str], rows: Iterable[Sequence], out) -> None:
-    out.write("| " + " | ".join(header) + " |\n")
-    out.write("|" + "|".join("---" for _ in header) + "|\n")
-    for row in rows:
-        out.write("| " + " | ".join(str(v) for v in row) + " |\n")
 
 
 def _cells(cfg: RunConfig) -> list[tuple[int, int]]:
@@ -121,16 +160,12 @@ def cmd_reps(cfg: RunConfig, out) -> int:
     for q, K in _cells(cfg):
         for c in enumerate_connections(from_surgery(q, K)):
             rows.append((q, K, c.L[0], c.L[1], c.L[2], c.t_index, c.e))
-    if cfg.fmt == "json":
-        _emit_json({"schema": SCHEMA, "connections": [dict(zip(header, r)) for r in rows]}, out)
-    else:
-        _emit_csv(header, rows, out)
+    _emit(cfg, header, rows, {"connections": [dict(zip(header, r)) for r in rows]}, out)
     return 0
 
 
 def cmd_rho(cfg: RunConfig, out) -> int:
-    per_connection = cfg.options.get("per_connection", False)
-    if per_connection:
+    if cfg.options["per_connection"]:
         header = ("q", "K", "L1", "L2", "L3", "t", "e", "rho", "float_value", "float_error")
         rows = []
         for q, K in _cells(cfg):
@@ -144,11 +179,8 @@ def cmd_rho(cfg: RunConfig, out) -> int:
         header = ("q", "K", "C")
         rows = [(q, K, c_correction(from_surgery(q, K), path=cfg.path))
                 for q, K in _cells(cfg)]
-    if cfg.fmt == "json":
-        _emit_json({"schema": SCHEMA, "path": cfg.path,
-                    "rows": [dict(zip(header, map(str, r))) for r in rows]}, out)
-    else:
-        _emit_csv(header, rows, out)
+    _emit(cfg, header, rows,
+          {"path": cfg.path, "rows": [dict(zip(header, map(str, r))) for r in rows]}, out)
     return 0
 
 
@@ -161,13 +193,8 @@ def cmd_invariants(cfg: RunConfig, out) -> int:
          (4 * r.Lambda_su3).denominator == 1)
         for r in reports
     ]
-    if cfg.fmt == "json":
-        _emit_json({"schema": SCHEMA, "path": cfg.path,
-                    "reports": [r.to_json_dict() for r in reports]}, out)
-    elif cfg.fmt == "markdown-table":
-        _emit_markdown(header, rows, out)
-    else:
-        _emit_csv(header, rows, out)
+    _emit(cfg, header, rows,
+          {"path": cfg.path, "reports": [r.to_json_dict() for r in reports]}, out)
     return 0
 
 
@@ -184,13 +211,9 @@ def cmd_table(cfg: RunConfig, out) -> int:
         mismatches += 0 if ok else 1
         rows.append((r.q, r.K, r.Lambda_su3, lam_ref, r.C, c_ref,
                      "MATCH" if ok else "MISMATCH"))
-    if cfg.fmt == "json":
-        _emit_json({"schema": SCHEMA, "mismatches": mismatches,
-                    "rows": [dict(zip(header, map(str, row))) for row in rows]}, out)
-    elif cfg.fmt == "markdown-table":
-        _emit_markdown(header, rows, out)
-    else:
-        _emit_csv(header, rows, out)
+    _emit(cfg, header, rows,
+          {"mismatches": mismatches,
+           "rows": [dict(zip(header, map(str, row))) for row in rows]}, out)
     return 3 if mismatches else 0
 
 
@@ -211,7 +234,6 @@ def cmd_fit(cfg: RunConfig, out) -> int:
         vals = {K: reference_B(q, K) for K in ks}
     poly = fit_and_verify(vals, degree, extra_check_points=samples - degree - 1)
     payload = {
-        "schema": SCHEMA,
         "q": q,
         "sign": cfg.options["sign"],
         "target": target,
@@ -226,7 +248,7 @@ def cmd_fit(cfg: RunConfig, out) -> int:
 
 
 def cmd_conjecture(cfg: RunConfig, out) -> int:
-    samples = cfg.options.get("samples", 5)
+    samples = cfg.options["samples"]
     reports = []
     for q in sorted(cfg.q_list):
         plus = {K: assemble(q, K, path=cfg.path).Lambda_su3 for K in range(1, samples + 1)}
@@ -234,20 +256,18 @@ def cmd_conjecture(cfg: RunConfig, out) -> int:
         fit_plus = fit_and_verify(plus, 2, extra_check_points=samples - 3)
         fit_minus = fit_and_verify(minus, 2, extra_check_points=samples - 3)
         reports.append(check_conjecture(q, fit_plus, fit_minus))
-    if cfg.fmt == "markdown-table":
-        header = tuple(reports[0].keys())
-        _emit_markdown(header, [tuple(r[k] for k in header) for r in reports], out)
-    else:
-        _emit_json({"schema": SCHEMA, "reports": reports}, out)
+    header = tuple(reports[0]) if reports else ()
+    _emit(cfg, header, [tuple(r[k] for k in header) for r in reports],
+          {"reports": reports}, out)
     return 0
 
 
 def cmd_floer_sim(cfg: RunConfig, out) -> int:
-    rng = Random(cfg.seed)
-    cc = random_complex(rng, cfg.options.get("max_dim", 4))
+    rng = Random(cfg.options["seed"])
+    cc = random_complex(rng, cfg.options["max_dim"])
     starting_dims = list(cc.dims)
     transcript = []
-    for step in range(cfg.options.get("moves", 50)):
+    for step in range(cfg.options["moves"]):
         mv = random_move(rng, cc)
         before = floer_correction(cc)
         cc = apply_move(cc, mv)
@@ -260,7 +280,7 @@ def cmd_floer_sim(cfg: RunConfig, out) -> int:
             "correction_after": after,
             "delta": after - before,
         })
-    _emit_json({"schema": SCHEMA, "seed": cfg.seed, "starting_dims": starting_dims,
+    _emit_json({"seed": cfg.options["seed"], "starting_dims": starting_dims,
                 "transcript": transcript}, out)
     return 0
 
@@ -277,77 +297,59 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"casson3 {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, fmt_choices=("csv", "json"), with_path=True):
-        p.add_argument("--format", dest="fmt", choices=fmt_choices, default=fmt_choices[0])
+    def add(name: str, summary: str, with_path: bool = True) -> argparse.ArgumentParser:
+        # an option the user leaves out stays off the namespace, so RunConfig
+        # supplies its default
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p.add_argument("--format", dest="fmt", choices=_FORMATS[name.replace("-", "_")])
         if with_path:
-            p.add_argument("--path", choices=PATHS, default="float",
-                           help="rho evaluation path")
-        p.add_argument("-v", "--verbose", action="count", default=0, dest="verbosity")
+            p.add_argument("--path", choices=PATHS, help="rho evaluation path")
+        return p
 
-    p = sub.add_parser("reps", help="enumerate irreducible SU(2) rotation numbers")
+    p = add("reps", "enumerate irreducible SU(2) rotation numbers", with_path=False)
     p.add_argument("--q", required=True, help="odd q >= 3, comma separated")
     p.add_argument("--K", required=True, help="K or a..b range, excluding 0")
-    add_common(p, with_path=False)
 
-    p = sub.add_parser("rho", help="adjoint rho invariants / aggregate correction C")
+    p = add("rho", "adjoint rho invariants / aggregate correction C")
     p.add_argument("--q", required=True)
     p.add_argument("--K", required=True)
     p.add_argument("--per-connection", action="store_true")
-    add_common(p)
 
-    p = sub.add_parser("invariants", help="full invariant reports")
+    p = add("invariants", "full invariant reports")
     p.add_argument("--q", required=True)
     p.add_argument("--K-range", dest="K", required=True)
-    add_common(p, fmt_choices=("csv", "json", "markdown-table"))
 
-    p = sub.add_parser("table", help="computed values against the reference closed forms")
-    p.add_argument("--q", default=",".join(str(q) for q in SUPPORTED_Q))
+    p = add("table", "computed values against the reference closed forms")
+    p.add_argument("--q", default=_ALL_Q)
     p.add_argument("--K-range", dest="K", default="-6..6")
-    add_common(p, fmt_choices=("csv", "json", "markdown-table"))
 
-    p = sub.add_parser("fit", help="exact polynomial reconstruction of one target")
+    p = add("fit", "exact polynomial reconstruction of one target")
     p.add_argument("--q", required=True)
     p.add_argument("--sign", choices=("+", "-"), required=True)
-    p.add_argument("--target", choices=("Lambda", "C", "A", "B"), default="Lambda")
+    p.add_argument("--target", choices=("Lambda", "C", "A", "B"))
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
-    add_common(p, fmt_choices=("json",))
 
-    p = sub.add_parser("conjecture", help="quadratic-difference report per q")
-    p.add_argument("--q-list", dest="q", default="3,5,7,9")
-    p.add_argument("--samples", type=int, default=5)
-    add_common(p, fmt_choices=("json", "markdown-table"))
+    p = add("conjecture", "quadratic-difference report per q")
+    p.add_argument("--q-list", dest="q", default=_ALL_Q)
+    p.add_argument("--samples", type=int)
 
-    p = sub.add_parser("floer-sim", help="audit transcript of random chain-complex moves")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--moves", type=int, default=50)
-    p.add_argument("--max-dim", type=int, default=4)
-    add_common(p, fmt_choices=("json",), with_path=False)
+    p = add("floer-sim", "audit transcript of random chain-complex moves", with_path=False)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--moves", type=int)
+    p.add_argument("--max-dim", type=int)
 
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    options: dict = {}
-    q_list: tuple[int, ...] = ()
-    k_list: tuple[int, ...] = ()
-    if getattr(args, "q", None) is not None:
-        q_list = _parse_q_list(args.q)
-    if getattr(args, "K", None) is not None:
-        k_list = _parse_k_range(args.K)
-    for key in ("per_connection", "sign", "target", "degree", "samples", "moves", "max_dim"):
-        if hasattr(args, key):
-            options[key] = getattr(args, key)
-    return RunConfig(
-        subcommand=args.subcommand.replace("-", "_"),
-        q_list=q_list,
-        k_list=k_list,
-        fmt=getattr(args, "fmt", "csv"),
-        path=getattr(args, "path", "float"),
-        seed=getattr(args, "seed", 0),
-        verbosity=getattr(args, "verbosity", 0),
-        options=options,
-    )
+    """RunConfig of the parsed arguments; only what the user set is passed on."""
+    given = vars(args)
+    subcommand = given.pop("subcommand").replace("-", "_")
+    q_list = _parse_q_list(given.pop("q")) if "q" in given else ()
+    k_list = _parse_k_range(given.pop("K")) if "K" in given else ()
+    fields = {key: given.pop(key) for key in ("fmt", "path") if key in given}
+    return RunConfig(subcommand, q_list, k_list, options=given, **fields)
 
 
 _COMMANDS = {
@@ -363,9 +365,6 @@ _COMMANDS = {
 
 def run(config: RunConfig, out=None) -> int:
     """Execute one validated configuration; returns the process exit status."""
-    if config.verbosity:
-        print(f"casson3 {__version__}: {config.subcommand} path={config.path}",
-              file=sys.stderr)
     return _COMMANDS[config.subcommand](config, out or sys.stdout)
 
 

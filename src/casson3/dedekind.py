@@ -197,7 +197,6 @@ def c_correction(X: BrieskornSphere, path: str = "float") -> Fraction:
     eps is the orientation sign, so the value is orientation-invariant.  The
     float path's aggregate is verified against the exact path.
     """
-    verify_convention()
     value = _aggregate(X, path)
     if path == "float":
         exact_value = _aggregate(X, "exact")
@@ -206,3 +205,7 @@ def c_correction(X: BrieskornSphere, path: str = "float") -> Fraction:
                 f"float-path aggregate {value} disagrees with exact path {exact_value}"
             )
     return value
+
+
+# Checked once, at import, so no computation pays for it later.
+verify_convention()

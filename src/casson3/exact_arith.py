@@ -15,8 +15,6 @@ from typing import Sequence
 from .errors import AmbiguousSnap, NoCandidate, SingularSystem
 from .polynomial import RationalPoly
 
-Rational = Fraction
-
 
 @dataclass(frozen=True)
 class FloatEstimate:
@@ -78,7 +76,7 @@ def snap_to_rational(x: FloatEstimate, denominator_bound: int) -> Fraction:
     return best
 
 
-def solve_vandermonde(points: Sequence[tuple[Rational, Rational]], degree: int) -> RationalPoly:
+def solve_vandermonde(points: Sequence[tuple[Fraction, Fraction]], degree: int) -> RationalPoly:
     """Unique degree-<=degree polynomial through degree+1 points, exactly
     (Lagrange form over Fraction)."""
     if len(points) != degree + 1:

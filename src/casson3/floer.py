@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Optional
+from typing import Iterable, Optional
 
 from .dedekind import cotangent_total_exact
 from .errors import GradingFormulaUnavailable, InapplicableMove
@@ -101,38 +101,30 @@ class GF2Matrix:
         return GF2Matrix(tuple(cols), self.nrows)
 
     def rank(self) -> int:
-        rows = [r for r in self.rows if r]
-        rank = 0
-        pivots: list[int] = []
-        for r in rows:
-            for p in pivots:
-                r = min(r, r ^ p)
-            if r:
-                pivots.append(r)
-                pivots.sort(reverse=True)
-                rank += 1
-        return rank
+        return len(_rref_pivots(self.rows))
 
 
-def _rref_pivots(rows: list[int]) -> dict[int, int]:
+def _rref_pivots(rows: Iterable[int]) -> dict[int, int]:
     """Reduced row echelon form; maps pivot column -> row bitmask."""
     pivots: dict[int, int] = {}
     for r in rows:
+        if not r:
+            continue
         for c, pr in pivots.items():
             if (r >> c) & 1:
                 r ^= pr
         if r:
-            c = (r & -r).bit_length() - 1
-            for c2 in list(pivots):
-                if (pivots[c2] >> c) & 1:
-                    pivots[c2] ^= r
-            pivots[c] = r
+            low = r & -r
+            for c, pr in pivots.items():
+                if pr & low:
+                    pivots[c] = pr ^ r
+            pivots[low.bit_length() - 1] = r
     return pivots
 
 
 def nullspace(M: GF2Matrix) -> list[int]:
     """Basis of {x : Mx = 0} as bitmasks over the ncols coordinates."""
-    pivots = _rref_pivots(list(M.rows))
+    pivots = _rref_pivots(M.rows)
     basis = []
     for j in range(M.ncols):
         if j in pivots:
@@ -231,14 +223,6 @@ def _delete_row(M: GF2Matrix, row: int) -> GF2Matrix:
     return GF2Matrix(M.rows[:row] + M.rows[row + 1:], M.ncols)
 
 
-def _append_zero_col(M: GF2Matrix) -> GF2Matrix:
-    return GF2Matrix(M.rows, M.ncols + 1)
-
-
-def _append_zero_row(M: GF2Matrix) -> GF2Matrix:
-    return GF2Matrix(M.rows + (0,), M.ncols)
-
-
 def apply_move(cc: Z2ChainComplex, mv: MorseMove) -> Z2ChainComplex:
     """New complex after the move; the input is never mutated."""
     if mv.kind == "isotopy":
@@ -267,8 +251,8 @@ def apply_move(cc: Z2ChainComplex, mv: MorseMove) -> Z2ChainComplex:
         M = bnd[up]  # C_{p+1} -> C_p
         new_rows = tuple(M.rows) + (1 << M.ncols,)  # new row f hit only by new col e
         bnd[up] = GF2Matrix(new_rows, M.ncols + 1)
-        bnd[p] = _append_zero_col(bnd[p])  # df = 0
-        bnd[up2] = _append_zero_row(bnd[up2])  # nothing else hits e
+        bnd[p] = GF2Matrix(bnd[p].rows, bnd[p].ncols + 1)  # df = 0
+        bnd[up2] = GF2Matrix(bnd[up2].rows + (0,), bnd[up2].ncols)  # nothing else hits e
         dims[p] += 1
         dims[up] += 1
         return Z2ChainComplex(tuple(dims), tuple(bnd))
@@ -321,11 +305,7 @@ def random_complex(rng: Random, max_dim: int = 6) -> Z2ChainComplex:
                 if rng.random() < 0.5:
                     acc ^= v
             cols.append(acc)
-        rows = tuple(
-            sum(((cols[j] >> i) & 1) << j for j in range(dims[p]))
-            for i in range(dims[(p - 1) % 8])
-        )
-        bnd[p] = GF2Matrix(rows, dims[p])
+        bnd[p] = GF2Matrix(tuple(cols), dims[(p - 1) % 8]).transpose()
     return Z2ChainComplex(dims, tuple(bnd[p] for p in range(8)))
 
 

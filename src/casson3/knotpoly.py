@@ -8,7 +8,7 @@ from typing import Mapping
 
 from .errors import NotCoprime
 from .flat_moduli import count_connections
-from .polynomial import RationalPoly
+from .polynomial import RationalPoly, format_terms
 
 
 class LaurentPoly:
@@ -61,65 +61,27 @@ class LaurentPoly:
         return sum(self.coeffs.values())
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for n in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[n]
-            mag = abs(c)
-            if n == 0:
-                body = str(mag)
-            else:
-                power = "t" if n == 1 else f"t^{n}"
-                body = power if mag == 1 else f"{mag}*{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-
-def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact quotient of ordinary integer polynomials (lowest power first)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1] != 0:
-            raise ValueError("inexact polynomial division")
-        q = c // den[-1]
-        out[i] = q
-        for j, d in enumerate(den):
-            num[i + j] -= q * d
-    if any(num):
-        raise ValueError("inexact polynomial division")
-    return out
+        return format_terms(sorted(self.coeffs.items(), reverse=True), "t")
 
 
 def alexander_torus(p: int, q: int) -> LaurentPoly:
     """Normalized Alexander polynomial of the (p,q) torus knot: the symmetric
     Laurent form of (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)), satisfying
-    D(t) = D(1/t) and D(1) = 1."""
+    D(t) = D(1/t) and D(1) = 1.
+
+    The sum of t^s over the semigroup <p, q> is (1 - t^{pq}) / ((1 - t^p)(1 - t^q)),
+    so the quotient is (1 - t) times it, which is 1 - (1 - t) * sum of t^g over
+    the (p-1)(q-1)/2 gaps g of the semigroup.
+    """
     if p < 1 or q < 1:
         raise ValueError("p, q must be positive")
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"gcd({p},{q}) != 1")
-    if p == 1 or q == 1:
-        return LaurentPoly.one()
-
-    def cyc(n: int) -> list[int]:
-        return [-1] + [0] * (n - 1) + [1]  # t^n - 1
-
-    def mul(a: list[int], b: list[int]) -> list[int]:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
-    quotient = _poly_divide_exact(mul(cyc(p * q), cyc(1)), mul(cyc(p), cyc(q)))
-    half = (p - 1) * (q - 1) // 2  # quotient has even degree (p-1)(q-1)
-    return LaurentPoly({i - half: c for i, c in enumerate(quotient)})
+    conductor = (p - 1) * (q - 1)  # every n >= conductor lies in <p, q>
+    semigroup = {a * p + b * q for a in range(q) for b in range(p)}
+    gaps = LaurentPoly({g: 1 for g in range(conductor) if g not in semigroup})
+    quotient = LaurentPoly.one() - LaurentPoly({0: 1, 1: -1}) * gaps
+    return quotient.shift(-(conductor // 2))
 
 
 def second_derivative_at_one(P: LaurentPoly) -> Fraction:

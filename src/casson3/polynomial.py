@@ -8,6 +8,27 @@ from typing import Iterable, Union
 Scalar = Union[int, Fraction]
 
 
+def format_terms(terms: Iterable[tuple[int, Scalar]], var: str) -> str:
+    """Human-readable sum of (power, coefficient) terms given highest power
+    first, e.g. '5/2*K^2 - 9/4*K'; zero coefficients are left out and an
+    empty sum reads '0'."""
+    parts = []
+    for n, c in terms:
+        if c == 0:
+            continue
+        mag = abs(c)
+        if n == 0:
+            body = str(mag)
+        else:
+            power = var if n == 1 else f"{var}^{n}"
+            body = power if mag == 1 else f"{mag}*{power}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
+
+
 def _strip(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     n = len(coeffs)
     while n > 0 and coeffs[n - 1] == 0:
@@ -72,21 +93,4 @@ class RationalPoly:
 
     def format(self, var: str = "K") -> str:
         """Human-readable form, highest power first, e.g. '5/2*K^2 - 9/4*K'."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                power = var if i == 1 else f"{var}^{i}"
-                body = power if mag == 1 else f"{mag}*{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return format_terms(reversed(list(enumerate(self.coeffs))), var)

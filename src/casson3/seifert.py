@@ -12,7 +12,6 @@ the (q, K) of the 1/K surgery on the (2,q) torus knot that produced it:
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,21 +55,6 @@ class BrieskornSphere:
     def euler_rational(self) -> Fraction:
         """b0 + sum b_i/a_i; equals +-1/a for a homology sphere."""
         return self.b0 + sum(Fraction(bi, ai) for ai, bi in zip(self.a, self.b))
-
-    def to_json_dict(self) -> dict:
-        d = {
-            "a": list(self.a),
-            "b0": self.b0,
-            "b": list(self.b),
-            "orientation": self.orientation,
-        }
-        if self.surgery_origin is not None:
-            q, K = self.surgery_origin
-            d["surgery"] = {"q": q, "K": K}
-        return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def from_surgery(q: int, K: int) -> BrieskornSphere:

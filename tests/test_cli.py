@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from casson3.cli import main
+from casson3.cli import RunConfig, main, run
 from casson3.floer import random_complex
 
 
@@ -137,12 +137,24 @@ def test_usage_errors_exit_2():
         ["fit", "--q", "3", "--sign", "+", "--degree", "-1", "--samples", "2"],
         ["conjecture", "--samples", "2"],
         ["floer-sim", "--max-dim", "-1"],
+        ["floer-sim", "--moves", "-3"],
+        ["table", "-v"],
         ["table", "--q", ","],
         ["conjecture", "--q-list", ","],
     ):
         with pytest.raises(SystemExit) as exc:
             run_cli(args)
         assert exc.value.code == 2, args
+
+
+def test_config_in_code_matches_command_line():
+    for config, args in (
+        (RunConfig("floer_sim"), ["floer-sim"]),
+        (RunConfig("conjecture", q_list=(3,)), ["conjecture", "--q-list", "3"]),
+    ):
+        out = io.StringIO()
+        assert run(config, out) == 0
+        assert run_cli(args) == (0, out.getvalue())
 
 
 def test_computation_error_exit_1():

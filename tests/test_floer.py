@@ -33,6 +33,22 @@ def test_gf2_matrix_basics():
     assert GF2Matrix.from_lists([[1, 1], [1, 1]]).rank() == 1
 
 
+def test_rank_against_row_space_oracle():
+    rng = random.Random(2024)
+    for _ in range(200):
+        nrows, ncols = rng.randint(0, 8), rng.randint(0, 10)
+        M = GF2Matrix(tuple(rng.getrandbits(ncols) for _ in range(nrows)), ncols)
+        rank = M.rank()
+        span = {0}
+        for r in M.rows:
+            span |= {v ^ r for v in span}
+        assert len(span) == 2 ** rank
+        assert M.transpose().rank() == rank
+        basis = nullspace(M)
+        assert rank + len(basis) == ncols
+        assert all(bin(r & v).count("1") % 2 == 0 for r in M.rows for v in basis)
+
+
 def test_nullspace():
     M = GF2Matrix.from_lists([[1, 1, 0], [0, 0, 1]])
     basis = nullspace(M)

@@ -35,7 +35,8 @@ def test_alexander_normalization_and_symmetry():
 
 def test_alexander_defining_identity():
     # D(t) * (t^p - 1)(t^q - 1) == t^{-(p-1)(q-1)/2} (t^{pq} - 1)(t - 1)
-    for p, q in [(2, 3), (2, 5), (2, 7), (2, 9), (2, 11), (3, 4), (3, 5)]:
+    for p, q in [(2, 3), (2, 5), (2, 7), (2, 9), (2, 11), (3, 4), (3, 5),
+                 (5, 7), (7, 11), (2, 21), (5, 2)]:
         d = alexander_torus(p, q)
         den = LaurentPoly({p: 1, 0: -1}) * LaurentPoly({q: 1, 0: -1})
         num = LaurentPoly({p * q: 1, 0: -1}) * LaurentPoly({1: 1, 0: -1})
@@ -97,3 +98,12 @@ def test_laurent_arithmetic():
     assert (a * b).coeffs == {1: 1, 2: -1, -1: 1, 0: -1}
     assert a.shift(2) == LaurentPoly({3: 1, 1: 1})
     assert repr(LaurentPoly({1: 1, 0: -1, -1: 1})) == "t - 1 + t^-1"
+
+
+def test_rational_poly_format():
+    assert RationalPoly.from_coeffs([0, Fraction(-9, 4), Fraction(5, 2)]).format("K") \
+        == "5/2*K^2 - 9/4*K"
+    assert RationalPoly.from_coeffs([3, 0, Fraction(-1, 2)]).format("K") == "-1/2*K^2 + 3"
+    assert RationalPoly.from_coeffs([-1, 1]).format("x") == "x - 1"
+    assert RationalPoly.from_coeffs([0, 0, 0, -1]).format("K") == "-K^3"
+    assert RationalPoly.zero().format("K") == "0"

@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -74,15 +73,3 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         BrieskornSphere(a=(2, 3, 5), b0=-1, b=(1, 1, 1), orientation=2)
 
-
-def test_json_serialization():
-    X = from_surgery(3, 1)
-    payload = json.loads(X.to_json())
-    assert payload == {
-        "a": [2, 3, 5],
-        "b0": -1,
-        "b": [1, 1, 1],
-        "orientation": -1,
-        "surgery": {"q": 3, "K": 1},
-    }
-    assert X.to_json() == X.to_json()
