@@ -31,11 +31,10 @@ from .errors import (
     MissingClosedForm,
     NoCandidate,
     NotCoprime,
-    SingularSystem,
     SnapFailure,
     UnsupportedFamily,
 )
-from .exact_arith import FloatEstimate, snap_to_rational, solve_vandermonde
+from .exact_arith import FloatEstimate, snap_to_rational
 from .flat_moduli import FlatConnection, count_connections, enumerate_connections
 from .floer import (
     GF2Matrix,
@@ -51,9 +50,8 @@ from .floer import (
     r_invariant,
     zero_complex,
 )
-from .knotpoly import LaurentPoly, alexander_torus, check_conjecture, second_derivative_at_one
-from .polynomial import RationalPoly
-from .polyrecon import fit_and_verify
+from .knotpoly import alexander_torus, check_conjecture, second_derivative_at_one
+from .polynomial import RationalPoly, fit_and_verify
 from .seifert import BrieskornSphere, from_surgery, reverse_orientation
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -24,7 +24,7 @@ from .dedekind import c_correction
 from .errors import Casson3Error, InvalidSurgery, MissingClosedForm
 from .floer import build_floer_complex, floer_correction
 from .polynomial import RationalPoly
-from .seifert import BrieskornSphere, from_surgery
+from .seifert import BrieskornSphere, check_surgery, from_surgery
 
 SUPPORTED_Q = (3, 5, 7, 9)
 
@@ -82,38 +82,31 @@ def _forms(q: int) -> dict:
                                 f"supported: {SUPPORTED_Q}") from None
 
 
-def _check_surgery(q: int, K: int) -> None:
-    if q < 3 or q % 2 == 0:
-        raise InvalidSurgery(f"q must be odd and >= 3, got {q}")
-    if K == 0:
-        raise InvalidSurgery("K must be nonzero")
-
-
 def lambda_su2(q: int, K: int) -> Fraction:
     """SU(2) Casson invariant of the surgery sphere: K (q^2 - 1) / 4."""
-    _check_surgery(q, K)
+    check_surgery(q, K)
     return Fraction(K * (q * q - 1), 4)
 
 
 def reference_A(q: int, K: int) -> Fraction:
-    _check_surgery(q, K)
+    check_surgery(q, K)
     return _forms(q)["A"](K)
 
 
 def reference_B(q: int, K: int) -> Fraction:
-    _check_surgery(q, K)
+    check_surgery(q, K)
     num, den = _forms(q)["B"]
     return num(K) / den(K)
 
 
 def reference_C(q: int, K: int) -> Fraction:
-    _check_surgery(q, K)
+    check_surgery(q, K)
     num, den = _forms(q)["C+" if K > 0 else "C-"]
     return num(K) / den(K)
 
 
 def reference_Lambda(q: int, K: int) -> Fraction:
-    _check_surgery(q, K)
+    check_surgery(q, K)
     return _forms(q)["Lambda+" if K > 0 else "Lambda-"](K)
 
 

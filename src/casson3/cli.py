@@ -31,7 +31,7 @@ from .errors import Casson3Error
 from .flat_moduli import enumerate_connections
 from .floer import apply_move, floer_correction, random_complex, random_move
 from .knotpoly import check_conjecture
-from .polyrecon import fit_and_verify
+from .polynomial import fit_and_verify
 from .seifert import from_surgery
 
 SCHEMA = "casson3/1"
@@ -89,6 +89,8 @@ class RunConfig:
         if any(k == 0 for k in self.k_list):
             raise ValueError("K range must exclude 0")
         if self.subcommand == "fit":
+            if len(self.q_list) != 1:
+                raise ValueError(f"fit takes one q, got {len(self.q_list)}")
             degree, samples = self.options["degree"], self.options["samples"]
             if degree < 0:
                 raise ValueError(f"--degree must be >= 0, got {degree}")

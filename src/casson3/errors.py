@@ -25,10 +25,6 @@ class SnapFailure(Casson3Error):
     """Float-path snapping was rejected; caller should fall back to the exact path."""
 
 
-class SingularSystem(Casson3Error):
-    """Interpolation abscissae repeat."""
-
-
 class ConventionMismatch(Casson3Error):
     """The frozen sign conventions failed their calibration anchors."""
 

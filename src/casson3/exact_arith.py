@@ -1,5 +1,5 @@
-"""Exact rational substrate: float estimates with error bounds, rational
-snapping, and exact polynomial interpolation.
+"""Float estimates with error bounds, and snapping them to the nearest
+rational of bounded denominator.
 
 Rational values are stdlib fractions.Fraction throughout: always in lowest
 terms with positive denominator, immutable and hashable, and arithmetic never
@@ -10,10 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .errors import AmbiguousSnap, NoCandidate, SingularSystem
-from .polynomial import RationalPoly
+from .errors import AmbiguousSnap, NoCandidate
 
 
 @dataclass(frozen=True)
@@ -74,27 +72,3 @@ def snap_to_rational(x: FloatEstimate, denominator_bound: int) -> Fraction:
             f"{best} and {runner_up} both lie near {x.value!r} +- {x.error_bound!r}"
         )
     return best
-
-
-def solve_vandermonde(points: Sequence[tuple[Fraction, Fraction]], degree: int) -> RationalPoly:
-    """Unique degree-<=degree polynomial through degree+1 points, exactly
-    (Lagrange form over Fraction)."""
-    if len(points) != degree + 1:
-        raise ValueError(f"need exactly {degree + 1} points, got {len(points)}")
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
-    if len(set(xs)) != len(xs):
-        raise SingularSystem(f"repeated abscissae in {xs}")
-    acc = RationalPoly.zero()
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        basis = RationalPoly.from_coeffs([1])
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = basis * RationalPoly.from_coeffs([-xj, 1])
-            denom *= xi - xj
-        acc = acc + basis * (yi / denom)
-    return acc

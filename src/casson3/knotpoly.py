@@ -1,70 +1,17 @@
-"""Integer Laurent polynomials, normalized torus-knot Alexander polynomials,
-and the quadratic-difference report for the surgery-family invariants."""
+"""Normalized torus-knot Alexander polynomials and the quadratic-difference
+report for the surgery-family invariants."""
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import NotCoprime
-from .flat_moduli import count_connections
-from .polynomial import RationalPoly, format_terms
+from .flat_moduli import enumerate_connections
+from .polynomial import RationalPoly
+from .seifert import from_surgery
 
 
-class LaurentPoly:
-    """Laurent polynomial with integer coefficients; zero coefficients are
-    never stored."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
-        self.coeffs = {int(n): int(c) for n, c in (coeffs or {}).items() if c != 0}
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            out[n] = out.get(n, 0) + c
-        return LaurentPoly(out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({n: -c for n, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for n, c in self.coeffs.items():
-            for m, d in other.coeffs.items():
-                out[n + m] = out.get(n + m, 0) + c * d
-        return LaurentPoly(out)
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by t^k."""
-        return LaurentPoly({n + k: c for n, c in self.coeffs.items()})
-
-    def mirror(self) -> "LaurentPoly":
-        """t -> 1/t."""
-        return LaurentPoly({-n: c for n, c in self.coeffs.items()})
-
-    def at_one(self) -> int:
-        return sum(self.coeffs.values())
-
-    def __repr__(self) -> str:
-        return format_terms(sorted(self.coeffs.items(), reverse=True), "t")
-
-
-def alexander_torus(p: int, q: int) -> LaurentPoly:
+def alexander_torus(p: int, q: int) -> RationalPoly:
     """Normalized Alexander polynomial of the (p,q) torus knot: the symmetric
     Laurent form of (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)), satisfying
     D(t) = D(1/t) and D(1) = 1.
@@ -79,14 +26,14 @@ def alexander_torus(p: int, q: int) -> LaurentPoly:
         raise NotCoprime(f"gcd({p},{q}) != 1")
     conductor = (p - 1) * (q - 1)  # every n >= conductor lies in <p, q>
     semigroup = {a * p + b * q for a in range(q) for b in range(p)}
-    gaps = LaurentPoly({g: 1 for g in range(conductor) if g not in semigroup})
-    quotient = LaurentPoly.one() - LaurentPoly({0: 1, 1: -1}) * gaps
+    gaps = RationalPoly(tuple(int(g not in semigroup) for g in range(conductor)))
+    quotient = RationalPoly((1,)) - RationalPoly((1, -1)) * gaps
     return quotient.shift(-(conductor // 2))
 
 
-def second_derivative_at_one(P: LaurentPoly) -> Fraction:
+def second_derivative_at_one(P: RationalPoly) -> Fraction:
     """d^2/dt^2 at t = 1: sum_n n (n - 1) coeff(n)."""
-    return Fraction(sum(n * (n - 1) * c for n, c in P.coeffs.items()))
+    return sum((n * (n - 1) * c for n, c in P.terms()), Fraction(0))
 
 
 def check_conjecture(q: int, fit_plus: RationalPoly, fit_minus: RationalPoly) -> dict:
@@ -104,16 +51,15 @@ def check_conjecture(q: int, fit_plus: RationalPoly, fit_minus: RationalPoly) ->
     expected = RationalPoly.from_coeffs([0, Fraction(n_q, 4)])
     d2 = second_derivative_at_one(alexander_torus(2, q))
     stated = RationalPoly.from_coeffs([0, -d2])  # P+ - P- per the stated form
-    factor = None
-    if diff.degree == 1 and diff.coeffs[1] != 0:
-        factor = stated.coeffs[1] / diff.coeffs[1] if stated.degree == 1 else Fraction(0)
+    factor = stated[1] / diff[1] if diff.degree == 1 else None
+    rep_count = len(enumerate_connections(from_surgery(q, 1)))
     return {
         "q": q,
         "N": n_q,
         "difference": diff.format("K"),
         "difference_equals_quarter_N_K": diff == expected,
-        "rep_count_per_k": count_connections(q, 1),
-        "rep_count_matches_N": count_connections(q, 1) == n_q,
+        "rep_count_per_k": rep_count,
+        "rep_count_matches_N": rep_count == n_q,
         "alexander_second_derivative": str(d2),
         "abs_second_derivative_matches_N": abs(d2) == n_q,
         "stated_form_holds": diff == stated,

@@ -57,12 +57,17 @@ class BrieskornSphere:
         return self.b0 + sum(Fraction(bi, ai) for ai, bi in zip(self.a, self.b))
 
 
-def from_surgery(q: int, K: int) -> BrieskornSphere:
-    """Sphere obtained by 1/K surgery on the (2,q) torus knot."""
+def check_surgery(q: int, K: int) -> None:
+    """Raise InvalidSurgery unless q is odd and >= 3 and K is nonzero."""
     if q < 3 or q % 2 == 0:
         raise InvalidSurgery(f"q must be odd and >= 3, got {q}")
     if K == 0:
         raise InvalidSurgery("K must be nonzero")
+
+
+def from_surgery(q: int, K: int) -> BrieskornSphere:
+    """Sphere obtained by 1/K surgery on the (2,q) torus knot."""
+    check_surgery(q, K)
     m = (q - 1) // 2
     k = abs(K)
     if K > 0:

@@ -27,8 +27,7 @@ from casson3.floer import (
     random_move,
 )
 from casson3.knotpoly import check_conjecture
-from casson3.polynomial import RationalPoly
-from casson3.polyrecon import fit_and_verify
+from casson3.polynomial import RationalPoly, fit_and_verify
 from casson3.seifert import from_surgery, reverse_orientation
 
 from tabledata import expected_rows

@@ -1,11 +1,13 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from random import Random
 
 import pytest
 
+import casson3
 from casson3.cli import RunConfig, main, run
 from casson3.floer import random_complex
 
@@ -135,6 +137,7 @@ def test_usage_errors_exit_2():
         ["rho", "--q", "3", "--K", "1", "--path", "lattice"],
         ["fit", "--q", "3", "--sign", "+", "--degree", "2", "--samples", "2"],
         ["fit", "--q", "3", "--sign", "+", "--degree", "-1", "--samples", "2"],
+        ["fit", "--q", "5,3", "--sign", "+", "--degree", "2", "--samples", "5"],
         ["conjecture", "--samples", "2"],
         ["floer-sim", "--max-dim", "-1"],
         ["floer-sim", "--moves", "-3"],
@@ -163,9 +166,11 @@ def test_computation_error_exit_1():
 
 
 def test_console_entry_point():
+    src = os.path.dirname(os.path.dirname(casson3.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "casson3.cli", "reps", "--q", "3", "--K", "-1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "q,K,L1,L2,L3,t,e"

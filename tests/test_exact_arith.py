@@ -3,14 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from casson3.errors import AmbiguousSnap, NoCandidate, SingularSystem
-from casson3.exact_arith import (
-    FloatEstimate,
-    farey_neighbors,
-    snap_to_rational,
-    solve_vandermonde,
-)
-from casson3.polynomial import RationalPoly
+from casson3.errors import AmbiguousSnap, NoCandidate
+from casson3.exact_arith import FloatEstimate, farey_neighbors, snap_to_rational
 
 
 def test_snap_exact_representable():
@@ -83,41 +77,3 @@ def test_fraction_normalized_invariants():
     r = Fraction(6, -4)
     assert r.denominator > 0 and abs(Fraction(r.numerator, r.denominator)) == abs(r)
     assert Fraction(2, 4) == Fraction(1, 2)
-
-
-def test_vandermonde_quadratic_closed_form():
-    pts = [(1, Fraction(1, 4)), (2, Fraction(11, 2)), (3, Fraction(63, 4))]
-    poly = solve_vandermonde(pts, 2)
-    assert poly.coeffs == (Fraction(0), Fraction(-9, 4), Fraction(10, 4))
-    for x, y in pts:
-        assert poly(x) == y
-
-
-def test_vandermonde_zero_poly():
-    assert solve_vandermonde([(0, 0), (1, 0)], 1) == RationalPoly.zero()
-
-
-def test_vandermonde_cubic():
-    # oracle: evaluate K^3 + K by hand at 1, 2, -1, -2 -> 2, 10, -2, -10
-    pts = [(1, 2), (2, 10), (-1, -2), (-2, -10)]
-    poly = solve_vandermonde(pts, 3)
-    assert poly.coeffs == (Fraction(0), Fraction(1), Fraction(0), Fraction(1))
-
-
-def test_vandermonde_errors():
-    with pytest.raises(SingularSystem):
-        solve_vandermonde([(1, 1), (1, 2)], 1)
-    with pytest.raises(ValueError):
-        solve_vandermonde([(1, 1)], 1)
-
-
-def test_vandermonde_random_roundtrip():
-    rng = random.Random(99)
-    for _ in range(50):
-        d = rng.randint(0, 5)
-        xs = rng.sample(range(-30, 30), d + 1)
-        ys = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in xs]
-        poly = solve_vandermonde(list(zip(xs, ys)), d)
-        assert poly.degree <= d
-        for x, y in zip(xs, ys):
-            assert poly(x) == y

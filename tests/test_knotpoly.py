@@ -3,34 +3,36 @@ from fractions import Fraction
 import pytest
 
 from casson3.errors import NotCoprime
-from casson3.knotpoly import (
-    LaurentPoly,
-    alexander_torus,
-    check_conjecture,
-    second_derivative_at_one,
-)
-from casson3.polynomial import RationalPoly
+from casson3.flat_moduli import count_connections, enumerate_connections
+from casson3.knotpoly import alexander_torus, check_conjecture, second_derivative_at_one
+from casson3.polynomial import RationalPoly, fit_and_verify
 from casson3.assembly import reference_Lambda
-from casson3.polyrecon import fit_and_verify
+from casson3.seifert import from_surgery
+
+ONE = RationalPoly((1,))
+
+
+def t_to(n):
+    return ONE.shift(n)
 
 
 def test_alexander_trefoil():
-    assert alexander_torus(2, 3) == LaurentPoly({1: 1, 0: -1, -1: 1})
+    assert alexander_torus(2, 3) == RationalPoly((1, -1, 1), -1)
 
 
 def test_alexander_2_5():
-    assert alexander_torus(2, 5) == LaurentPoly({2: 1, 1: -1, 0: 1, -1: -1, -2: 1})
+    assert alexander_torus(2, 5) == RationalPoly((1, -1, 1, -1, 1), -2)
 
 
 def test_alexander_unknot_convention():
-    assert alexander_torus(1, 5) == LaurentPoly.one()
+    assert alexander_torus(1, 5) == ONE
 
 
 def test_alexander_normalization_and_symmetry():
     for p, q in [(2, 3), (2, 5), (2, 7), (2, 9), (3, 4), (3, 5), (4, 5)]:
         d = alexander_torus(p, q)
-        assert d.at_one() == 1
-        assert d.mirror() == d
+        assert d(1) == 1
+        assert d.low == -d.degree and d.coeffs == d.coeffs[::-1]
 
 
 def test_alexander_defining_identity():
@@ -38,8 +40,8 @@ def test_alexander_defining_identity():
     for p, q in [(2, 3), (2, 5), (2, 7), (2, 9), (2, 11), (3, 4), (3, 5),
                  (5, 7), (7, 11), (2, 21), (5, 2)]:
         d = alexander_torus(p, q)
-        den = LaurentPoly({p: 1, 0: -1}) * LaurentPoly({q: 1, 0: -1})
-        num = LaurentPoly({p * q: 1, 0: -1}) * LaurentPoly({1: 1, 0: -1})
+        den = (t_to(p) - ONE) * (t_to(q) - ONE)
+        num = (t_to(p * q) - ONE) * (t_to(1) - ONE)
         shift = (p - 1) * (q - 1) // 2
         assert d * den == num.shift(-shift)
 
@@ -52,7 +54,7 @@ def test_not_coprime():
 def test_second_derivative_values():
     assert second_derivative_at_one(alexander_torus(2, 3)) == 2
     assert second_derivative_at_one(alexander_torus(2, 5)) == 6
-    assert second_derivative_at_one(LaurentPoly.one()) == 0
+    assert second_derivative_at_one(ONE) == 0
     for q in (3, 5, 7, 9, 11):
         assert second_derivative_at_one(alexander_torus(2, q)) == (q * q - 1) // 4
 
@@ -91,13 +93,27 @@ def test_difference_formula_via_fits():
         assert fit_plus - fit_minus == RationalPoly.from_coeffs([0, Fraction(n_q, 4)])
 
 
+def test_rep_count_is_enumerated():
+    for q in (3, 5, 7, 9, 11):
+        report = check_conjecture(q, RationalPoly.zero(), RationalPoly.zero())
+        count = len(enumerate_connections(from_surgery(q, 1)))
+        assert report["rep_count_per_k"] == count == count_connections(q, 1)
+
+
 def test_laurent_arithmetic():
-    a = LaurentPoly({1: 1, -1: 1})
-    b = LaurentPoly({0: 1, 1: -1})
-    assert a + (-a) == LaurentPoly()
-    assert (a * b).coeffs == {1: 1, 2: -1, -1: 1, 0: -1}
-    assert a.shift(2) == LaurentPoly({3: 1, 1: 1})
-    assert repr(LaurentPoly({1: 1, 0: -1, -1: 1})) == "t - 1 + t^-1"
+    a = t_to(1) + t_to(-1)
+    b = ONE - t_to(1)
+    assert a == RationalPoly((1, 0, 1), -1)
+    assert a + (-a) == RationalPoly.zero()
+    assert a * b == RationalPoly((1, -1, 1, -1), -1)
+    assert [(a * b)[n] for n in range(-2, 4)] == [0, 1, -1, 1, -1, 0]
+    assert a.shift(2) == RationalPoly((0, 1, 0, 1))
+    assert RationalPoly((1, -1, 1), -1).format("t") == "t - 1 + t^-1"
+    # canonical form: no trailing zeros, no leading zeros below x^0, low <= 0
+    assert RationalPoly((0, 0, Fraction(1, 2), 0), -2) == RationalPoly((Fraction(1, 2),))
+    assert RationalPoly((Fraction(1, 2),)).coeffs == (Fraction(1, 2),)
+    assert RationalPoly((1,), 2).coeffs == (0, 0, 1)
+    assert RationalPoly((0, 0), -5) == RationalPoly.zero() and RationalPoly.zero().low == 0
 
 
 def test_rational_poly_format():

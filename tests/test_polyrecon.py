@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from casson3.assembly import reference_Lambda
 from casson3.dedekind import c_correction
 from casson3.errors import DegreeExceeded
-from casson3.polyrecon import fit_and_verify
+from casson3.polynomial import RationalPoly, fit_and_verify
 from casson3.seifert import from_surgery
 
 
@@ -52,3 +53,39 @@ def test_negative_branch_fit():
     values = {K: reference_Lambda(5, K) for K in range(-6, 0)}
     poly = fit_and_verify(values, 2, extra_check_points=3)
     assert poly.coeffs == (Fraction(0), Fraction(-85, 4), Fraction(126, 4))
+
+
+def test_vandermonde_quadratic_closed_form():
+    pts = {1: Fraction(1, 4), 2: Fraction(11, 2), 3: Fraction(63, 4)}
+    poly = fit_and_verify(pts, 2)
+    assert poly.coeffs == (Fraction(0), Fraction(-9, 4), Fraction(10, 4))
+    for x, y in pts.items():
+        assert poly(x) == y
+
+
+def test_vandermonde_zero_poly():
+    assert fit_and_verify({0: 0, 1: 0}, 1) == RationalPoly.zero()
+
+
+def test_vandermonde_cubic():
+    # oracle: evaluate K^3 + K by hand at 1, 2, -1, -2 -> 2, 10, -2, -10
+    pts = {1: 2, 2: 10, -1: -2, -2: -10}
+    poly = fit_and_verify(pts, 3)
+    assert poly.coeffs == (Fraction(0), Fraction(1), Fraction(0), Fraction(1))
+
+
+def test_vandermonde_errors():
+    with pytest.raises(ValueError):
+        fit_and_verify({1: 1}, 1)
+
+
+def test_vandermonde_random_roundtrip():
+    rng = random.Random(99)
+    for _ in range(50):
+        d = rng.randint(0, 5)
+        xs = rng.sample(range(-30, 30), d + 1)
+        ys = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in xs]
+        poly = fit_and_verify(dict(zip(xs, ys)), d)
+        assert poly.degree <= d
+        for x, y in zip(xs, ys):
+            assert poly(x) == y
