@@ -226,6 +226,7 @@ def cmd_fit(cfg: RunConfig, out) -> int:
     degree = cfg.options["degree"]
     samples = cfg.options["samples"]
     ks = [sign * k for k in range(1, samples + 1)]
+    payload = {}
     if target == "Lambda":
         vals = {K: assemble(q, K, path=cfg.path).Lambda_su3 for K in ks}
     elif target == "C":
@@ -234,8 +235,12 @@ def cmd_fit(cfg: RunConfig, out) -> int:
         vals = {K: reference_A(q, K) for K in ks}
     else:
         vals = {K: reference_B(q, K) for K in ks}
+    if target in ("C", "B"):
+        # both are a cubic over 2qK - 1, so the cleared numerator is fitted
+        vals = {K: 4 * q * (2 * q * K - 1) * v for K, v in vals.items()}
+        payload["cleared_by"] = "4q(2qK-1)"
     poly = fit_and_verify(vals, degree, extra_check_points=samples - degree - 1)
-    payload = {
+    payload.update({
         "q": q,
         "sign": cfg.options["sign"],
         "target": target,
@@ -244,7 +249,7 @@ def cmd_fit(cfg: RunConfig, out) -> int:
         "checked_points": samples - degree - 1,
         "coefficients_low_to_high": [str(c) for c in poly.coeffs],
         "polynomial": poly.format("K"),
-    }
+    })
     _emit_json(payload, out)
     return 0
 

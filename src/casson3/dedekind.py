@@ -28,9 +28,20 @@ Two evaluation paths are provided and cross-validated:
                 where N(s) = sum_r p_r p_{(-A r - e s) mod n} and
                 p = [n-1, 1, 3, ..., 2n-3].
 
-``cot_sum_lattice`` rewrites the same integer N(s) as weighted sums of
-greatest integer functions (lattice points between lines); it is no path of
-its own, only an independent reference for the exact kernel.
+The exact kernel never forms that convolution.  Expanding the residue
+(-A r - e s) mod n through a floor leaves a polynomial part in closed form,
+two boundary terms and one weighted floor sum sum_r (2r-1) floor((-A r -
+e s)/n), i.e. a weighted count of lattice points under a line.
+`floor_sums` evaluates it with a Euclid-like recursion, the reciprocity
+step behind Dedekind sums (Rademacher 1964; Knuth, TAOCP vol. 2, 3.3.3),
+so one S(A, e, n) costs O(log n) integer operations.  ``cot_sum_lattice``
+counts the same floor sum term by term in O(n); it is no path of its own,
+only the reference for the recursion.
+
+Each fiber's kernel call is made on the residues (a/a_i mod a_i, e mod a_i,
+a_i), and both kernels are memoised on them in bounded caches
+(`_kernels.CACHE_SIZE` entries): the invariant e is unique per connection,
+but its residue mod a_3 repeats, so most calls of a sweep are cache hits.
 """
 from __future__ import annotations
 
@@ -53,40 +64,67 @@ MAX_SNAP_ERROR = 1e-6  # snapping is refused above this accumulated error
 _ANCHORS = ((3, 1, Fraction(17, 12)), (3, -1, Fraction(-41, 84)))
 
 
-@lru_cache(maxsize=None)
-def cot_sum_exact(A: int, e: int, n: int) -> Fraction:
-    """S(A, e, n) as an exact rational via the closed convolution form."""
-    A %= n
-    e %= n
-    p = [n - 1] + [2 * j - 1 for j in range(1, n)]
+def floor_sums(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
+    """(f, g, h) = sums over 0 <= i < n of F(i), i*F(i) and F(i)^2, where
+    F(i) = floor((a*i + b)/c), for any integers a, b and c >= 1.
 
-    def N(s: int) -> int:
-        return sum(p[r] * p[(-A * r - e * s) % n] for r in range(n))
+    Euclid-like: a and b are first reduced mod c, then the lattice points
+    under the line are counted column-wise instead of row-wise, which swaps
+    a and c; O(log c) levels of integer arithmetic.
+    """
+    if n <= 0:
+        return 0, 0, 0
+    qa, a = divmod(a, c)
+    qb, b = divmod(b, c)
+    s1 = n * (n - 1) // 2
+    s2 = (n - 1) * n * (2 * n - 1) // 6
+    m = (a * (n - 1) + b) // c
+    if m == 0:
+        f = g = h = 0
+    else:
+        # F(i) > j  <=>  i > t_j = floor((c*j + c - b - 1)/a), for 0 <= j < m
+        tf, tg, th = floor_sums(c, c - b - 1, a, m)
+        f = m * (n - 1) - tf
+        g = (m * n * (n - 1) - th - tf) // 2
+        h = m * m * (n - 1) - 2 * tg - tf
+    return (f + qa * s1 + qb * n,
+            g + qa * s2 + qb * s1,
+            h + 2 * qa * g + 2 * qb * f + qa * qa * s2 + 2 * qa * qb * s1 + qb * qb * n)
 
-    return Fraction(-(2 * N(0) - N(1) - N(-1)), 4 * n)
+
+def _weighted_floor_sum_euclid(a: int, b: int, n: int) -> int:
+    """sum_{r<n} (2r - 1) floor((a*r + b)/n) in O(log n)."""
+    f, g, _ = floor_sums(a, b, n, n)
+    return 2 * g - f
 
 
-@lru_cache(maxsize=None)
-def cot_sum_lattice(A: int, e: int, n: int) -> Fraction:
-    """S(A, e, n) via weighted floor sums (lattice points between lines).
+def _weighted_floor_sum_loop(a: int, b: int, n: int) -> int:
+    """sum_{r<n} (2r - 1) floor((a*r + b)/n), term by term."""
+    return sum((2 * r - 1) * ((a * r + b) // n) for r in range(n))
 
-    Expands p_r = (2r - 1) + n*[r = 0] and sigma(r) = (-Ar - es) mod n =
-    (-Ar - es) - n*floor((-Ar - es)/n) inside N(s); the floor sum is a
-    weighted count of lattice points under the line y = (-Ax - es)/n.
+
+def _cot_sum_from_floor_sums(A: int, e: int, n: int, weighted_floor_sum) -> Fraction:
+    """S(A, e, n) = -(2 N(0) - N(1) - N(-1)) / (4n), with N(s) written as a
+    closed polynomial part, a weighted floor sum and two boundary terms.
+
+    N(s) = sum_r p_r p_{sigma(r)}, sigma(r) = (-A r - e s) mod n and
+    p_r = (2r - 1) + n*[r = 0].  Expanding sigma(r) = u - n*floor(u/n) with
+    u = -A r - e s leaves sum_r (2r - 1)(2u - 1), a polynomial in n, A and
+    e s, minus 2n times the weighted floor sum; the [r = 0] and
+    [sigma(r) = 0] parts give the boundary terms.  Needs gcd(A, n) = 1.
     """
     A %= n
     e %= n
+    inverse = pow(-A, -1, n)
+    s1 = n * (n - 1) // 2
+    s2 = (n - 1) * n * (2 * n - 1) // 6
 
     def N(s: int) -> int:
-        q_sum = 0
-        floor_sum = 0
-        for r in range(n):
-            u = -A * r - e * s
-            q_sum += (2 * r - 1) * (2 * u - 1)
-            floor_sum += (2 * r - 1) * (u // n)
-        sigma_at_0 = (-e * s) % n
-        r_hitting_0 = (pow(-A, -1, n) * e * s) % n
-        total = (q_sum - 2 * n * floor_sum
+        b = -e * s
+        sigma_at_0 = b % n
+        r_hitting_0 = (inverse * e * s) % n
+        polynomial = -4 * A * s2 + 2 * (2 * b - 1 + A) * s1 - n * (2 * b - 1)
+        total = (polynomial - 2 * n * weighted_floor_sum(-A, b, n)
                  + n * (2 * sigma_at_0 - 1) + n * (2 * r_hitting_0 - 1))
         if sigma_at_0 == 0:
             total += n * n
@@ -95,20 +133,46 @@ def cot_sum_lattice(A: int, e: int, n: int) -> Fraction:
     return Fraction(-(2 * N(0) - N(1) - N(-1)), 4 * n)
 
 
+@lru_cache(maxsize=_kernels.CACHE_SIZE)
+def cot_sum_exact(A: int, e: int, n: int) -> Fraction:
+    """S(A, e, n) as an exact rational in O(log n) integer operations.
+
+    The weighted floor sum inside N(s) is evaluated by the Euclid-like
+    recursion of `floor_sums`; the rest of N(s) is closed form.  Requires
+    gcd(A, n) = 1, which every caller meets because the multiplicities of a
+    Brieskorn sphere are pairwise coprime.  Memoised on its arguments, which
+    callers pass as the residues (A mod n, e mod n, n).
+    """
+    return _cot_sum_from_floor_sums(A, e, n, _weighted_floor_sum_euclid)
+
+
+@lru_cache(maxsize=_kernels.CACHE_SIZE)
+def cot_sum_lattice(A: int, e: int, n: int) -> Fraction:
+    """S(A, e, n) with the weighted floor sum counted term by term in O(n):
+    the reference for the floor-sum recursion of `cot_sum_exact`, which it
+    shares every other step with.  Requires gcd(A, n) = 1."""
+    return _cot_sum_from_floor_sums(A, e, n, _weighted_floor_sum_loop)
+
+
+def _fiber_arguments(a: tuple[int, int, int], e: int) -> list[tuple[int, int, int]]:
+    """The kernel arguments (a/a_i mod a_i, e mod a_i, a_i) of each fiber."""
+    prod = a[0] * a[1] * a[2]
+    return [((prod // ai) % ai, e % ai, ai) for ai in a]
+
+
 def cotangent_total_exact(a: tuple[int, int, int], e: int) -> Fraction:
     """sum_i (2/a_i) S(a/a_i, e, a_i), exactly."""
-    prod = a[0] * a[1] * a[2]
-    return sum((Fraction(2, ai) * cot_sum_exact(prod // ai, e, ai) for ai in a), Fraction(0))
+    return sum((Fraction(2, n) * cot_sum_exact(A, r, n) for A, r, n in _fiber_arguments(a, e)),
+               Fraction(0))
 
 
 def cotangent_total_float(a: tuple[int, int, int], e: int) -> FloatEstimate:
-    prod = a[0] * a[1] * a[2]
     value = 0.0
     err = 0.0
-    for ai in a:
-        v, b = _kernels.cot_sum(prod // ai, e, ai)
-        value += (2.0 / ai) * v
-        err += (2.0 / ai) * b
+    for A, r, n in _fiber_arguments(a, e):
+        v, b = _kernels.cot_sum(A, r, n)
+        value += (2.0 / n) * v
+        err += (2.0 / n) * b
     return FloatEstimate(value, err)
 
 

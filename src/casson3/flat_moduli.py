@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnsupportedFamily
+from .errors import InvalidSurgery, UnsupportedFamily
 from .seifert import BrieskornSphere
 
 
@@ -74,5 +74,5 @@ def enumerate_connections(X: BrieskornSphere) -> list[FlatConnection]:
 def count_connections(q: int, k: int) -> int:
     """(q^2 - 1) k / 4; equals len(enumerate_connections) for both surgery signs."""
     if q < 3 or q % 2 == 0 or k < 1:
-        raise ValueError(f"need odd q >= 3 and k >= 1, got q={q}, k={k}")
+        raise InvalidSurgery(f"need odd q >= 3 and k >= 1, got q={q}, k={k}")
     return (q * q - 1) * k // 4

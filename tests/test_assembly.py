@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from casson3.assembly import (
+    SUPPORTED_Q,
     InvariantReport,
     assemble,
     assemble_on_sphere,
@@ -47,6 +48,16 @@ def test_golden_subset_exact_path():
             assert r.Lambda_su3 == reference_Lambda(q, K), (q, K)
             assert r.C == reference_C(q, K), (q, K)
             assert (4 * r.Lambda_su3).denominator == 1
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_golden_sweep_exact_path_to_K_100(q):
+    # deselected by default; run with `python -m pytest -m slow`
+    for K in (k for k in range(-100, 101) if k):
+        r = assemble(q, K, path="exact")
+        assert r.C == reference_C(q, K), (q, K)
+        assert r.Lambda_su3 == reference_Lambda(q, K), (q, K)
 
 
 def test_lambda_su2():

@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 import casson3
+from casson3.assembly import _TABLE
 from casson3.cli import RunConfig, main, run
 from casson3.floer import random_complex
 
@@ -82,6 +83,19 @@ def test_fit_json():
     payload = json.loads(out)
     assert payload["coefficients_low_to_high"] == ["0", "-85/4", "63/2"]
     assert payload["checked_points"] == 2
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_fit_cleared_c_and_b_give_the_stored_numerators(q, sign):
+    forms = _TABLE[q]
+    for target, num, factor in (("C", forms["C" + sign][0], 1), ("B", forms["B"][0], 2)):
+        code, out = run_cli(["fit", "--q", str(q), "--sign", sign, "--target", target,
+                             "--degree", "3", "--samples", "6"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["cleared_by"] == "4q(2qK-1)"
+        assert payload["coefficients_low_to_high"] == [str(factor * c) for c in num.coeffs]
 
 
 def test_fit_wrong_degree_is_computation_error():

@@ -3,7 +3,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casson3 import _kernels
 from casson3.dedekind import (
@@ -13,6 +16,7 @@ from casson3.dedekind import (
     cot_sum_lattice,
     cotangent_total_exact,
     cotangent_total_float,
+    floor_sums,
     rho_adjoint,
     rho_natural_exact,
     snap_rho,
@@ -32,6 +36,77 @@ def _cot_sum_direct(A, e, n):
             * (math.cos(math.pi * m / n) / math.sin(math.pi * m / n)) \
             * math.sin(math.pi * e * m / n) ** 2
     return total
+
+
+def _cot_sum_convolution(A, e, n):
+    """Independent exact oracle: the closed convolution form
+    S = -(2 N(0) - N(1) - N(-1)) / (4n), N(s) = sum_r p_r p_{(-A r - e s) mod n},
+    p = [n-1, 1, 3, ..., 2n-3], as an int64 dot product (no overflow for
+    n < 10^6, since each product is below 4 n^2 and there are n of them)."""
+    p = np.arange(-1, 2 * n - 2, 2, dtype=np.int64)
+    p[0] = n - 1
+    r = np.arange(n, dtype=np.int64)
+
+    def N(s):
+        return int(p @ p[(-A * r - e * s) % n])
+
+    return Fraction(-(2 * N(0) - N(1) - N(-1)), 4 * n)
+
+
+@st.composite
+def _coprime_args(draw, max_n):
+    n = draw(st.integers(2, max_n))
+    A = draw(st.integers(-3 * n, 3 * n).filter(lambda A: math.gcd(A, n) == 1))
+    e = draw(st.integers(-3 * n, 3 * n))
+    return A, e, n
+
+
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+@_PROPERTY
+@given(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4), st.integers(1, 500),
+       st.integers(0, 500))
+def test_floor_sums_match_brute_force(a, b, c, n):
+    F = [(a * i + b) // c for i in range(n)]
+    assert floor_sums(a, b, c, n) == (sum(F), sum(i * x for i, x in enumerate(F)),
+                                      sum(x * x for x in F))
+
+
+@_PROPERTY
+@given(_coprime_args(3000))
+def test_exact_kernel_matches_convolution_and_lattice(args):
+    exact = cot_sum_exact.__wrapped__(*args)
+    assert exact == _cot_sum_convolution(*args) == cot_sum_lattice.__wrapped__(*args)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(_coprime_args(10**5))
+def test_exact_kernel_within_float_bound_to_large_n(args):
+    value, bound = _kernels.cot_sum_numpy(*args)
+    assert abs(Fraction(value) - cot_sum_exact.__wrapped__(*args)) <= Fraction(bound)
+
+
+@_PROPERTY
+@given(_coprime_args(3000))
+def test_float_memo_is_bit_identical(args):
+    A, e, n = args
+    assert _kernels.cot_sum(A, e, n) == _kernels.cot_sum_numpy(A % n, e % n, n)
+
+
+def test_kernel_caches_stay_bounded():
+    # distinct raw keys at n = 7 are cheap to evaluate; overfill each cache
+    caches = (cot_sum_exact, cot_sum_lattice, _kernels.cot_sum)
+    try:
+        for cache in caches:
+            for e in range(_kernels.CACHE_SIZE + 100):
+                cache(3, e, 7)
+            info = cache.cache_info()
+            assert info.maxsize == _kernels.CACHE_SIZE
+            assert info.currsize <= info.maxsize
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_kernel_paths_agree_randomized():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from casson3.errors import UnsupportedFamily
+from casson3.errors import InvalidSurgery, UnsupportedFamily
 from casson3.flat_moduli import (
     count_connections,
     enumerate_connections,
@@ -116,7 +116,7 @@ def test_unsupported_family():
 
 
 def test_count_connections_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSurgery):
         count_connections(4, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSurgery):
         count_connections(3, 0)
