@@ -19,9 +19,8 @@ from .assembly import (
     reference_C,
     reference_Lambda,
 )
-from .dedekind import RhoValue, c_correction, rho_adjoint, verify_convention
+from .dedekind import FloatEstimate, RhoValue, c_correction, rho_adjoint, verify_convention
 from .errors import (
-    AmbiguousSnap,
     Casson3Error,
     ConventionMismatch,
     DegreeExceeded,
@@ -29,12 +28,11 @@ from .errors import (
     InapplicableMove,
     InvalidSurgery,
     MissingClosedForm,
-    NoCandidate,
     NotCoprime,
     SnapFailure,
+    TooManyConnections,
     UnsupportedFamily,
 )
-from .exact_arith import FloatEstimate, snap_to_rational
 from .flat_moduli import FlatConnection, count_connections, enumerate_connections
 from .floer import (
     GF2Matrix,

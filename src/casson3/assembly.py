@@ -11,8 +11,10 @@ vanishes identically on this family.  A and B are ingested as reference
 closed forms; C and D are computed.  The lowercase invariant lambda_su3 is
 A + B, the small-perturbation variant without the C and D corrections.
 
-Reference closed forms for Lambda and C are stored alongside for golden
-comparisons.  4 * Lambda is always an integer.
+Reference values for golden comparisons: Lambda is stored, like A and B,
+for q in SUPPORTED_Q only; C has one closed form for every odd q >= 3
+(`reference_C`), fitted by exact interpolation and checked against the
+computation, not derived.  4 * Lambda is always an integer.
 """
 from __future__ import annotations
 
@@ -34,40 +36,30 @@ def _poly(*coeffs) -> RationalPoly:
     return RationalPoly.from_coeffs(tuple(reversed([Fraction(c) for c in coeffs])))
 
 
-# Each entry: A (quadratic), B = num/den (cubic over linear), C_plus, C_minus
-# (same shape), Lambda_plus, Lambda_minus (quadratics).  Coefficients highest
-# power first.
+# Each entry: A (quadratic), B = num/den (cubic over linear), Lambda_plus,
+# Lambda_minus (quadratics).  Coefficients highest power first.
 _TABLE: dict[int, dict[str, object]] = {
     3: {
         "A": _poly(3, -1, 0),
         "B": (_poly(-24, -84, 13, 0), _poly(36, -6)),
-        "C+": (_poly(12, 84, -11, 0), _poly(72, -12)),
-        "C-": (_poly(12, 48, -5, 0), _poly(72, -12)),
         "Lambda+": _poly(Fraction(10, 4), Fraction(-9, 4), 0),
         "Lambda-": _poly(Fraction(10, 4), Fraction(-11, 4), 0),
     },
     5: {
         "A": _poly(33, -9, 0),
         "B": (_poly(-200, -1620, 151, 0), _poly(100, -10)),
-        "C+": (_poly(100, 1120, -87, 0), _poly(200, -20)),
-        # linear coefficient 820, not 48: forced by Lambda = A + B + C
-        "C-": (_poly(100, 820, -57, 0), _poly(200, -20)),
         "Lambda+": _poly(Fraction(126, 4), Fraction(-79, 4), 0),
         "Lambda-": _poly(Fraction(126, 4), Fraction(-85, 4), 0),
     },
     7: {
         "A": _poly(138, -26, 0),
         "B": (_poly(-784, -9128, 606, 0), _poly(196, -14)),
-        "C+": (_poly(392, 5992, -330, 0), _poly(392, -28)),
-        "C-": (_poly(392, 4816, -246, 0), _poly(392, -28)),
         "Lambda+": _poly(Fraction(540, 4), Fraction(-230, 4), 0),
         "Lambda-": _poly(Fraction(540, 4), Fraction(-242, 4), 0),
     },
     9: {
         "A": _poly(390, -58, 0),
         "B": (_poly(-2160, -33192, 1714, 0), _poly(324, -18)),
-        "C+": (_poly(1080, 20880, -890, 0), _poly(648, -36)),
-        "C-": (_poly(1080, 17640, -710, 0), _poly(648, -36)),
         "Lambda+": _poly(Fraction(1540, 4), Fraction(-514, 4), 0),
         "Lambda-": _poly(Fraction(1540, 4), Fraction(-534, 4), 0),
     },
@@ -100,9 +92,21 @@ def reference_B(q: int, K: int) -> Fraction:
 
 
 def reference_C(q: int, K: int) -> Fraction:
+    """C for every odd q >= 3, from the closed form, with sigma = sign K,
+
+        4q(2qK - 1) C = (q^2 - 1) [q^2 K^3/6 + q(4q^2 + 3 sigma q - 3) K^2/12
+                                   - (q^2 + sigma q - 1) K/8].
+
+    Fitted by exact interpolation (each K-coefficient of the cleared
+    numerator as a polynomial in q, on q = 3..17) and checked against the
+    computed C, not derived.
+    """
     check_surgery(q, K)
-    num, den = _forms(q)["C+" if K > 0 else "C-"]
-    return num(K) / den(K)
+    sigma = 1 if K > 0 else -1
+    # the bracket times 24, so the numerator is an integer
+    bracket = (4 * q * q * K ** 3 + 2 * q * (4 * q * q + 3 * sigma * q - 3) * K * K
+               - 3 * (q * q + sigma * q - 1) * K)
+    return Fraction((q * q - 1) * bracket, 96 * q * (2 * q * K - 1))
 
 
 def reference_Lambda(q: int, K: int) -> Fraction:

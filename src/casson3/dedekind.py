@@ -19,9 +19,13 @@ which is therefore orientation-invariant.
 
 Two evaluation paths are provided and cross-validated:
 
-* ``float``   - the numpy kernel's double sum, snapped to the unique rational
-                with denominator <= 4*a1*a2*a3; escalates to the exact path
-                if the snap window fails.
+* ``float``   - the numpy kernel's double sum, rounded onto the lattice
+                (1/D)Z, D = 4*a1*a2*a3, which holds every rho.  The nearest
+                point p/d (lowest terms) is taken only if it lies within the
+                error bound err and 3*err*d*D < 1: any other rational with
+                denominator <= D is then at least 1/(d*D) from p/d, so more
+                than 2*err from the estimate.  Otherwise the value escalates
+                to the exact path.
 * ``exact``   - closed form over the integers: writing cot(pi j/n) =
                 (i/n)(x+1)U(x) at x = exp(2 pi i j/n) with U(x) = sum r x^r
                 and expanding, S(A,e,n) = -(2 N(0) - N(1) - N(-1)) / (4n)
@@ -45,23 +49,35 @@ but its residue mod a_3 repeats, so most calls of a sweep are cache hits.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import _kernels
-from .errors import AmbiguousSnap, ConventionMismatch, NoCandidate, SnapFailure
-from .exact_arith import FloatEstimate, snap_to_rational
+from .errors import ConventionMismatch, SnapFailure
 from .flat_moduli import FlatConnection, enumerate_connections
 from .seifert import BrieskornSphere, from_surgery
 
 PATHS = ("float", "exact")
 
-SNAP_DENOMINATOR_FACTOR = 4  # snap bound is 4*a1*a2*a3
+SNAP_DENOMINATOR_FACTOR = 4  # every rho lies on (1/D)Z, D = 4*a1*a2*a3
 MAX_SNAP_ERROR = 1e-6  # snapping is refused above this accumulated error
 
 # frozen calibration anchors: aggregate corrections for q = 3, K = +-1
 _ANCHORS = ((3, 1, Fraction(17, 12)), (3, -1, Fraction(-41, 84)))
+
+
+@dataclass(frozen=True)
+class FloatEstimate:
+    """A double plus a conservative bound on its accumulated summation error."""
+
+    value: float
+    error_bound: float
+
+    def __post_init__(self):
+        if not (self.error_bound >= 0.0):
+            raise ValueError("error_bound must be >= 0")
 
 
 def floor_sums(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
@@ -204,21 +220,39 @@ class RhoValue:
 
 
 def snap_rho(estimate: FloatEstimate, X: BrieskornSphere) -> Fraction:
-    """Snap a float rho estimate at the denominator bound 4*a1*a2*a3."""
-    if estimate.error_bound > MAX_SNAP_ERROR:
-        raise SnapFailure(f"error bound {estimate.error_bound!r} exceeds {MAX_SNAP_ERROR}")
-    try:
-        return snap_to_rational(estimate, SNAP_DENOMINATOR_FACTOR * X.fiber_product)
-    except (NoCandidate, AmbiguousSnap) as exc:
-        raise SnapFailure(str(exc)) from exc
+    """The point p/d of (1/D)Z, D = 4*a1*a2*a3, nearest the estimate x.
+
+    Accepted only if x is finite, its error bound err is at most
+    MAX_SNAP_ERROR, |x - p/d| <= err and 3*err*d*D < 1, all tested in exact
+    integers.  Two distinct rationals with denominators d and v <= D are at
+    least 1/(d*D) apart, so every other candidate then lies more than 2*err
+    from x and p/d is the only rational of denominator <= D the estimate can
+    mean.  Raises SnapFailure otherwise.
+    """
+    x, err = estimate.value, estimate.error_bound
+    if err > MAX_SNAP_ERROR:
+        raise SnapFailure(f"error bound {err!r} exceeds {MAX_SNAP_ERROR}")
+    if not math.isfinite(x):
+        raise SnapFailure(f"non-finite value {x!r}")
+    D = SNAP_DENOMINATOR_FACTOR * X.fiber_product
+    num, den = x.as_integer_ratio()
+    err_num, err_den = err.as_integer_ratio()
+    p = (2 * num * D + den) // (2 * den)  # round(x * D)
+    d = D // math.gcd(p, D)
+    # |x - p/D| <= err, cleared of denominators
+    if abs(num * D - p * den) * err_den > err_num * den * D:
+        raise SnapFailure(f"no point of (1/{D})Z within {err!r} of {x!r}")
+    if 3 * err_num * d * D >= err_den:
+        raise SnapFailure(f"error bound {err!r} too wide to single out {p}/{D} near {x!r}")
+    return Fraction(p, D)
 
 
 def rho_adjoint(c: FlatConnection, path: str = "float") -> RhoValue:
     """Adjoint rho invariant of one connection on its oriented host sphere.
 
-    path 'float' snaps the double sum and silently escalates to the exact
-    path on a snap failure; 'exact' is pure integer arithmetic.  The float
-    cross-check is always attached.
+    path 'float' rounds the double sum onto the lattice of `snap_rho` and
+    escalates to the exact path on a SnapFailure; 'exact' is pure integer
+    arithmetic.  The float cross-check is always attached.
     """
     if path not in PATHS:
         raise ValueError(f"path must be one of {PATHS}, got {path!r}")

@@ -13,16 +13,13 @@ class UnsupportedFamily(Casson3Error):
     """The sphere did not arise from the supported surgery family."""
 
 
-class AmbiguousSnap(Casson3Error):
-    """Two rationals with admissible denominator lie inside the error window."""
-
-
-class NoCandidate(Casson3Error):
-    """No rational with admissible denominator lies inside the error window."""
-
-
 class SnapFailure(Casson3Error):
-    """Float-path snapping was rejected; caller should fall back to the exact path."""
+    """A float rho did not single out one point of the 1/(4*a1*a2*a3) lattice;
+    the caller falls back to the exact path."""
+
+
+class TooManyConnections(Casson3Error):
+    """A sphere has more flat connections than one run may enumerate."""
 
 
 class ConventionMismatch(Casson3Error):

@@ -11,13 +11,20 @@ together with the parity constraints L2 = m (mod 2), L3 = k (mod 2), where
 m = (q-1)/2 and k = |K|.  The bound is the exact transcription of
 |cos(pi*L3/a3)| < sin(pi*L2/a2), valid on both sides of a2/2.  Enumeration
 depends only on the multiplicities, never on the orientation.
+
+A sphere has (q^2 - 1)|K|/4 of them, and one enumeration holds them all, so
+`enumerate_connections` refuses a sphere with more than MAX_CONNECTIONS
+before it starts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidSurgery, UnsupportedFamily
+from .errors import InvalidSurgery, TooManyConnections, UnsupportedFamily
 from .seifert import BrieskornSphere
+
+# About 54 MB of connections at some 270 bytes each.
+MAX_CONNECTIONS = 200_000
 
 
 @dataclass(frozen=True)
@@ -53,8 +60,15 @@ def is_admissible(X: BrieskornSphere, L2: int, L3: int) -> bool:
 
 
 def enumerate_connections(X: BrieskornSphere) -> list[FlatConnection]:
-    """All admissible triples, sorted by (L2, L3), with t ranking L3 within L2."""
+    """All admissible triples, sorted by (L2, L3), with t ranking L3 within L2.
+
+    Raises TooManyConnections when there would be more than MAX_CONNECTIONS.
+    """
     q, k, m, _ = surgery_parameters(X)
+    count = count_connections(q, k)
+    if count > MAX_CONNECTIONS:
+        raise TooManyConnections(
+            f"q={q}, |K|={k} has {count} flat connections; the budget is {MAX_CONNECTIONS}")
     a1, a2, a3 = X.a
     a = X.fiber_product
     out: list[FlatConnection] = []

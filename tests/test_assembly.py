@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casson3.assembly import (
     SUPPORTED_Q,
@@ -17,6 +19,7 @@ from casson3.assembly import (
     reference_C,
     reference_Lambda,
 )
+from casson3.dedekind import c_correction
 from casson3.errors import Casson3Error, InvalidSurgery, MissingClosedForm
 from casson3.seifert import from_surgery, reverse_orientation
 
@@ -58,6 +61,32 @@ def test_golden_sweep_exact_path_to_K_100(q):
         r = assemble(q, K, path="exact")
         assert r.C == reference_C(q, K), (q, K)
         assert r.Lambda_su3 == reference_Lambda(q, K), (q, K)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", range(11, 22, 2))
+def test_c_sweep_beyond_the_stored_q(q):
+    # deselected by default; the closed form of C against the computation
+    for K in (k for k in range(-40, 41) if k):
+        assert c_correction(from_surgery(q, K), path="exact") == reference_C(q, K), (q, K)
+
+
+def test_reference_c_is_lambda_minus_a_minus_b():
+    # the closed form of C against the stored forms, where all exist
+    for q in SUPPORTED_Q:
+        for K in (k for k in range(-50, 51) if k):
+            assert reference_C(q, K) == \
+                reference_Lambda(q, K) - reference_A(q, K) - reference_B(q, K), (q, K)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.integers(1, 12).map(lambda m: 2 * m + 1),
+       st.integers(-20, 20).filter(lambda K: K != 0))
+def test_c_closed_form_matches_the_computation(q, K):
+    X = from_surgery(q, K)
+    want = reference_C(q, K)
+    assert c_correction(X, path="exact") == want
+    assert c_correction(reverse_orientation(X), path="exact") == want
 
 
 def test_lambda_su2():
@@ -108,6 +137,8 @@ def test_connect_sum_small_perturbation_coefficient_four():
 def test_missing_closed_form():
     with pytest.raises(MissingClosedForm):
         assemble(11, 1)
+    with pytest.raises(MissingClosedForm):
+        reference_A(11, 1)
     with pytest.raises(InvalidSurgery):
         assemble(3, 0)
 

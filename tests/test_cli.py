@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -88,14 +89,20 @@ def test_fit_json():
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_fit_cleared_c_and_b_give_the_stored_numerators(q, sign):
-    forms = _TABLE[q]
-    for target, num, factor in (("C", forms["C" + sign][0], 1), ("B", forms["B"][0], 2)):
+    # C: the fitted closed form's numerator, 4q(2qK - 1) C =
+    # (q^2 - 1)[q^2 K^3/6 + q(4q^2 + 3 sigma q - 3) K^2/12 - (q^2 + sigma q - 1) K/8]
+    s = 1 if sign == "+" else -1
+    c_num = [Fraction(0), Fraction(-(q * q - 1) * (q * q + s * q - 1), 8),
+             Fraction((q * q - 1) * q * (4 * q * q + 3 * s * q - 3), 12),
+             Fraction((q * q - 1) * q * q, 6)]
+    b_num = [2 * c for c in _TABLE[q]["B"][0].coeffs]
+    for target, num in (("C", c_num), ("B", b_num)):
         code, out = run_cli(["fit", "--q", str(q), "--sign", sign, "--target", target,
                              "--degree", "3", "--samples", "6"])
         assert code == 0
         payload = json.loads(out)
         assert payload["cleared_by"] == "4q(2qK-1)"
-        assert payload["coefficients_low_to_high"] == [str(factor * c) for c in num.coeffs]
+        assert payload["coefficients_low_to_high"] == [str(c) for c in num]
 
 
 def test_fit_wrong_degree_is_computation_error():
@@ -177,6 +184,13 @@ def test_config_in_code_matches_command_line():
 def test_computation_error_exit_1():
     code, _ = run_cli(["invariants", "--q", "11", "--K-range", "1..1"])
     assert code == 1
+
+
+def test_connection_budget_exit_1(capsys):
+    # 2.55e8 connections: refused before any is built
+    code, out = run_cli(["reps", "--q", "101", "--K", "100000"])
+    assert (code, out) == (1, "")
+    assert "budget" in capsys.readouterr().err
 
 
 def test_console_entry_point():

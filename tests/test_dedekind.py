@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from casson3 import _kernels
 from casson3.dedekind import (
     MAX_SNAP_ERROR,
+    FloatEstimate,
     c_correction,
     cot_sum_exact,
     cot_sum_lattice,
@@ -23,7 +24,6 @@ from casson3.dedekind import (
     verify_convention,
 )
 from casson3.errors import SnapFailure
-from casson3.exact_arith import FloatEstimate
 from casson3.flat_moduli import enumerate_connections
 from casson3.seifert import from_surgery, reverse_orientation
 
@@ -199,6 +199,28 @@ def test_snap_rho_rejects_wide_window():
     with pytest.raises(SnapFailure):
         # tight claimed error but value far from any admissible rational
         snap_rho(FloatEstimate(math.pi * 1e-3, 1e-12), X)
+
+
+def test_snap_rho_returns_real_rho_values():
+    # the float estimate of every connection singles out its exact rho
+    for q, K in [(3, 1), (3, -1), (7, 2), (9, -12)]:
+        for c in enumerate_connections(from_surgery(q, K)):
+            rv = rho_adjoint(c, path="exact")
+            assert snap_rho(rv.float_check, c.host) == rv.exact
+
+
+def test_snap_rho_refuses_a_window_that_reaches_a_neighbour():
+    # any other rational of denominator <= D may lie 1/(d*D) from a point of
+    # reduced denominator d, so err = 1e-6 is too wide for d = D but not d = 1
+    X = from_surgery(9, 80)
+    D = 4 * X.fiber_product
+    assert D == 103_608
+    r = Fraction(5 * D + 1, D)
+    assert r.denominator == D
+    assert snap_rho(FloatEstimate(float(r), 1e-11), X) == r
+    with pytest.raises(SnapFailure):
+        snap_rho(FloatEstimate(float(r), 1e-6), X)
+    assert snap_rho(FloatEstimate(2.0, 1e-6), X) == 2
 
 
 def test_float_estimate_total_tracks_components():

@@ -1,66 +1,55 @@
+"""Exact values from floats: `snap_rho` rounding onto the (1/D)Z lattice,
+D = 4*a1*a2*a3, and the stdlib Fraction guarantees every exact value in the
+package rests on: lowest terms, a positive denominator, and arithmetic that
+never rounds."""
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from casson3.errors import AmbiguousSnap, NoCandidate
-from casson3.exact_arith import FloatEstimate, farey_neighbors, snap_to_rational
+from casson3.dedekind import MAX_SNAP_ERROR, FloatEstimate, snap_rho
+from casson3.errors import SnapFailure
+from casson3.seifert import from_surgery
 
 
 def test_snap_exact_representable():
-    assert snap_to_rational(FloatEstimate(0.25, 1e-12), 4) == Fraction(1, 4)
-
-
-def test_snap_seventeen_twelfths():
-    # oracle: exhaustive scan of all denominators 1..60 for the nearest rational
-    x = 1.4166666666
-    best = min(
-        (Fraction(round(x * q), q) for q in range(1, 61)),
-        key=lambda r: abs(x - r),
-    )
-    assert best == Fraction(17, 12)
-    assert snap_to_rational(FloatEstimate(x, 1e-9), 60) == Fraction(17, 12)
+    X = from_surgery(3, 1)  # Sigma(2,3,5), D = 120
+    assert snap_rho(FloatEstimate(0.25, 1e-12), X) == Fraction(1, 4)
+    assert snap_rho(FloatEstimate(-17 / 12, 1e-12), X) == Fraction(-17, 12)
 
 
 def test_snap_no_candidate():
-    with pytest.raises(NoCandidate):
-        snap_to_rational(FloatEstimate(0.3333333, 1e-10), 2)
-
-
-def test_snap_ambiguous():
-    # 5/12 sits between 1/3 and 1/2; a huge window sees both
-    with pytest.raises(AmbiguousSnap):
-        snap_to_rational(FloatEstimate(5 / 12, 0.2), 3)
+    X = from_surgery(3, 1)
+    # 1/3 = 40/120 is on the lattice, but 3.3e-8 away: outside the window
+    with pytest.raises(SnapFailure):
+        snap_rho(FloatEstimate(0.3333333, 1e-10), X)
+    X = from_surgery(5, -2)
+    D = 4 * X.fiber_product
+    for offset in (Fraction(1, 2), Fraction(3, 10), Fraction(-1, 7)):
+        x = float((7 * D + 5 + offset) / D)
+        with pytest.raises(SnapFailure):
+            snap_rho(FloatEstimate(x, 1e-13), X)
 
 
 def test_snap_rejects_bad_bound_and_nonfinite():
-    with pytest.raises(ValueError):
-        snap_to_rational(FloatEstimate(0.5, 1e-12), 0)
-    with pytest.raises(NoCandidate):
-        snap_to_rational(FloatEstimate(float("nan"), 1e-12), 10)
+    X = from_surgery(5, -2)
+    with pytest.raises(SnapFailure):
+        snap_rho(FloatEstimate(0.5, 2 * MAX_SNAP_ERROR), X)
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(SnapFailure):
+            snap_rho(FloatEstimate(x, 1e-13), X)
 
 
 def test_snap_roundtrip_random():
-    # 1000 random p/q with q <= 10^6 snap back exactly from their float image
+    # seeded random lattice points k/D snap back exactly from their float image
     rng = random.Random(20240211)
-    for _ in range(1000):
-        q = rng.randint(1, 10**6)
-        p = rng.randint(-(10**6), 10**6)
-        r = Fraction(p, q)
-        x = float(r)
-        err = 4e-16 * max(1.0, abs(x))
-        assert snap_to_rational(FloatEstimate(x, err), r.denominator) == r
-
-
-def test_farey_neighbors():
-    left, right = farey_neighbors(Fraction(17, 12), 60)
-    assert left < Fraction(17, 12) < right
-    assert left.denominator <= 60 and right.denominator <= 60
-    # nothing with denominator <= 60 sits strictly between neighbor and 17/12
-    for q in range(1, 61):
-        for num in (round(float(left) * q), round(float(right) * q)):
-            c = Fraction(num, q)
-            assert not (left < c < Fraction(17, 12)) and not (Fraction(17, 12) < c < right)
+    for q, K in [(3, 1), (5, -2), (9, 6), (9, -80)]:
+        X = from_surgery(q, K)
+        D = 4 * X.fiber_product
+        for _ in range(200):
+            r = Fraction(rng.randint(-40 * D, 40 * D), D)
+            assert snap_rho(FloatEstimate(float(r), 1e-13), X) == r
 
 
 def test_exactness_roundtrip_random():

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from casson3.errors import InvalidSurgery, UnsupportedFamily
+from casson3 import flat_moduli
+from casson3.errors import InvalidSurgery, TooManyConnections, UnsupportedFamily
 from casson3.flat_moduli import (
     count_connections,
     enumerate_connections,
@@ -26,6 +27,16 @@ def test_enumeration_q5():
     for c in enumerate_connections(from_surgery(5, 1)):
         by_branch.setdefault(c.L[1], []).append(c.L[2])
     assert by_branch == {2: [1, 3, 5, 7], 4: [3, 5]}
+
+
+def test_enumeration_budget(monkeypatch):
+    monkeypatch.setattr(flat_moduli, "MAX_CONNECTIONS", 10)
+    for K in (5, -5):
+        assert len(enumerate_connections(from_surgery(3, K))) == 10
+    for K in (6, -6):
+        with pytest.raises(TooManyConnections) as exc:
+            enumerate_connections(from_surgery(3, K))
+        assert "12 flat connections" in str(exc.value)
 
 
 def test_counts_formula():
