@@ -28,7 +28,7 @@ from .assembly import (
 )
 from .dedekind import PATHS, c_correction, rho_adjoint
 from .errors import Casson3Error
-from .flat_moduli import enumerate_connections
+from .flat_moduli import check_connection_budget, enumerate_connections
 from .floer import apply_move, floer_correction, random_complex, random_move
 from .knotpoly import check_conjecture
 from .polynomial import fit_and_verify
@@ -159,7 +159,9 @@ def _cells(cfg: RunConfig) -> list[tuple[int, int]]:
 def cmd_reps(cfg: RunConfig, out) -> int:
     header = ("q", "K", "L1", "L2", "L3", "t", "e")
     rows = []
-    for q, K in _cells(cfg):
+    cells = _cells(cfg)
+    check_connection_budget(cells)  # every row is kept until the output is written
+    for q, K in cells:
         for c in enumerate_connections(from_surgery(q, K)):
             rows.append((q, K, c.L[0], c.L[1], c.L[2], c.t_index, c.e))
     _emit(cfg, header, rows, {"connections": [dict(zip(header, r)) for r in rows]}, out)
@@ -170,7 +172,9 @@ def cmd_rho(cfg: RunConfig, out) -> int:
     if cfg.options["per_connection"]:
         header = ("q", "K", "L1", "L2", "L3", "t", "e", "rho", "float_value", "float_error")
         rows = []
-        for q, K in _cells(cfg):
+        cells = _cells(cfg)
+        check_connection_budget(cells)
+        for q, K in cells:
             X = from_surgery(q, K)
             for c in enumerate_connections(X):
                 rv = rho_adjoint(c, path=cfg.path)

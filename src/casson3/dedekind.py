@@ -28,8 +28,9 @@ Two evaluation paths are provided and cross-validated:
                 to the exact path.
 * ``exact``   - closed form over the integers: writing cot(pi j/n) =
                 (i/n)(x+1)U(x) at x = exp(2 pi i j/n) with U(x) = sum r x^r
-                and expanding, S(A,e,n) = -(2 N(0) - N(1) - N(-1)) / (4n)
-                where N(s) = sum_r p_r p_{(-A r - e s) mod n} and
+                and expanding, S(A,e,n) = -M / (4n) with the integer
+                M = 2 N(0) - N(1) - N(-1), where
+                N(s) = sum_r p_r p_{(-A r - e s) mod n} and
                 p = [n-1, 1, 3, ..., 2n-3].
 
 The exact kernel never forms that convolution.  Expanding the residue
@@ -38,14 +39,27 @@ two boundary terms and one weighted floor sum sum_r (2r-1) floor((-A r -
 e s)/n), i.e. a weighted count of lattice points under a line.
 `floor_sums` evaluates it with a Euclid-like recursion, the reciprocity
 step behind Dedekind sums (Rademacher 1964; Knuth, TAOCP vol. 2, 3.3.3),
-so one S(A, e, n) costs O(log n) integer operations.  ``cot_sum_lattice``
-counts the same floor sum term by term in O(n); it is no path of its own,
-only the reference for the recursion.
+so `cot_sum_numerator` returns M in O(log n) integer operations.
+``cot_sum_exact`` (M as the rational S) and ``cot_sum_lattice`` (the same
+floor sum counted term by term in O(n)) are reference wrappers for the
+tests; no computation calls them.
+
+The exact arithmetic stays in integers until one Fraction per connection.
+With a = a1*a2*a3 and M_i the numerator of fiber i,
+
+    N = sum_i M_i (a/a_i)^2,   rho_nat(e) = (N - 3 a^2) / a^2,
+
+and the same N gives the Floer grading (see `floer`).  The aggregate adds
+the numerators of the rho values over L = 4 a^2, which every denominator
+divides (snapped values lie on (1/4a)Z, exact ones on (1/a^2)Z), and builds
+one Fraction per sphere.  The float cross-check compares exact and float in
+integers from `float.as_integer_ratio`.
 
 Each fiber's kernel call is made on the residues (a/a_i mod a_i, e mod a_i,
-a_i), and both kernels are memoised on them in bounded caches
-(`_kernels.CACHE_SIZE` entries): the invariant e is unique per connection,
-but its residue mod a_3 repeats, so most calls of a sweep are cache hits.
+a_i), and both the integer and the float kernel are memoised on them in
+bounded caches (`_kernels.CACHE_SIZE` entries): the invariant e is unique
+per connection, but its residue mod a_3 repeats, so most calls of a sweep
+are cache hits.
 """
 from __future__ import annotations
 
@@ -119,9 +133,10 @@ def _weighted_floor_sum_loop(a: int, b: int, n: int) -> int:
     return sum((2 * r - 1) * ((a * r + b) // n) for r in range(n))
 
 
-def _cot_sum_from_floor_sums(A: int, e: int, n: int, weighted_floor_sum) -> Fraction:
-    """S(A, e, n) = -(2 N(0) - N(1) - N(-1)) / (4n), with N(s) written as a
-    closed polynomial part, a weighted floor sum and two boundary terms.
+def _cot_sum_numerator(A: int, e: int, n: int, weighted_floor_sum) -> int:
+    """M = 2 N(0) - N(1) - N(-1), the integer with S(A, e, n) = -M / (4n), with
+    N(s) written as a closed polynomial part, a weighted floor sum and two
+    boundary terms.
 
     N(s) = sum_r p_r p_{sigma(r)}, sigma(r) = (-A r - e s) mod n and
     p_r = (2r - 1) + n*[r = 0].  Expanding sigma(r) = u - n*floor(u/n) with
@@ -146,12 +161,12 @@ def _cot_sum_from_floor_sums(A: int, e: int, n: int, weighted_floor_sum) -> Frac
             total += n * n
         return total
 
-    return Fraction(-(2 * N(0) - N(1) - N(-1)), 4 * n)
+    return 2 * N(0) - N(1) - N(-1)
 
 
 @lru_cache(maxsize=_kernels.CACHE_SIZE)
-def cot_sum_exact(A: int, e: int, n: int) -> Fraction:
-    """S(A, e, n) as an exact rational in O(log n) integer operations.
+def cot_sum_numerator(A: int, e: int, n: int) -> int:
+    """The integer M = -4n * S(A, e, n), in O(log n) integer operations.
 
     The weighted floor sum inside N(s) is evaluated by the Euclid-like
     recursion of `floor_sums`; the rest of N(s) is closed form.  Requires
@@ -159,15 +174,24 @@ def cot_sum_exact(A: int, e: int, n: int) -> Fraction:
     Brieskorn sphere are pairwise coprime.  Memoised on its arguments, which
     callers pass as the residues (A mod n, e mod n, n).
     """
-    return _cot_sum_from_floor_sums(A, e, n, _weighted_floor_sum_euclid)
+    return _cot_sum_numerator(A, e, n, _weighted_floor_sum_euclid)
+
+
+@lru_cache(maxsize=_kernels.CACHE_SIZE)
+def cot_sum_exact(A: int, e: int, n: int) -> Fraction:
+    """S(A, e, n) = -M / (4n) as a rational: a reference wrapper for the tests
+    and the kernel benchmark, which no computation calls.  It evaluates M
+    afresh, so clearing its cache times the whole kernel."""
+    return Fraction(-_cot_sum_numerator(A, e, n, _weighted_floor_sum_euclid), 4 * n)
 
 
 @lru_cache(maxsize=_kernels.CACHE_SIZE)
 def cot_sum_lattice(A: int, e: int, n: int) -> Fraction:
-    """S(A, e, n) with the weighted floor sum counted term by term in O(n):
-    the reference for the floor-sum recursion of `cot_sum_exact`, which it
-    shares every other step with.  Requires gcd(A, n) = 1."""
-    return _cot_sum_from_floor_sums(A, e, n, _weighted_floor_sum_loop)
+    """S(A, e, n) with the weighted floor sum counted term by term in O(n): a
+    reference wrapper that checks the floor-sum recursion of
+    `cot_sum_numerator`, with which it shares every other step.  Requires
+    gcd(A, n) = 1."""
+    return Fraction(-_cot_sum_numerator(A, e, n, _weighted_floor_sum_loop), 4 * n)
 
 
 def _fiber_arguments(a: tuple[int, int, int], e: int) -> list[tuple[int, int, int]]:
@@ -176,10 +200,21 @@ def _fiber_arguments(a: tuple[int, int, int], e: int) -> list[tuple[int, int, in
     return [((prod // ai) % ai, e % ai, ai) for ai in a]
 
 
+def cotangent_numerator(a: tuple[int, int, int], e: int) -> int:
+    """N = sum_i M_i * (a/a_i)^2, so that the cotangent total
+    sum_i (2/a_i) S(a/a_i, e, a_i) is -N / (2 a^2), a = a1*a2*a3."""
+    prod = a[0] * a[1] * a[2]
+    total = 0
+    for A, r, n in _fiber_arguments(a, e):
+        cofactor = prod // n
+        total += cot_sum_numerator(A, r, n) * cofactor * cofactor
+    return total
+
+
 def cotangent_total_exact(a: tuple[int, int, int], e: int) -> Fraction:
     """sum_i (2/a_i) S(a/a_i, e, a_i), exactly."""
-    return sum((Fraction(2, n) * cot_sum_exact(A, r, n) for A, r, n in _fiber_arguments(a, e)),
-               Fraction(0))
+    prod = a[0] * a[1] * a[2]
+    return Fraction(-cotangent_numerator(a, e), 2 * prod * prod)
 
 
 def cotangent_total_float(a: tuple[int, int, int], e: int) -> FloatEstimate:
@@ -193,8 +228,10 @@ def cotangent_total_float(a: tuple[int, int, int], e: int) -> FloatEstimate:
 
 
 def rho_natural_exact(a: tuple[int, int, int], e: int) -> Fraction:
-    """rho of the naturally oriented sphere: -2*(3/2 + cotangent total)."""
-    return -3 - 2 * cotangent_total_exact(a, e)
+    """rho of the naturally oriented sphere: -2*(3/2 + cotangent total)
+    = -3 + N / a^2, one Fraction built from the integer N."""
+    square = (a[0] * a[1] * a[2]) ** 2
+    return Fraction(cotangent_numerator(a, e) - 3 * square, square)
 
 
 def rho_natural_float(a: tuple[int, int, int], e: int) -> FloatEstimate:
@@ -211,11 +248,18 @@ class RhoValue:
     connection: FlatConnection
 
     def __post_init__(self):
-        resid = abs(self.exact - Fraction(self.float_check.value))
-        if resid > Fraction(self.float_check.error_bound):
+        x, err = self.float_check.value, self.float_check.error_bound
+        if not (math.isfinite(x) and math.isfinite(err)):
             raise ConventionMismatch(
-                f"float cross-check {self.float_check.value!r} disagrees with exact "
-                f"{self.exact} beyond its error bound {self.float_check.error_bound!r}"
+                f"float cross-check {x!r} with error bound {err!r} is not finite")
+        # |exact - x| <= err, cleared of denominators
+        p, q = self.exact.numerator, self.exact.denominator
+        num, den = x.as_integer_ratio()
+        err_num, err_den = err.as_integer_ratio()
+        if abs(p * den - num * q) * err_den > err_num * q * den:
+            raise ConventionMismatch(
+                f"float cross-check {x!r} disagrees with exact "
+                f"{self.exact} beyond its error bound {err!r}"
             )
 
 
@@ -264,17 +308,31 @@ def rho_adjoint(c: FlatConnection, path: str = "float") -> RhoValue:
         try:
             exact = snap_rho(est, X)
         except SnapFailure:
-            exact = sign * rho_natural_exact(X.a, c.e)
+            exact = _rho_exact(X, c.e)
     else:
-        exact = sign * rho_natural_exact(X.a, c.e)
+        exact = _rho_exact(X, c.e)
     return RhoValue(exact=exact, float_check=est, connection=c)
 
 
+def _rho_exact(X: BrieskornSphere, e: int) -> Fraction:
+    rho = rho_natural_exact(X.a, e)
+    return rho if X.orientation == 1 else -rho
+
+
 def _aggregate(X: BrieskornSphere, path: str) -> Fraction:
-    eps = X.orientation
-    total = sum((rho_adjoint(c, path=path).exact for c in enumerate_connections(X)),
-                Fraction(0))
-    return Fraction(-eps, 8) * total
+    """(-eps/8) * the sum of rho over the connections, summed as integers over
+    L = 4 a^2: snapped values lie on (1/4a)Z and exact ones on (1/a^2)Z, so
+    every denominator divides L."""
+    L = 4 * X.fiber_product ** 2
+    total = 0
+    for c in enumerate_connections(X):
+        rho = rho_adjoint(c, path=path).exact
+        scale, rest = divmod(L, rho.denominator)
+        if rest:
+            raise ConventionMismatch(f"rho {rho} of {c.L} on {X} has a denominator "
+                                     f"that does not divide {L}")
+        total += rho.numerator * scale
+    return Fraction(-X.orientation * total, 8 * L)
 
 
 @lru_cache(maxsize=1)

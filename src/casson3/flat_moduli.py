@@ -14,11 +14,13 @@ depends only on the multiplicities, never on the orientation.
 
 A sphere has (q^2 - 1)|K|/4 of them, and one enumeration holds them all, so
 `enumerate_connections` refuses a sphere with more than MAX_CONNECTIONS
-before it starts.
+before it starts.  A request that keeps the connections of several spheres
+checks their total against the same budget with `check_connection_budget`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import InvalidSurgery, TooManyConnections, UnsupportedFamily
 from .seifert import BrieskornSphere
@@ -65,10 +67,7 @@ def enumerate_connections(X: BrieskornSphere) -> list[FlatConnection]:
     Raises TooManyConnections when there would be more than MAX_CONNECTIONS.
     """
     q, k, m, _ = surgery_parameters(X)
-    count = count_connections(q, k)
-    if count > MAX_CONNECTIONS:
-        raise TooManyConnections(
-            f"q={q}, |K|={k} has {count} flat connections; the budget is {MAX_CONNECTIONS}")
+    check_connection_budget([(q, k)])
     a1, a2, a3 = X.a
     a = X.fiber_product
     out: list[FlatConnection] = []
@@ -76,13 +75,26 @@ def enumerate_connections(X: BrieskornSphere) -> list[FlatConnection]:
         if (L2 - m) % 2 != 0:
             continue
         t = 0
-        for L3 in range(1, a3):
+        for L3 in range(2 - k % 2, a3, 2):  # L3 = k (mod 2)
             if not is_admissible(X, L2, L3):
                 continue
             t += 1
             e = (a // a1) + L2 * (a // a2) + L3 * (a // a3)
             out.append(FlatConnection(L=(1, L2, L3), t_index=t, e=e, host=X))
     return out
+
+
+def check_connection_budget(cells: Sequence[tuple[int, int]]) -> None:
+    """Raise TooManyConnections if the spheres of the (q, K) cells together
+    have more than MAX_CONNECTIONS flat connections."""
+    count = sum(count_connections(q, abs(K)) for q, K in cells)
+    if count > MAX_CONNECTIONS:
+        if len(cells) == 1:
+            what = f"q={cells[0][0]}, |K|={abs(cells[0][1])} has"
+        else:
+            what = f"the {len(cells)} requested spheres have"
+        raise TooManyConnections(
+            f"{what} {count} flat connections; the budget is {MAX_CONNECTIONS}")
 
 
 def count_connections(q: int, k: int) -> int:

@@ -7,8 +7,14 @@ degrees (p, p+1), and by -(-1)^p at the matching death.
 
 Gradings:  mu_nat(e) = 2 e^2/a + sum_i (2/a_i) S(a/a_i, e, a_i) is an exact
 integer for a flat connection with invariant e on the naturally oriented
-sphere (it reproduces the classical {1, 5} for Sigma(2,3,5)).  The complex of
-an oriented sphere X places a generator in degree
+sphere (it reproduces the classical {1, 5} for Sigma(2,3,5)).  With the
+kernel's integers M_i = -4 a_i S(a/a_i, e, a_i) it reads
+
+    2 a^2 mu_nat(e) = 4 a e^2 - sum_i M_i (a/a_i)^2,
+
+so it is computed in integers, and a right-hand side that 2 a^2 does not
+divide is refused.  The complex of an oriented sphere X places a generator
+in degree
 
     (mu_nat + 3) mod 8        if X carries the natural orientation,
     (-mu_nat - 6) mod 8       if X is reversed,
@@ -20,11 +26,10 @@ parity, so every boundary map vanishes and the correction term is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 from typing import Iterable, Optional
 
-from .dedekind import cotangent_total_exact
+from .dedekind import cotangent_numerator
 from .errors import GradingFormulaUnavailable, InapplicableMove
 from .flat_moduli import FlatConnection, enumerate_connections
 from .seifert import BrieskornSphere
@@ -338,12 +343,14 @@ def random_move(rng: Random, cc: Z2ChainComplex) -> MorseMove:
 
 
 def r_invariant(a: tuple[int, int, int], e: int) -> int:
-    """2 e^2 / a + cotangent total: an exact integer for every admissible e."""
+    """2 e^2 / a + cotangent total: an exact integer for every admissible e,
+    computed as (4 a e^2 - N) / (2 a^2) from the integer N of
+    `cotangent_numerator`."""
     prod = a[0] * a[1] * a[2]
-    value = Fraction(2 * e * e, prod) + cotangent_total_exact(a, e)
-    if value.denominator != 1:
+    mu, rest = divmod(4 * prod * e * e - cotangent_numerator(a, e), 2 * prod * prod)
+    if rest:
         raise GradingFormulaUnavailable(f"grading for a={a}, e={e} is not an integer")
-    return int(value)
+    return mu
 
 
 def instanton_grading_natural(a: tuple[int, int, int], e: int) -> int:

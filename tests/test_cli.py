@@ -9,6 +9,7 @@ from random import Random
 import pytest
 
 import casson3
+from casson3 import flat_moduli
 from casson3.assembly import _TABLE
 from casson3.cli import RunConfig, main, run
 from casson3.floer import random_complex
@@ -191,6 +192,19 @@ def test_connection_budget_exit_1(capsys):
     code, out = run_cli(["reps", "--q", "101", "--K", "100000"])
     assert (code, out) == (1, "")
     assert "budget" in capsys.readouterr().err
+
+
+def test_request_budget_exit_1(capsys, monkeypatch):
+    # 13 cells of at most 33 150 connections each, 232 050 in all
+    code, out = run_cli(["reps", "--q", "101", "--K", "1..13"])
+    assert (code, out) == (1, "")
+    assert "232050 flat connections" in capsys.readouterr().err
+    monkeypatch.setattr(flat_moduli, "MAX_CONNECTIONS", 10)
+    for args in (["reps", "--q", "3", "--K", "-2..3"],
+                 ["rho", "--q", "3", "--K", "-2..3", "--per-connection"]):
+        assert run_cli(args) == (1, "")
+        assert "budget is 10" in capsys.readouterr().err
+    assert run_cli(["reps", "--q", "3", "--K", "-1..2"])[0] == 0  # 8 connections
 
 
 def test_console_entry_point():

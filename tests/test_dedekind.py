@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casson3 import _kernels
+from casson3 import _kernels, dedekind
 from casson3.dedekind import (
     MAX_SNAP_ERROR,
     FloatEstimate,
+    RhoValue,
     c_correction,
     cot_sum_exact,
     cot_sum_lattice,
+    cot_sum_numerator,
     cotangent_total_exact,
     cotangent_total_float,
     floor_sums,
@@ -23,7 +25,7 @@ from casson3.dedekind import (
     snap_rho,
     verify_convention,
 )
-from casson3.errors import SnapFailure
+from casson3.errors import ConventionMismatch, SnapFailure
 from casson3.flat_moduli import enumerate_connections
 from casson3.seifert import from_surgery, reverse_orientation
 
@@ -80,6 +82,15 @@ def test_exact_kernel_matches_convolution_and_lattice(args):
     assert exact == _cot_sum_convolution(*args) == cot_sum_lattice.__wrapped__(*args)
 
 
+@_PROPERTY
+@given(_coprime_args(3000))
+def test_integer_kernel_is_minus_4n_times_the_reference_wrappers(args):
+    n = args[2]
+    M = cot_sum_numerator(*args)
+    assert isinstance(M, int)
+    assert M == -4 * n * cot_sum_exact(*args) == -4 * n * cot_sum_lattice(*args)
+
+
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(_coprime_args(10**5))
 def test_exact_kernel_within_float_bound_to_large_n(args):
@@ -96,7 +107,7 @@ def test_float_memo_is_bit_identical(args):
 
 def test_kernel_caches_stay_bounded():
     # distinct raw keys at n = 7 are cheap to evaluate; overfill each cache
-    caches = (cot_sum_exact, cot_sum_lattice, _kernels.cot_sum)
+    caches = (cot_sum_numerator, cot_sum_exact, cot_sum_lattice, _kernels.cot_sum)
     try:
         for cache in caches:
             for e in range(_kernels.CACHE_SIZE + 100):
@@ -229,3 +240,48 @@ def test_float_estimate_total_tracks_components():
         est = cotangent_total_float(X.a, c.e)
         assert abs(Fraction(est.value) - cotangent_total_exact(X.a, c.e)) \
             <= Fraction(est.error_bound)
+
+
+def test_exact_rho_is_cross_checked_against_the_float_kernel(monkeypatch):
+    # an integer kernel off by one moves every rho by sum_i 1/a_i^2, far
+    # beyond the float bound, so the cross-check must refuse it
+    true_numerator = dedekind.cot_sum_numerator
+    monkeypatch.setattr(dedekind, "cot_sum_numerator",
+                        lambda A, e, n: true_numerator(A, e, n) + 1)
+    for c in enumerate_connections(from_surgery(5, -2)):
+        with pytest.raises(ConventionMismatch):
+            rho_adjoint(c, path="exact")
+
+
+def test_rho_value_cross_check_is_inclusive_at_the_bound():
+    c = enumerate_connections(from_surgery(3, 1))[0]
+    gap = 2.0 ** -20
+    for x in (0.25 + gap, 0.25 - gap):  # |1/4 - x| is exactly the double gap
+        RhoValue(Fraction(1, 4), FloatEstimate(x, gap), c)
+        with pytest.raises(ConventionMismatch):
+            RhoValue(Fraction(1, 4), FloatEstimate(x, math.nextafter(gap, 0.0)), c)
+
+
+def test_rho_value_refuses_a_non_finite_cross_check():
+    c = enumerate_connections(from_surgery(3, 1))[0]
+    for value, bound in ((math.nan, 1e-9), (math.inf, 1e-9), (0.25, math.inf)):
+        with pytest.raises(ConventionMismatch):
+            RhoValue(Fraction(1, 4), FloatEstimate(value, bound), c)
+
+
+def test_integer_aggregate_matches_the_fraction_sum():
+    for q, K in [(3, 1), (5, -2), (7, 3), (9, -4), (21, 2)]:
+        for X in (from_surgery(q, K), reverse_orientation(from_surgery(q, K))):
+            for path in ("float", "exact"):
+                plain = sum((rho_adjoint(c, path=path).exact for c in enumerate_connections(X)),
+                            Fraction(0))
+                assert dedekind._aggregate(X, path) == Fraction(-X.orientation, 8) * plain
+
+
+def test_integer_aggregate_refuses_a_foreign_denominator(monkeypatch):
+    X = from_surgery(3, 1)
+    assert (4 * X.fiber_product ** 2) % 7 != 0
+    monkeypatch.setattr(dedekind, "rho_adjoint",
+                        lambda c, path: RhoValue(Fraction(1, 7), FloatEstimate(1 / 7, 1e-15), c))
+    with pytest.raises(ConventionMismatch):
+        dedekind._aggregate(X, "exact")

@@ -5,6 +5,7 @@ import pytest
 from casson3 import flat_moduli
 from casson3.errors import InvalidSurgery, TooManyConnections, UnsupportedFamily
 from casson3.flat_moduli import (
+    check_connection_budget,
     count_connections,
     enumerate_connections,
     is_admissible,
@@ -37,6 +38,14 @@ def test_enumeration_budget(monkeypatch):
         with pytest.raises(TooManyConnections) as exc:
             enumerate_connections(from_surgery(3, K))
         assert "12 flat connections" in str(exc.value)
+
+
+def test_request_budget_sums_the_cells(monkeypatch):
+    monkeypatch.setattr(flat_moduli, "MAX_CONNECTIONS", 10)
+    check_connection_budget([(3, 1), (3, -2), (3, 2)])  # 2 + 4 + 4 connections
+    with pytest.raises(TooManyConnections) as exc:
+        check_connection_budget([(3, 1), (3, -2), (3, 2), (3, -1)])
+    assert "12 flat connections" in str(exc.value)
 
 
 def test_counts_formula():

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from casson3.errors import InapplicableMove
+from casson3 import dedekind
+from casson3.dedekind import cot_sum_exact
+from casson3.errors import GradingFormulaUnavailable, InapplicableMove
 from casson3.flat_moduli import enumerate_connections
 from casson3.floer import (
     GF2Matrix,
@@ -16,6 +19,7 @@ from casson3.floer import (
     homology_ranks,
     instanton_grading_natural,
     nullspace,
+    r_invariant,
     random_complex,
     random_move,
     zero_complex,
@@ -162,6 +166,35 @@ def test_gradings_sigma_2_3_5():
     X = from_surgery(3, 1)
     es = [c.e for c in enumerate_connections(X)]
     assert sorted(instanton_grading_natural((2, 3, 5), e) for e in es) == [1, 5]
+
+
+def _r_invariant_fractions(a, e):
+    # the grading formula straight off its definition, in Fractions
+    prod = a[0] * a[1] * a[2]
+    total = Fraction(2 * e * e, prod)
+    for ai in a:
+        total += Fraction(2, ai) * cot_sum_exact((prod // ai) % ai, e % ai, ai)
+    return total
+
+
+def test_integer_grading_matches_the_fraction_formula():
+    for q in (3, 5, 7, 9, 21):
+        for K in (1, 2, 5, -1, -3):
+            X = from_surgery(q, K)
+            for c in enumerate_connections(X):
+                assert r_invariant(X.a, c.e) == _r_invariant_fractions(X.a, c.e), (q, K, c.L)
+
+
+def test_grading_refuses_a_non_integer(monkeypatch):
+    # an integer kernel off by one leaves 2 a^2 mu off by sum_i (a/a_i)^2,
+    # which 2 a^2 cannot divide
+    true_numerator = dedekind.cot_sum_numerator
+    monkeypatch.setattr(dedekind, "cot_sum_numerator",
+                        lambda A, e, n: true_numerator(A, e, n) + 1)
+    X = from_surgery(7, -2)
+    for c in enumerate_connections(X):
+        with pytest.raises(GradingFormulaUnavailable):
+            r_invariant(X.a, c.e)
 
 
 def test_grading_parity_by_surgery_sign():
