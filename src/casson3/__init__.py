@@ -44,7 +44,6 @@ from .floer import (
     floer_correction,
     floer_grading,
     homology_ranks,
-    instanton_grading_natural,
     r_invariant,
     zero_complex,
 )

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .dedekind import c_correction
 from .errors import Casson3Error, InvalidSurgery, MissingClosedForm
@@ -33,7 +32,7 @@ SUPPORTED_Q = (3, 5, 7, 9)
 
 def _poly(*coeffs) -> RationalPoly:
     """Coefficients highest power first, for readability below."""
-    return RationalPoly.from_coeffs(tuple(reversed([Fraction(c) for c in coeffs])))
+    return RationalPoly(coeffs[::-1])
 
 
 # Each entry: A (quadratic), B = num/den (cubic over linear), Lambda_plus,

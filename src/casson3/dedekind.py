@@ -84,14 +84,16 @@ _ANCHORS = ((3, 1, Fraction(17, 12)), (3, -1, Fraction(-41, 84)))
 
 @dataclass(frozen=True)
 class FloatEstimate:
-    """A double plus a conservative bound on its accumulated summation error."""
+    """A double plus a conservative bound on its accumulated summation error;
+    ConventionMismatch unless both are finite and the bound is >= 0."""
 
     value: float
     error_bound: float
 
     def __post_init__(self):
-        if not (self.error_bound >= 0.0):
-            raise ValueError("error_bound must be >= 0")
+        if not (math.isfinite(self.value) and 0.0 <= self.error_bound < math.inf):
+            raise ConventionMismatch(f"float estimate needs a finite value and a finite "
+                                     f"bound >= 0, got {self.value!r} +- {self.error_bound!r}")
 
 
 def floor_sums(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
@@ -211,34 +213,17 @@ def cotangent_numerator(a: tuple[int, int, int], e: int) -> int:
     return total
 
 
-def cotangent_total_exact(a: tuple[int, int, int], e: int) -> Fraction:
-    """sum_i (2/a_i) S(a/a_i, e, a_i), exactly."""
-    prod = a[0] * a[1] * a[2]
-    return Fraction(-cotangent_numerator(a, e), 2 * prod * prod)
-
-
-def cotangent_total_float(a: tuple[int, int, int], e: int) -> FloatEstimate:
-    value = 0.0
-    err = 0.0
+def rho_natural_float(a: tuple[int, int, int], e: int) -> FloatEstimate:
+    """rho of the naturally oriented sphere, -3 - 2 * sum_i (2/a_i) S(a/a_i, e,
+    a_i), from the float kernel; the bound adds the kernels' bounds to the
+    rounding of the few operations here."""
+    total = total_err = 0.0
     for A, r, n in _fiber_arguments(a, e):
         v, b = _kernels.cot_sum(A, r, n)
-        value += (2.0 / n) * v
-        err += (2.0 / n) * b
-    return FloatEstimate(value, err)
-
-
-def rho_natural_exact(a: tuple[int, int, int], e: int) -> Fraction:
-    """rho of the naturally oriented sphere: -2*(3/2 + cotangent total)
-    = -3 + N / a^2, one Fraction built from the integer N."""
-    square = (a[0] * a[1] * a[2]) ** 2
-    return Fraction(cotangent_numerator(a, e) - 3 * square, square)
-
-
-def rho_natural_float(a: tuple[int, int, int], e: int) -> FloatEstimate:
-    total = cotangent_total_float(a, e)
-    value = -3.0 - 2.0 * total.value
-    err = 2.0 * total.error_bound + 8 * _kernels.EPS * (3.0 + 2.0 * abs(total.value))
-    return FloatEstimate(value, err)
+        total += (2.0 / n) * v
+        total_err += (2.0 / n) * b
+    err = 2.0 * total_err + 8 * _kernels.EPS * (3.0 + 2.0 * abs(total))
+    return FloatEstimate(-3.0 - 2.0 * total, err)
 
 
 @dataclass(frozen=True)
@@ -249,9 +234,6 @@ class RhoValue:
 
     def __post_init__(self):
         x, err = self.float_check.value, self.float_check.error_bound
-        if not (math.isfinite(x) and math.isfinite(err)):
-            raise ConventionMismatch(
-                f"float cross-check {x!r} with error bound {err!r} is not finite")
         # |exact - x| <= err, cleared of denominators
         p, q = self.exact.numerator, self.exact.denominator
         num, den = x.as_integer_ratio()
@@ -266,9 +248,8 @@ class RhoValue:
 def snap_rho(estimate: FloatEstimate, X: BrieskornSphere) -> Fraction:
     """The point p/d of (1/D)Z, D = 4*a1*a2*a3, nearest the estimate x.
 
-    Accepted only if x is finite, its error bound err is at most
-    MAX_SNAP_ERROR, |x - p/d| <= err and 3*err*d*D < 1, all tested in exact
-    integers.  Two distinct rationals with denominators d and v <= D are at
+    Accepted only if its error bound err is at most MAX_SNAP_ERROR,
+    |x - p/d| <= err and 3*err*d*D < 1, all tested in exact integers.  Two distinct rationals with denominators d and v <= D are at
     least 1/(d*D) apart, so every other candidate then lies more than 2*err
     from x and p/d is the only rational of denominator <= D the estimate can
     mean.  Raises SnapFailure otherwise.
@@ -276,8 +257,6 @@ def snap_rho(estimate: FloatEstimate, X: BrieskornSphere) -> Fraction:
     x, err = estimate.value, estimate.error_bound
     if err > MAX_SNAP_ERROR:
         raise SnapFailure(f"error bound {err!r} exceeds {MAX_SNAP_ERROR}")
-    if not math.isfinite(x):
-        raise SnapFailure(f"non-finite value {x!r}")
     D = SNAP_DENOMINATOR_FACTOR * X.fiber_product
     num, den = x.as_integer_ratio()
     err_num, err_den = err.as_integer_ratio()
@@ -315,8 +294,10 @@ def rho_adjoint(c: FlatConnection, path: str = "float") -> RhoValue:
 
 
 def _rho_exact(X: BrieskornSphere, e: int) -> Fraction:
-    rho = rho_natural_exact(X.a, e)
-    return rho if X.orientation == 1 else -rho
+    """rho_X = orientation * (-3 + N / a^2), one Fraction built from the
+    integer N of `cotangent_numerator`."""
+    square = X.fiber_product ** 2
+    return Fraction(X.orientation * (cotangent_numerator(X.a, e) - 3 * square), square)
 
 
 def _aggregate(X: BrieskornSphere, path: str) -> Fraction:

@@ -40,17 +40,17 @@ class FlatConnection:
     host: BrieskornSphere
 
 
-def surgery_parameters(X: BrieskornSphere) -> tuple[int, int, int, int]:
-    """(q, k, m, sign K) for a sphere from the surgery family."""
+def surgery_parameters(X: BrieskornSphere) -> tuple[int, int, int]:
+    """(q, k, m) = (q, |K|, (q - 1)/2) for a sphere from the surgery family."""
     if X.surgery_origin is None:
         raise UnsupportedFamily(f"{X} did not come from a (2,q) torus knot surgery")
     q, K = X.surgery_origin
-    return q, abs(K), (q - 1) // 2, (1 if K > 0 else -1)
+    return q, abs(K), (q - 1) // 2
 
 
 def is_admissible(X: BrieskornSphere, L2: int, L3: int) -> bool:
     """Parity and trace-reachability test for a candidate (1, L2, L3)."""
-    q, k, m, _ = surgery_parameters(X)
+    q, k, m = surgery_parameters(X)
     _, a2, a3 = X.a
     if not (0 < L2 < a2 and 0 < L3 < a3):
         return False
@@ -66,7 +66,7 @@ def enumerate_connections(X: BrieskornSphere) -> list[FlatConnection]:
 
     Raises TooManyConnections when there would be more than MAX_CONNECTIONS.
     """
-    q, k, m, _ = surgery_parameters(X)
+    q, k, m = surgery_parameters(X)
     check_connection_budget([(q, k)])
     a1, a2, a3 = X.a
     a = X.fiber_product

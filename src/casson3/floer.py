@@ -25,7 +25,7 @@ parity, so every boundary map vanishes and the correction term is zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 from typing import Iterable, Optional
 
@@ -59,21 +59,6 @@ class GF2Matrix:
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "GF2Matrix":
         return cls((0,) * nrows, ncols)
-
-    @classmethod
-    def from_lists(cls, entries: list[list[int]], ncols: Optional[int] = None) -> "GF2Matrix":
-        ncols = len(entries[0]) if entries and ncols is None else (ncols or 0)
-        rows = []
-        for row in entries:
-            acc = 0
-            for j, v in enumerate(row):
-                if v & 1:
-                    acc |= 1 << j
-            rows.append(acc)
-        return cls(tuple(rows), ncols)
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
@@ -148,29 +133,27 @@ def nullspace(M: GF2Matrix) -> list[int]:
 
 @dataclass(frozen=True)
 class Z2ChainComplex:
-    """dims[p] generators in degree p (mod 8); boundary[p]: C_p -> C_{p-1}."""
+    """boundary[p]: C_p -> C_{p-1} for the 8 degrees mod 8.  dims[p], the
+    number of generators in degree p, is derived: boundary[p].ncols."""
 
-    dims: tuple[int, ...]
     boundary: tuple[GF2Matrix, ...]
+    dims: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if len(self.dims) != 8 or len(self.boundary) != 8:
-            raise ValueError("need exactly 8 graded pieces")
-        for p in range(8):
-            M = self.boundary[p]
-            if M.nrows != self.dims[(p - 1) % 8] or M.ncols != self.dims[p]:
-                raise ValueError(f"boundary[{p}] has shape {M.nrows}x{M.ncols}, "
-                                 f"want {self.dims[(p - 1) % 8]}x{self.dims[p]}")
+        if len(self.boundary) != 8:
+            raise ValueError("need exactly 8 boundary maps")
+        dims = tuple(M.ncols for M in self.boundary)
+        object.__setattr__(self, "dims", dims)
+        for p, M in enumerate(self.boundary):
+            if M.nrows != dims[p - 1]:
+                raise ValueError(f"boundary[{p}] has {M.nrows} rows, want {dims[p - 1]}")
         for p in range(8):
             if not self.boundary[p].mul(self.boundary[(p + 1) % 8]).is_zero():
                 raise ValueError(f"d. d != 0 at degree {(p + 1) % 8}")
 
 
 def zero_complex(dims: tuple[int, ...]) -> Z2ChainComplex:
-    return Z2ChainComplex(
-        dims=tuple(dims),
-        boundary=tuple(GF2Matrix.zero(dims[(p - 1) % 8], dims[p]) for p in range(8)),
-    )
+    return Z2ChainComplex(tuple(GF2Matrix.zero(dims[p - 1], dims[p]) for p in range(8)))
 
 
 def floer_correction(cc: Z2ChainComplex) -> int:
@@ -187,9 +170,7 @@ def homology_ranks(cc: Z2ChainComplex) -> tuple[int, ...]:
 
 def dual_reflect(cc: Z2ChainComplex) -> Z2ChainComplex:
     """Degree-reflected dual: p -> -3-p (mod 8), boundaries transposed."""
-    dims = tuple(cc.dims[(-3 - p) % 8] for p in range(8))
-    boundary = tuple(cc.boundary[(-2 - p) % 8].transpose() for p in range(8))
-    return Z2ChainComplex(dims=dims, boundary=boundary)
+    return Z2ChainComplex(tuple(cc.boundary[(-2 - p) % 8].transpose() for p in range(8)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +183,9 @@ class MorseMove:
 
     handle_slide: basis change g_source += g_target in degree p (an elementary
     matrix, its own inverse over GF(2)).  birth: new generators f in degree p
-    and e in degree p+1 with de = f and no other incidences.  death: cancel a
-    pair with boundary entry 1; pair = (row f in C_p, col e in C_{p+1}), or
-    None to cancel the first available pair.
+    and e in degree p+1 with de = f and no other incidences.  death: cancel
+    the pair = (row f in C_p, col e in C_{p+1}), which must have boundary
+    entry 1; a death without a pair does not apply.
     """
 
     kind: str
@@ -234,12 +215,11 @@ def apply_move(cc: Z2ChainComplex, mv: MorseMove) -> Z2ChainComplex:
         return cc
 
     p = mv.p % 8
-    dims = list(cc.dims)
     bnd = list(cc.boundary)
 
     if mv.kind == "handle_slide":
         s, t = mv.source, mv.target
-        if not (0 <= s < dims[p] and 0 <= t < dims[p] and s != t):
+        if not (0 <= s < cc.dims[p] and 0 <= t < cc.dims[p] and s != t):
             raise InapplicableMove(f"cannot slide generator {s} over {t} in degree {p}")
         M = bnd[p]
         rows = tuple(r ^ (((r >> t) & 1) << s) for r in M.rows)  # col s += col t
@@ -249,7 +229,7 @@ def apply_move(cc: Z2ChainComplex, mv: MorseMove) -> Z2ChainComplex:
         new_rows = list(N.rows)
         new_rows[t] ^= new_rows[s]  # row t += row s
         bnd[up] = GF2Matrix(tuple(new_rows), N.ncols)
-        return Z2ChainComplex(tuple(dims), tuple(bnd))
+        return Z2ChainComplex(tuple(bnd))
 
     if mv.kind == "birth":
         up, up2 = (p + 1) % 8, (p + 2) % 8
@@ -258,25 +238,14 @@ def apply_move(cc: Z2ChainComplex, mv: MorseMove) -> Z2ChainComplex:
         bnd[up] = GF2Matrix(new_rows, M.ncols + 1)
         bnd[p] = GF2Matrix(bnd[p].rows, bnd[p].ncols + 1)  # df = 0
         bnd[up2] = GF2Matrix(bnd[up2].rows + (0,), bnd[up2].ncols)  # nothing else hits e
-        dims[p] += 1
-        dims[up] += 1
-        return Z2ChainComplex(tuple(dims), tuple(bnd))
+        return Z2ChainComplex(tuple(bnd))
 
     # death
     up, up2 = (p + 1) % 8, (p + 2) % 8
     M = bnd[up]
-    if mv.pair is not None:
-        f, e = mv.pair
-        if not (0 <= f < M.nrows and 0 <= e < M.ncols and M.entry(f, e)):
-            raise InapplicableMove(f"no cancellable pair at {mv.pair} in degree {p}")
-    else:
-        f = e = -1
-        for i, r in enumerate(M.rows):
-            if r:
-                f, e = i, (r & -r).bit_length() - 1
-                break
-        if f < 0:
-            raise InapplicableMove(f"no cancellable pair in degrees ({p}, {p + 1})")
+    f, e = mv.pair or (-1, -1)
+    if not (0 <= f < M.nrows and 0 <= e < M.ncols and M.entry(f, e)):
+        raise InapplicableMove(f"no cancellable pair at {mv.pair} in degree {p}")
     # Gaussian cancellation of the pair (f, e)
     frow = M.rows[f]
     rows = [r ^ frow if i != f and ((r >> e) & 1) else r for i, r in enumerate(M.rows)]
@@ -284,9 +253,7 @@ def apply_move(cc: Z2ChainComplex, mv: MorseMove) -> Z2ChainComplex:
     bnd[up] = M2
     bnd[p] = _delete_col(bnd[p], f)
     bnd[up2] = _delete_row(bnd[up2], e)
-    dims[p] -= 1
-    dims[up] -= 1
-    return Z2ChainComplex(tuple(dims), tuple(bnd))
+    return Z2ChainComplex(tuple(bnd))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +265,7 @@ def random_complex(rng: Random, max_dim: int = 6) -> Z2ChainComplex:
     rest are built with columns drawn from the kernel of the previous map."""
     dims = tuple(rng.randint(0, max_dim) for _ in range(8))
     start = rng.randrange(8)
-    bnd: dict[int, GF2Matrix] = {start: GF2Matrix.zero(dims[(start - 1) % 8], dims[start])}
+    bnd: dict[int, GF2Matrix] = {start: GF2Matrix.zero(dims[start - 1], dims[start])}
     for step in range(1, 8):
         p = (start + step) % 8
         prev = bnd[(p - 1) % 8]
@@ -311,7 +278,7 @@ def random_complex(rng: Random, max_dim: int = 6) -> Z2ChainComplex:
                     acc ^= v
             cols.append(acc)
         bnd[p] = GF2Matrix(tuple(cols), dims[(p - 1) % 8]).transpose()
-    return Z2ChainComplex(dims, tuple(bnd[p] for p in range(8)))
+    return Z2ChainComplex(tuple(bnd[p] for p in range(8)))
 
 
 def random_move(rng: Random, cc: Z2ChainComplex) -> MorseMove:
@@ -351,11 +318,6 @@ def r_invariant(a: tuple[int, int, int], e: int) -> int:
     if rest:
         raise GradingFormulaUnavailable(f"grading for a={a}, e={e} is not an integer")
     return mu
-
-
-def instanton_grading_natural(a: tuple[int, int, int], e: int) -> int:
-    """Grading mod 8 on the naturally oriented sphere ({1, 5} for Sigma(2,3,5))."""
-    return r_invariant(a, e) % 8
 
 
 def floer_grading(c: FlatConnection) -> int:

@@ -48,9 +48,9 @@ def check_conjecture(q: int, fit_plus: RationalPoly, fit_minus: RationalPoly) ->
     """
     n_q = (q * q - 1) // 4
     diff = fit_plus - fit_minus
-    expected = RationalPoly.from_coeffs([0, Fraction(n_q, 4)])
+    expected = RationalPoly((0, Fraction(n_q, 4)))
     d2 = second_derivative_at_one(alexander_torus(2, q))
-    stated = RationalPoly.from_coeffs([0, -d2])  # P+ - P- per the stated form
+    stated = RationalPoly((0, -d2))  # P+ - P- per the stated form
     factor = stated[1] / diff[1] if diff.degree == 1 else None
     rep_count = len(enumerate_connections(from_surgery(q, 1)))
     return {

@@ -62,10 +62,6 @@ class RationalPoly:
         object.__setattr__(self, "low", low + start if start < end else 0)
 
     @classmethod
-    def from_coeffs(cls, coeffs: Iterable[Scalar]) -> "RationalPoly":
-        return cls(tuple(coeffs))
-
-    @classmethod
     def zero(cls) -> "RationalPoly":
         return cls(())
 

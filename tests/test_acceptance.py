@@ -153,7 +153,7 @@ def test_criterion_7_polynomial_structure(grid):
             fit_and_verify(minus, 1, extra_check_points=3)
         assert fit_plus != fit_minus
         n_q = (q * q - 1) // 4
-        assert fit_plus - fit_minus == RationalPoly.from_coeffs([0, Fraction(n_q, 4)])
+        assert fit_plus - fit_minus == RationalPoly((0, Fraction(n_q, 4)))
     print("\nACCEPTANCE 7 PASS: quadratic on each branch, degree-1 fails, "
           "branch difference is (1/4)((q^2-1)/4)K")
 

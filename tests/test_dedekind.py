@@ -17,11 +17,10 @@ from casson3.dedekind import (
     cot_sum_exact,
     cot_sum_lattice,
     cot_sum_numerator,
-    cotangent_total_exact,
-    cotangent_total_float,
+    cotangent_numerator,
     floor_sums,
     rho_adjoint,
-    rho_natural_exact,
+    rho_natural_float,
     snap_rho,
     verify_convention,
 )
@@ -140,8 +139,10 @@ def test_vanishing_sine_factors():
     # e = 0 mod every a_i kills each term; only the constant survives
     a = (2, 3, 5)
     e = 2 * 3 * 5
-    assert cotangent_total_exact(a, e) == 0
-    assert rho_natural_exact(a, e) == -3  # -2 * (3/2), global sign frozen
+    assert cotangent_numerator(a, e) == 0
+    natural = reverse_orientation(from_surgery(3, 1))  # Sigma(2,3,5), orientation +1
+    assert natural.a == a and natural.orientation == 1
+    assert dedekind._rho_exact(natural, e) == -3  # -2 * (3/2), global sign frozen
 
 
 def test_rho_aggregate_q3():
@@ -186,11 +187,16 @@ def test_float_within_error_bound_full_range():
 
 
 def test_snap_denominators_divide_4a():
-    for q, K in [(3, 1), (5, -2), (9, 6), (9, -6)]:
-        X = from_surgery(q, K)
-        bound = 4 * X.fiber_product
-        for c in enumerate_connections(X):
-            assert bound % rho_adjoint(c, path="exact").exact.denominator == 0
+    # `rho --per-connection` on the float path prints the point of (1/4a)Z that
+    # `snap_rho` picks, checked only against the float it came from; it is the
+    # exact rho only because every exact rho lies on that lattice (9120
+    # connections here)
+    for q in (3, 5, 7, 9, 21, 41):
+        for K in (1, -1, 3, -4, 7):
+            X = from_surgery(q, K)
+            bound = 4 * X.fiber_product
+            for c in enumerate_connections(X):
+                assert bound % dedekind._rho_exact(X, c.e).denominator == 0, (q, K, c.L)
 
 
 def test_orientation_antisymmetry():
@@ -235,11 +241,14 @@ def test_snap_rho_refuses_a_window_that_reaches_a_neighbour():
 
 
 def test_float_estimate_total_tracks_components():
+    # reference: -3 - 2 * sum_i (2/a_i) S(a/a_i, e, a_i) from the rational wrapper
     X = from_surgery(9, -4)
+    prod = X.fiber_product
     for c in enumerate_connections(X)[:5]:
-        est = cotangent_total_float(X.a, c.e)
-        assert abs(Fraction(est.value) - cotangent_total_exact(X.a, c.e)) \
-            <= Fraction(est.error_bound)
+        est = rho_natural_float(X.a, c.e)
+        reference = -3 - 2 * sum(Fraction(2, ai) * cot_sum_exact(prod // ai, c.e, ai)
+                                 for ai in X.a)
+        assert abs(Fraction(est.value) - reference) <= Fraction(est.error_bound)
 
 
 def test_exact_rho_is_cross_checked_against_the_float_kernel(monkeypatch):
@@ -263,6 +272,7 @@ def test_rho_value_cross_check_is_inclusive_at_the_bound():
 
 
 def test_rho_value_refuses_a_non_finite_cross_check():
+    # refused when the estimate is built, before the RhoValue exists
     c = enumerate_connections(from_surgery(3, 1))[0]
     for value, bound in ((math.nan, 1e-9), (math.inf, 1e-9), (0.25, math.inf)):
         with pytest.raises(ConventionMismatch):
@@ -285,3 +295,21 @@ def test_integer_aggregate_refuses_a_foreign_denominator(monkeypatch):
                         lambda c, path: RhoValue(Fraction(1, 7), FloatEstimate(1 / 7, 1e-15), c))
     with pytest.raises(ConventionMismatch):
         dedekind._aggregate(X, "exact")
+
+
+def _random_cases(count, seed):
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n = rng.choice([2, 3, 5, 7, 11, 30, 101, 109, 181])
+        A = rng.randrange(1, n)
+        while math.gcd(A, n) != 1:
+            A = rng.randrange(1, n)
+        cases.append((A, rng.randrange(0, 2 * n), n))
+    return cases
+
+
+def test_numpy_kernel_matches_exact():
+    for A, e, n in _random_cases(40, 1):
+        value, bound = _kernels.cot_sum(A, e, n)
+        assert abs(Fraction(value) - cot_sum_exact(A, e, n)) <= Fraction(bound)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from casson3.dedekind import MAX_SNAP_ERROR, FloatEstimate, snap_rho
-from casson3.errors import SnapFailure
+from casson3.errors import ConventionMismatch, SnapFailure
 from casson3.seifert import from_surgery
 
 
@@ -36,9 +36,12 @@ def test_snap_rejects_bad_bound_and_nonfinite():
     X = from_surgery(5, -2)
     with pytest.raises(SnapFailure):
         snap_rho(FloatEstimate(0.5, 2 * MAX_SNAP_ERROR), X)
-    for x in (math.nan, math.inf, -math.inf):
-        with pytest.raises(SnapFailure):
-            snap_rho(FloatEstimate(x, 1e-13), X)
+    # a non-finite value or a bound that is not finite and >= 0 never reaches
+    # snap_rho: the estimate itself refuses it
+    for x, err in ((math.nan, 1e-13), (math.inf, 1e-13), (-math.inf, 1e-13),
+                   (0.5, -1e-13), (0.5, math.nan), (0.5, math.inf)):
+        with pytest.raises(ConventionMismatch):
+            FloatEstimate(x, err)
 
 
 def test_snap_roundtrip_random():

@@ -99,7 +99,7 @@ def test_exhaustive_complement_small_spheres():
             if a3 > 200:
                 continue
             enumerated = {(c.L[1], c.L[2]) for c in enumerate_connections(X)}
-            q_, k, m, _ = surgery_parameters(X)
+            q_, k, m = surgery_parameters(X)
             for L2 in range(1, a2):
                 for L3 in range(1, a3):
                     admissible = is_admissible(X, L2, L3)

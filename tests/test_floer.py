@@ -17,7 +17,6 @@ from casson3.floer import (
     floer_correction,
     floer_grading,
     homology_ranks,
-    instanton_grading_natural,
     nullspace,
     r_invariant,
     random_complex,
@@ -27,14 +26,24 @@ from casson3.floer import (
 from casson3.seifert import from_surgery, reverse_orientation
 
 
+def _matrix(entries):
+    """GF2Matrix of a nonempty list of 0/1 rows."""
+    return GF2Matrix(tuple(sum(v << j for j, v in enumerate(row)) for row in entries),
+                     len(entries[0]))
+
+
+def _entries(M):
+    return [[M.entry(i, j) for j in range(M.ncols)] for i in range(M.nrows)]
+
+
 def test_gf2_matrix_basics():
-    M = GF2Matrix.from_lists([[1, 0, 1], [0, 1, 1]])
+    M = _matrix([[1, 0, 1], [0, 1, 1]])
     assert M.rank() == 2
-    assert M.transpose().to_lists() == [[1, 0], [0, 1], [1, 1]]
-    N = GF2Matrix.from_lists([[1], [1], [0]])
-    assert M.mul(N).to_lists() == [[1], [1]]
+    assert _entries(M.transpose()) == [[1, 0], [0, 1], [1, 1]]
+    N = _matrix([[1], [1], [0]])
+    assert _entries(M.mul(N)) == [[1], [1]]
     assert GF2Matrix.zero(2, 3).is_zero()
-    assert GF2Matrix.from_lists([[1, 1], [1, 1]]).rank() == 1
+    assert _matrix([[1, 1], [1, 1]]).rank() == 1
 
 
 def test_rank_against_row_space_oracle():
@@ -54,7 +63,7 @@ def test_rank_against_row_space_oracle():
 
 
 def test_nullspace():
-    M = GF2Matrix.from_lists([[1, 1, 0], [0, 0, 1]])
+    M = _matrix([[1, 1, 0], [0, 0, 1]])
     basis = nullspace(M)
     assert len(basis) == 1
     for v in basis:
@@ -71,8 +80,8 @@ def test_correction_single_map():
     dims = [0] * 8
     dims[2] = dims[3] = 1
     bnd = [GF2Matrix.zero(dims[(p - 1) % 8], dims[p]) for p in range(8)]
-    bnd[3] = GF2Matrix.from_lists([[1]])
-    cc = Z2ChainComplex(tuple(dims), tuple(bnd))
+    bnd[3] = _matrix([[1]])
+    cc = Z2ChainComplex(tuple(bnd))
     assert floer_correction(cc) == 1  # (-1)^2 * rank 1
 
 
@@ -80,19 +89,31 @@ def test_correction_alternating_sum():
     # ranks into degrees: r0 = 1, r2 = 2 -> correction 1 + 2 = 3
     dims = [1, 1, 2, 2, 0, 0, 0, 0]
     bnd = [GF2Matrix.zero(dims[(p - 1) % 8], dims[p]) for p in range(8)]
-    bnd[1] = GF2Matrix.from_lists([[1]])
-    bnd[3] = GF2Matrix.from_lists([[1, 0], [0, 1]])
-    cc = Z2ChainComplex(tuple(dims), tuple(bnd))
+    bnd[1] = _matrix([[1]])
+    bnd[3] = _matrix([[1, 0], [0, 1]])
+    cc = Z2ChainComplex(tuple(bnd))
     assert floer_correction(cc) == 3
 
 
 def test_d_squared_validation():
     dims = (1, 1, 1, 0, 0, 0, 0, 0)
     bnd = [GF2Matrix.zero(dims[(p - 1) % 8], dims[p]) for p in range(8)]
-    bnd[1] = GF2Matrix.from_lists([[1]])
-    bnd[2] = GF2Matrix.from_lists([[1]])
+    bnd[1] = _matrix([[1]])
+    bnd[2] = _matrix([[1]])
     with pytest.raises(ValueError):
-        Z2ChainComplex(dims, tuple(bnd))
+        Z2ChainComplex(tuple(bnd))
+
+
+def test_dims_are_read_off_the_maps():
+    dims = (1, 2, 0, 3, 1, 0, 0, 2)
+    bnd = [GF2Matrix.zero(dims[p - 1], dims[p]) for p in range(8)]
+    assert Z2ChainComplex(tuple(bnd)).dims == dims
+    # boundary[4] must have dims[3] = 3 rows
+    bnd[4] = GF2Matrix.zero(2, dims[4])
+    with pytest.raises(ValueError):
+        Z2ChainComplex(tuple(bnd))
+    with pytest.raises(ValueError):
+        Z2ChainComplex(tuple(bnd[:7]))
 
 
 def test_birth_changes_correction_by_sign():
@@ -106,11 +127,17 @@ def test_birth_changes_correction_by_sign():
 def test_death_inverts_birth():
     cc = zero_complex((1, 2, 0, 0, 1, 0, 0, 0))
     born = apply_move(cc, MorseMove("birth", p=3))
-    dead = apply_move(born, MorseMove("death", p=3))
-    assert dead.dims == cc.dims
+    # the new pair: row 0 of C_3 (which was empty), column 1 of C_4
+    dead = apply_move(born, MorseMove("death", p=3, pair=(0, 1)))
+    assert dead == cc
     assert floer_correction(dead) == floer_correction(cc)
-    with pytest.raises(InapplicableMove):
-        apply_move(cc, MorseMove("death", p=3))
+    for mv in (MorseMove("death", p=3, pair=(0, 1)), MorseMove("death", p=3)):
+        with pytest.raises(InapplicableMove):
+            apply_move(cc, mv)
+    # a death names its pair: there is no search for one
+    for pair in (None, (0, 0), (1, 1)):
+        with pytest.raises(InapplicableMove):
+            apply_move(born, MorseMove("death", p=3, pair=pair))
 
 
 def test_handle_slide_preserves_correction():
@@ -165,7 +192,7 @@ def test_gradings_sigma_2_3_5():
     # brute-force values of the grading formula on the two connections
     X = from_surgery(3, 1)
     es = [c.e for c in enumerate_connections(X)]
-    assert sorted(instanton_grading_natural((2, 3, 5), e) for e in es) == [1, 5]
+    assert sorted(r_invariant((2, 3, 5), e) % 8 for e in es) == [1, 5]
 
 
 def _r_invariant_fractions(a, e):
