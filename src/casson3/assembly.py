@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dedekind import c_correction
-from .errors import Casson3Error, InvalidSurgery, MissingClosedForm
+from .errors import Casson3Error, MissingClosedForm, UnsupportedFamily
 from .floer import build_floer_complex, floer_correction
 from .polynomial import RationalPoly
 from .seifert import BrieskornSphere, check_surgery, from_surgery
@@ -115,8 +115,9 @@ def reference_Lambda(q: int, K: int) -> Fraction:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """All exact rationals; Lambda_su3 = A + B + C + D and 4*Lambda_su3 is an
-    integer.  D stores -(1/4) times the chain-complex correction term (zero on
+    """Stores q, K and the exact terms A, B, C, D; lambda_su2, lambda_su3 =
+    A + B and Lambda_su3 = A + B + C + D are derived, and 4*Lambda_su3 must be
+    an integer.  D is -(1/4) times the chain-complex correction term (zero on
     this family, under either reading of the correction's normalization)."""
 
     q: int
@@ -125,15 +126,22 @@ class InvariantReport:
     B: Fraction
     C: Fraction
     D: Fraction
-    lambda_su2: Fraction
-    lambda_su3: Fraction
-    Lambda_su3: Fraction
 
     def __post_init__(self):
-        if self.Lambda_su3 != self.A + self.B + self.C + self.D:
-            raise Casson3Error("Lambda_su3 != A + B + C + D")
         if (4 * self.Lambda_su3).denominator != 1:
             raise Casson3Error(f"4 * Lambda = {4 * self.Lambda_su3} is not an integer")
+
+    @property
+    def lambda_su2(self) -> Fraction:
+        return lambda_su2(self.q, self.K)
+
+    @property
+    def lambda_su3(self) -> Fraction:
+        return self.A + self.B
+
+    @property
+    def Lambda_su3(self) -> Fraction:
+        return self.A + self.B + self.C + self.D
 
     def to_json_dict(self) -> dict:
         return {
@@ -152,25 +160,20 @@ class InvariantReport:
 
 def assemble_on_sphere(X: BrieskornSphere, path: str = "float") -> InvariantReport:
     """Report for a sphere of the surgery family, with C computed from the
-    cotangent sums on X as given (either orientation)."""
+    cotangent sums on X as given (either orientation); A is looked up first,
+    so a q without closed forms raises MissingClosedForm before any work."""
     if X.surgery_origin is None:
-        raise InvalidSurgery(f"{X} is not from the surgery family")
+        raise UnsupportedFamily(f"{X} did not come from a (2,q) torus knot surgery")
     q, K = X.surgery_origin
     A = reference_A(q, K)
     B = reference_B(q, K)
     C = c_correction(X, path=path)
     D = Fraction(-1, 4) * floer_correction(build_floer_complex(X))
-    return InvariantReport(
-        q=q, K=K, A=A, B=B, C=C, D=D,
-        lambda_su2=lambda_su2(q, K),
-        lambda_su3=A + B,
-        Lambda_su3=A + B + C + D,
-    )
+    return InvariantReport(q=q, K=K, A=A, B=B, C=C, D=D)
 
 
 def assemble(q: int, K: int, path: str = "float") -> InvariantReport:
     """Full invariant report for 1/K surgery on the (2,q) torus knot."""
-    _forms(q)
     return assemble_on_sphere(from_surgery(q, K), path=path)
 
 

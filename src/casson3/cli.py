@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Optional, Sequence
 
@@ -47,34 +47,30 @@ _FORMATS = {
     "floer_sim": ("json",),
 }
 
-# Default of every option a subcommand reads; the parser sets none of them.
-_DEFAULTS = {
-    "per_connection": False,
-    "target": "Lambda",
-    "samples": 5,
-    "seed": 0,
-    "moves": 50,
-    "max_dim": 4,
-}
-
-_ALL_Q = ",".join(str(q) for q in SUPPORTED_Q)
+_TARGETS = ("Lambda", "C", "A", "B")  # what `fit` reconstructs
 
 
 @dataclass
 class RunConfig:
-    """Validated run description; one subcommand plus its options.
-
-    fmt None picks the subcommand's default format and options are merged over
-    `_DEFAULTS`, so a config built in code prints what the command line with
-    the same settings prints.
-    """
+    """Validated run description: one subcommand plus its options, with every
+    default (the parser sets none), so a config built in code prints what the
+    command line with the same settings prints.  fmt None is the subcommand's
+    first format; `table` and `conjecture` without q cover SUPPORTED_Q, and
+    `table` without K covers -6..6."""
 
     subcommand: str
     q_list: tuple[int, ...] = ()
     k_list: tuple[int, ...] = ()
     fmt: Optional[str] = None
     path: str = "float"
-    options: dict = field(default_factory=dict)
+    per_connection: bool = False
+    sign: Optional[str] = None
+    target: str = "Lambda"
+    degree: Optional[int] = None
+    samples: int = 5
+    seed: int = 0
+    moves: int = 50
+    max_dim: int = 4
 
     def __post_init__(self):
         formats = _FORMATS[self.subcommand]
@@ -82,7 +78,13 @@ class RunConfig:
             self.fmt = formats[0]
         elif self.fmt not in formats:
             raise ValueError(f"{self.subcommand} prints {formats}, not {self.fmt!r}")
-        self.options = {**_DEFAULTS, **self.options}
+        if self.subcommand in ("table", "conjecture") and not self.q_list:
+            self.q_list = SUPPORTED_Q
+        if self.subcommand == "table" and not self.k_list:
+            self.k_list = tuple(k for k in range(-6, 7) if k)
+        if self.subcommand in ("reps", "rho", "invariants"):
+            if not (self.q_list and self.k_list):
+                raise ValueError(f"{self.subcommand} needs q and K")
         for q in self.q_list:
             if q < 3 or q % 2 == 0:
                 raise ValueError(f"q must be odd and >= 3, got {q}")
@@ -91,17 +93,20 @@ class RunConfig:
         if self.subcommand == "fit":
             if len(self.q_list) != 1:
                 raise ValueError(f"fit takes one q, got {len(self.q_list)}")
-            degree, samples = self.options["degree"], self.options["samples"]
-            if degree < 0:
-                raise ValueError(f"--degree must be >= 0, got {degree}")
-            if samples < degree + 1:
-                raise ValueError(f"--samples must be >= --degree + 1, got {samples}")
-        if self.subcommand == "conjecture" and self.options["samples"] < 3:
+            if self.sign not in ("+", "-"):
+                raise ValueError(f"fit needs --sign + or -, got {self.sign!r}")
+            if self.target not in _TARGETS:
+                raise ValueError(f"fit has no target {self.target!r}")
+            if self.degree is None or self.degree < 0:
+                raise ValueError(f"--degree must be >= 0, got {self.degree}")
+            if self.samples < self.degree + 1:
+                raise ValueError(f"--samples must be >= --degree + 1, got {self.samples}")
+        if self.subcommand == "conjecture" and self.samples < 3:
             raise ValueError("--samples must be >= 3 for the quadratic fits")
         if self.subcommand == "floer_sim":
-            if self.options["max_dim"] < 0:
+            if self.max_dim < 0:
                 raise ValueError("--max-dim must be >= 0")
-            if self.options["moves"] < 0:
+            if self.moves < 0:
                 raise ValueError("--moves must be >= 0")
 
 
@@ -169,7 +174,7 @@ def cmd_reps(cfg: RunConfig, out) -> int:
 
 
 def cmd_rho(cfg: RunConfig, out) -> int:
-    if cfg.options["per_connection"]:
+    if cfg.per_connection:
         header = ("q", "K", "L1", "L2", "L3", "t", "e", "rho", "float_value", "float_error")
         rows = []
         cells = _cells(cfg)
@@ -191,16 +196,10 @@ def cmd_rho(cfg: RunConfig, out) -> int:
 
 
 def cmd_invariants(cfg: RunConfig, out) -> int:
-    header = ("q", "K", "A", "B", "C", "D", "lambda_su2", "lambda_su3",
-              "Lambda_su3", "four_Lambda_integral")
-    reports = [assemble(q, K, path=cfg.path) for q, K in _cells(cfg)]
-    rows = [
-        (r.q, r.K, r.A, r.B, r.C, r.D, r.lambda_su2, r.lambda_su3, r.Lambda_su3,
-         (4 * r.Lambda_su3).denominator == 1)
-        for r in reports
-    ]
-    _emit(cfg, header, rows,
-          {"path": cfg.path, "reports": [r.to_json_dict() for r in reports]}, out)
+    reports = [assemble(q, K, path=cfg.path).to_json_dict() for q, K in _cells(cfg)]
+    header = tuple(reports[0])
+    _emit(cfg, header, [tuple(r.values()) for r in reports],
+          {"path": cfg.path, "reports": reports}, out)
     return 0
 
 
@@ -225,32 +224,29 @@ def cmd_table(cfg: RunConfig, out) -> int:
 
 def cmd_fit(cfg: RunConfig, out) -> int:
     q = cfg.q_list[0]
-    sign = 1 if cfg.options["sign"] == "+" else -1
-    target = cfg.options["target"]
-    degree = cfg.options["degree"]
-    samples = cfg.options["samples"]
-    ks = [sign * k for k in range(1, samples + 1)]
+    sign = 1 if cfg.sign == "+" else -1
+    ks = [sign * k for k in range(1, cfg.samples + 1)]
     payload = {}
-    if target == "Lambda":
+    if cfg.target == "Lambda":
         vals = {K: assemble(q, K, path=cfg.path).Lambda_su3 for K in ks}
-    elif target == "C":
+    elif cfg.target == "C":
         vals = {K: c_correction(from_surgery(q, K), path=cfg.path) for K in ks}
-    elif target == "A":
+    elif cfg.target == "A":
         vals = {K: reference_A(q, K) for K in ks}
     else:
         vals = {K: reference_B(q, K) for K in ks}
-    if target in ("C", "B"):
+    if cfg.target in ("C", "B"):
         # both are a cubic over 2qK - 1, so the cleared numerator is fitted
         vals = {K: 4 * q * (2 * q * K - 1) * v for K, v in vals.items()}
         payload["cleared_by"] = "4q(2qK-1)"
-    poly = fit_and_verify(vals, degree, extra_check_points=samples - degree - 1)
+    poly = fit_and_verify(vals, cfg.degree, extra_check_points=cfg.samples - cfg.degree - 1)
     payload.update({
         "q": q,
-        "sign": cfg.options["sign"],
-        "target": target,
-        "degree": degree,
-        "samples": samples,
-        "checked_points": samples - degree - 1,
+        "sign": cfg.sign,
+        "target": cfg.target,
+        "degree": cfg.degree,
+        "samples": cfg.samples,
+        "checked_points": cfg.samples - cfg.degree - 1,
         "coefficients_low_to_high": [str(c) for c in poly.coeffs],
         "polynomial": poly.format("K"),
     })
@@ -259,7 +255,7 @@ def cmd_fit(cfg: RunConfig, out) -> int:
 
 
 def cmd_conjecture(cfg: RunConfig, out) -> int:
-    samples = cfg.options["samples"]
+    samples = cfg.samples
     reports = []
     for q in sorted(cfg.q_list):
         plus = {K: assemble(q, K, path=cfg.path).Lambda_su3 for K in range(1, samples + 1)}
@@ -267,18 +263,18 @@ def cmd_conjecture(cfg: RunConfig, out) -> int:
         fit_plus = fit_and_verify(plus, 2, extra_check_points=samples - 3)
         fit_minus = fit_and_verify(minus, 2, extra_check_points=samples - 3)
         reports.append(check_conjecture(q, fit_plus, fit_minus))
-    header = tuple(reports[0]) if reports else ()
+    header = tuple(reports[0])
     _emit(cfg, header, [tuple(r[k] for k in header) for r in reports],
           {"reports": reports}, out)
     return 0
 
 
 def cmd_floer_sim(cfg: RunConfig, out) -> int:
-    rng = Random(cfg.options["seed"])
-    cc = random_complex(rng, cfg.options["max_dim"])
+    rng = Random(cfg.seed)
+    cc = random_complex(rng, cfg.max_dim)
     starting_dims = list(cc.dims)
     transcript = []
-    for step in range(cfg.options["moves"]):
+    for step in range(cfg.moves):
         mv = random_move(rng, cc)
         before = floer_correction(cc)
         cc = apply_move(cc, mv)
@@ -291,7 +287,7 @@ def cmd_floer_sim(cfg: RunConfig, out) -> int:
             "correction_after": after,
             "delta": after - before,
         })
-    _emit_json({"seed": cfg.options["seed"], "starting_dims": starting_dims,
+    _emit_json({"seed": cfg.seed, "starting_dims": starting_dims,
                 "transcript": transcript}, out)
     return 0
 
@@ -331,18 +327,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K-range", dest="K", required=True)
 
     p = add("table", "computed values against the reference closed forms")
-    p.add_argument("--q", default=_ALL_Q)
-    p.add_argument("--K-range", dest="K", default="-6..6")
+    p.add_argument("--q")
+    p.add_argument("--K-range", dest="K")
 
     p = add("fit", "exact polynomial reconstruction of one target")
     p.add_argument("--q", required=True)
     p.add_argument("--sign", choices=("+", "-"), required=True)
-    p.add_argument("--target", choices=("Lambda", "C", "A", "B"))
+    p.add_argument("--target", choices=_TARGETS)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
 
     p = add("conjecture", "quadratic-difference report per q")
-    p.add_argument("--q-list", dest="q", default=_ALL_Q)
+    p.add_argument("--q-list", dest="q")
     p.add_argument("--samples", type=int)
 
     p = add("floer-sim", "audit transcript of random chain-complex moves", with_path=False)
@@ -354,13 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """RunConfig of the parsed arguments; only what the user set is passed on."""
+    """RunConfig of the parsed arguments, passed on as keywords; only what the user set."""
     given = vars(args)
     subcommand = given.pop("subcommand").replace("-", "_")
-    q_list = _parse_q_list(given.pop("q")) if "q" in given else ()
-    k_list = _parse_k_range(given.pop("K")) if "K" in given else ()
-    fields = {key: given.pop(key) for key in ("fmt", "path") if key in given}
-    return RunConfig(subcommand, q_list, k_list, options=given, **fields)
+    if "q" in given:
+        given["q_list"] = _parse_q_list(given.pop("q"))
+    if "K" in given:
+        given["k_list"] = _parse_k_range(given.pop("K"))
+    return RunConfig(subcommand, **given)
 
 
 _COMMANDS = {

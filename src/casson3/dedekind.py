@@ -230,7 +230,6 @@ def rho_natural_float(a: tuple[int, int, int], e: int) -> FloatEstimate:
 class RhoValue:
     exact: Fraction
     float_check: FloatEstimate
-    connection: FlatConnection
 
     def __post_init__(self):
         x, err = self.float_check.value, self.float_check.error_bound
@@ -290,7 +289,7 @@ def rho_adjoint(c: FlatConnection, path: str = "float") -> RhoValue:
             exact = _rho_exact(X, c.e)
     else:
         exact = _rho_exact(X, c.e)
-    return RhoValue(exact=exact, float_check=est, connection=c)
+    return RhoValue(exact=exact, float_check=est)
 
 
 def _rho_exact(X: BrieskornSphere, e: int) -> Fraction:

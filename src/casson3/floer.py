@@ -162,10 +162,8 @@ def floer_correction(cc: Z2ChainComplex) -> int:
 
 
 def homology_ranks(cc: Z2ChainComplex) -> tuple[int, ...]:
-    return tuple(
-        cc.dims[p] - cc.boundary[p].rank() - cc.boundary[(p + 1) % 8].rank()
-        for p in range(8)
-    )
+    ranks = [M.rank() for M in cc.boundary]
+    return tuple(cc.dims[p] - ranks[p] - ranks[(p + 1) % 8] for p in range(8))
 
 
 def dual_reflect(cc: Z2ChainComplex) -> Z2ChainComplex:
@@ -179,19 +177,17 @@ def dual_reflect(cc: Z2ChainComplex) -> Z2ChainComplex:
 
 @dataclass(frozen=True)
 class MorseMove:
-    """kind 'isotopy' | 'handle_slide' | 'birth' | 'death'.
-
-    handle_slide: basis change g_source += g_target in degree p (an elementary
-    matrix, its own inverse over GF(2)).  birth: new generators f in degree p
-    and e in degree p+1 with de = f and no other incidences.  death: cancel
-    the pair = (row f in C_p, col e in C_{p+1}), which must have boundary
-    entry 1; a death without a pair does not apply.
+    """kind 'isotopy' | 'handle_slide' | 'birth' | 'death'; pair names the two
+    generators a slide or a death acts on, and neither applies without it.
+    handle_slide: pair = (s, t) in degree p, the basis change g_s += g_t (an
+    elementary matrix, its own inverse over GF(2)).  birth: new generators f
+    in degree p and e in degree p+1 with de = f and no other incidences.
+    death: cancel pair = (row f in C_p, col e in C_{p+1}), whose boundary
+    entry must be 1.
     """
 
     kind: str
     p: int = 0
-    source: int = -1
-    target: int = -1
     pair: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
@@ -218,7 +214,7 @@ def apply_move(cc: Z2ChainComplex, mv: MorseMove) -> Z2ChainComplex:
     bnd = list(cc.boundary)
 
     if mv.kind == "handle_slide":
-        s, t = mv.source, mv.target
+        s, t = mv.pair or (-1, -1)
         if not (0 <= s < cc.dims[p] and 0 <= t < cc.dims[p] and s != t):
             raise InapplicableMove(f"cannot slide generator {s} over {t} in degree {p}")
         M = bnd[p]
@@ -298,7 +294,7 @@ def random_move(rng: Random, cc: Z2ChainComplex) -> MorseMove:
     if kind == "handle_slide":
         p = rng.choice(slide_degrees)
         s, t = rng.sample(range(cc.dims[p]), 2)
-        return MorseMove("handle_slide", p=p, source=s, target=t)
+        return MorseMove("handle_slide", p=p, pair=(s, t))
     p = rng.choice(death_degrees)
     M = cc.boundary[(p + 1) % 8]
     pairs = [(i, j) for i in range(M.nrows) for j in range(M.ncols) if M.entry(i, j)]
@@ -332,9 +328,13 @@ def floer_grading(c: FlatConnection) -> int:
 
 
 def build_floer_complex(X: BrieskornSphere) -> Z2ChainComplex:
-    """Generators in their grading degrees; all boundary maps vanish because
-    the degrees share one parity, so the correction term is zero."""
+    """Generators in their grading degrees.  The degrees must share one parity
+    (GradingFormulaUnavailable otherwise), so every boundary map vanishes and
+    the correction term is zero."""
     dims = [0] * 8
     for c in enumerate_connections(X):
         dims[floer_grading(c)] += 1
+    if any(dims[0::2]) and any(dims[1::2]):
+        raise GradingFormulaUnavailable(f"the gradings of {X} fall in both parities, "
+                                        f"dims {dims}; the boundary maps are not computed")
     return zero_complex(tuple(dims))

@@ -20,8 +20,10 @@ from casson3.assembly import (
     reference_Lambda,
 )
 from casson3.dedekind import c_correction
-from casson3.errors import Casson3Error, InvalidSurgery, MissingClosedForm
-from casson3.seifert import from_surgery, reverse_orientation
+from casson3.errors import Casson3Error, InvalidSurgery, MissingClosedForm, UnsupportedFamily
+from casson3.flat_moduli import enumerate_connections
+from casson3.floer import build_floer_complex
+from casson3.seifert import BrieskornSphere, from_surgery, reverse_orientation
 
 
 def test_assemble_3_1():
@@ -143,15 +145,22 @@ def test_missing_closed_form():
         assemble(3, 0)
 
 
+def test_sphere_outside_the_family_has_one_error():
+    X = BrieskornSphere(a=(2, 3, 5), b0=-1, b=(1, 1, 1), orientation=1)
+    for entry in (enumerate_connections, c_correction, build_floer_complex,
+                  assemble_on_sphere):
+        with pytest.raises(UnsupportedFamily):
+            entry(X)
+
+
 def test_report_consistency_enforced():
-    with pytest.raises(Casson3Error):
-        InvariantReport(q=3, K=1, A=Fraction(1), B=Fraction(0), C=Fraction(0),
-                        D=Fraction(0), lambda_su2=Fraction(2),
-                        lambda_su3=Fraction(1), Lambda_su3=Fraction(2))
+    # the sums are derived, so only the integrality of 4 * Lambda can fail
+    r = InvariantReport(q=3, K=1, A=Fraction(1), B=Fraction(1, 4), C=Fraction(0),
+                        D=Fraction(0))
+    assert (r.lambda_su2, r.lambda_su3, r.Lambda_su3) == (2, Fraction(5, 4), Fraction(5, 4))
     with pytest.raises(Casson3Error):
         InvariantReport(q=3, K=1, A=Fraction(1, 3), B=Fraction(0), C=Fraction(0),
-                        D=Fraction(0), lambda_su2=Fraction(2),
-                        lambda_su3=Fraction(1, 3), Lambda_su3=Fraction(1, 3))
+                        D=Fraction(0))
 
 
 def test_report_json_dict():

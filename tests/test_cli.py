@@ -176,10 +176,27 @@ def test_config_in_code_matches_command_line():
     for config, args in (
         (RunConfig("floer_sim"), ["floer-sim"]),
         (RunConfig("conjecture", q_list=(3,)), ["conjecture", "--q-list", "3"]),
+        (RunConfig("table"), ["table"]),
+        (RunConfig("conjecture"), ["conjecture"]),
+        (RunConfig("rho", q_list=(5,), k_list=(-1, 1, 2), per_connection=True),
+         ["rho", "--q", "5", "--K", "-1..2", "--per-connection"]),
+        (RunConfig("fit", q_list=(5,), sign="-", degree=2),
+         ["fit", "--q", "5", "--sign", "-", "--degree", "2", "--samples", "5"]),
     ):
         out = io.StringIO()
         assert run(config, out) == 0
-        assert run_cli(args) == (0, out.getvalue())
+        assert run_cli(args) == (0, out.getvalue()), args
+    # a misspelt option is refused, never replaced by its default
+    with pytest.raises(TypeError):
+        RunConfig("floer_sim", sed=3)
+    for subcommand, fields in (("reps", {}), ("rho", {"q_list": (3,)}),
+                               ("invariants", {"k_list": (1,)}),
+                               ("fit", {"q_list": (3,), "degree": 2}),
+                               ("fit", {"q_list": (3,), "sign": "+"}),
+                               ("fit", {"q_list": (5,), "sign": "+", "degree": 4,
+                                        "target": "b"})):
+        with pytest.raises(ValueError):
+            RunConfig(subcommand, **fields)
 
 
 def test_computation_error_exit_1():

@@ -263,20 +263,18 @@ def test_exact_rho_is_cross_checked_against_the_float_kernel(monkeypatch):
 
 
 def test_rho_value_cross_check_is_inclusive_at_the_bound():
-    c = enumerate_connections(from_surgery(3, 1))[0]
     gap = 2.0 ** -20
     for x in (0.25 + gap, 0.25 - gap):  # |1/4 - x| is exactly the double gap
-        RhoValue(Fraction(1, 4), FloatEstimate(x, gap), c)
+        RhoValue(Fraction(1, 4), FloatEstimate(x, gap))
         with pytest.raises(ConventionMismatch):
-            RhoValue(Fraction(1, 4), FloatEstimate(x, math.nextafter(gap, 0.0)), c)
+            RhoValue(Fraction(1, 4), FloatEstimate(x, math.nextafter(gap, 0.0)))
 
 
 def test_rho_value_refuses_a_non_finite_cross_check():
     # refused when the estimate is built, before the RhoValue exists
-    c = enumerate_connections(from_surgery(3, 1))[0]
     for value, bound in ((math.nan, 1e-9), (math.inf, 1e-9), (0.25, math.inf)):
         with pytest.raises(ConventionMismatch):
-            RhoValue(Fraction(1, 4), FloatEstimate(value, bound), c)
+            RhoValue(Fraction(1, 4), FloatEstimate(value, bound))
 
 
 def test_integer_aggregate_matches_the_fraction_sum():
@@ -292,7 +290,7 @@ def test_integer_aggregate_refuses_a_foreign_denominator(monkeypatch):
     X = from_surgery(3, 1)
     assert (4 * X.fiber_product ** 2) % 7 != 0
     monkeypatch.setattr(dedekind, "rho_adjoint",
-                        lambda c, path: RhoValue(Fraction(1, 7), FloatEstimate(1 / 7, 1e-15), c))
+                        lambda c, path: RhoValue(Fraction(1, 7), FloatEstimate(1 / 7, 1e-15)))
     with pytest.raises(ConventionMismatch):
         dedekind._aggregate(X, "exact")
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from casson3 import dedekind
+from casson3 import dedekind, floer
 from casson3.dedekind import cot_sum_exact
 from casson3.errors import GradingFormulaUnavailable, InapplicableMove
 from casson3.flat_moduli import enumerate_connections
@@ -144,11 +144,11 @@ def test_handle_slide_preserves_correction():
     cc = apply_move(zero_complex((0,) * 8), MorseMove("birth", p=1))
     cc = apply_move(cc, MorseMove("birth", p=1))  # two generators in 1 and 2
     before = floer_correction(cc)
-    slid = apply_move(cc, MorseMove("handle_slide", p=2, source=0, target=1))
+    slid = apply_move(cc, MorseMove("handle_slide", p=2, pair=(0, 1)))
     assert floer_correction(slid) == before
     assert homology_ranks(slid) == homology_ranks(cc)
     # elementary over GF(2) is an involution
-    assert apply_move(slid, MorseMove("handle_slide", p=2, source=0, target=1)) == cc
+    assert apply_move(slid, MorseMove("handle_slide", p=2, pair=(0, 1))) == cc
 
 
 def test_isotopy_is_identity():
@@ -262,6 +262,15 @@ def test_build_floer_complex():
     assert sum(cc.dims) == 60
     assert all(d == 0 for p, d in enumerate(cc.dims) if p % 2 == 0)
     assert floer_correction(cc) == 0
+
+
+def test_mixed_parity_gradings_are_refused(monkeypatch):
+    # the zero boundary maps rest on the degrees sharing one parity
+    X = from_surgery(3, 2)
+    assert [c.t_index for c in enumerate_connections(X)] == [1, 2, 3, 4]
+    monkeypatch.setattr(floer, "floer_grading", lambda c: c.t_index)
+    with pytest.raises(GradingFormulaUnavailable):
+        build_floer_complex(X)
 
 
 def test_random_complex_valid_and_varied():

@@ -4,13 +4,18 @@ compared in-process against the files under tests/golden/.
 The commands (file name: arguments) are
 
     table:                    table
+    table_json:               table --K-range -3..3 --format json
+    invariants_csv:           invariants --q 3,5 --K-range -3..3
+    invariants_markdown:      invariants --q 3,5 --K-range -3..3 --format markdown-table
     invariants_json:          invariants --q 3,5 --K-range -3..3 --format json
     rho:                      rho --q 3,5,7,9 --K -4..4
     fit_A / fit_B / fit_C / fit_Lambda:
                               fit --q 5 --sign + --target T --degree D --samples 6
     conjecture:               conjecture
+    conjecture_markdown:      conjecture --q-list 3,5 --samples 4 --format markdown-table
     reps:                     reps --q 5 --K -2..2
     floer_sim:                floer-sim --seed 3 --moves 40
+    floer_sim_slides:         floer-sim --seed 7 --moves 100 --max-dim 6
 
 and every one of them exits 0.  None prints a float column (the float
 cross-check of `rho --per-connection` depends on the platform's numpy), so
@@ -27,6 +32,10 @@ GOLDEN = Path(__file__).parent / "golden"
 
 COMMANDS = {
     "table": ["table"],
+    "table_json": ["table", "--K-range", "-3..3", "--format", "json"],
+    "invariants_csv": ["invariants", "--q", "3,5", "--K-range", "-3..3"],
+    "invariants_markdown": ["invariants", "--q", "3,5", "--K-range", "-3..3",
+                            "--format", "markdown-table"],
     "invariants_json": ["invariants", "--q", "3,5", "--K-range", "-3..3", "--format", "json"],
     "rho": ["rho", "--q", "3,5,7,9", "--K", "-4..4"],
     "fit_A": ["fit", "--q", "5", "--sign", "+", "--target", "A", "--degree", "2",
@@ -38,8 +47,11 @@ COMMANDS = {
     "fit_Lambda": ["fit", "--q", "5", "--sign", "+", "--target", "Lambda", "--degree", "2",
                    "--samples", "6"],
     "conjecture": ["conjecture"],
+    "conjecture_markdown": ["conjecture", "--q-list", "3,5", "--samples", "4",
+                            "--format", "markdown-table"],
     "reps": ["reps", "--q", "5", "--K", "-2..2"],
     "floer_sim": ["floer-sim", "--seed", "3", "--moves", "40"],
+    "floer_sim_slides": ["floer-sim", "--seed", "7", "--moves", "100", "--max-dim", "6"],
 }
 
 
