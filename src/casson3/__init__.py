@@ -31,7 +31,6 @@ from .errors import (
     NotCoprime,
     SnapFailure,
     TooManyConnections,
-    UnsupportedFamily,
 )
 from .flat_moduli import FlatConnection, count_connections, enumerate_connections
 from .floer import (

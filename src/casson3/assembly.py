@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dedekind import c_correction
-from .errors import Casson3Error, MissingClosedForm, UnsupportedFamily
+from .errors import Casson3Error, MissingClosedForm
 from .floer import build_floer_complex, floer_correction
 from .polynomial import RationalPoly
 from .seifert import BrieskornSphere, check_surgery, from_surgery
@@ -159,12 +159,10 @@ class InvariantReport:
 
 
 def assemble_on_sphere(X: BrieskornSphere, path: str = "float") -> InvariantReport:
-    """Report for a sphere of the surgery family, with C computed from the
-    cotangent sums on X as given (either orientation); A is looked up first,
-    so a q without closed forms raises MissingClosedForm before any work."""
-    if X.surgery_origin is None:
-        raise UnsupportedFamily(f"{X} did not come from a (2,q) torus knot surgery")
-    q, K = X.surgery_origin
+    """Report for the sphere X, with C computed from the cotangent sums on X
+    as given (either orientation); A is looked up first, so a q without
+    closed forms raises MissingClosedForm before any work."""
+    q, K = X.q, X.K
     A = reference_A(q, K)
     B = reference_B(q, K)
     C = c_correction(X, path=path)

@@ -29,7 +29,7 @@ from .assembly import (
 from .dedekind import PATHS, c_correction, rho_adjoint
 from .errors import Casson3Error
 from .flat_moduli import check_connection_budget, enumerate_connections
-from .floer import apply_move, floer_correction, random_complex, random_move
+from .floer import MAX_DIM, apply_move, floer_correction, random_complex, random_move
 from .knotpoly import check_conjecture
 from .polynomial import fit_and_verify
 from .seifert import from_surgery
@@ -78,6 +78,8 @@ class RunConfig:
             self.fmt = formats[0]
         elif self.fmt not in formats:
             raise ValueError(f"{self.subcommand} prints {formats}, not {self.fmt!r}")
+        if self.path not in PATHS:
+            raise ValueError(f"path must be one of {PATHS}, got {self.path!r}")
         if self.subcommand in ("table", "conjecture") and not self.q_list:
             self.q_list = SUPPORTED_Q
         if self.subcommand == "table" and not self.k_list:
@@ -104,8 +106,8 @@ class RunConfig:
         if self.subcommand == "conjecture" and self.samples < 3:
             raise ValueError("--samples must be >= 3 for the quadratic fits")
         if self.subcommand == "floer_sim":
-            if self.max_dim < 0:
-                raise ValueError("--max-dim must be >= 0")
+            if not 0 <= self.max_dim <= MAX_DIM:
+                raise ValueError(f"--max-dim must be in 0..{MAX_DIM}, got {self.max_dim}")
             if self.moves < 0:
                 raise ValueError("--moves must be >= 0")
 

@@ -6,11 +6,8 @@ class Casson3Error(Exception):
 
 
 class InvalidSurgery(Casson3Error):
-    """Surgery description is not 1/K on a (2,q) torus knot with q odd, K nonzero."""
-
-
-class UnsupportedFamily(Casson3Error):
-    """The sphere did not arise from the supported surgery family."""
+    """Surgery description is not 1/K on a (2,q) torus knot with q odd, K
+    nonzero, or the orientation sign is not +-1."""
 
 
 class SnapFailure(Casson3Error):

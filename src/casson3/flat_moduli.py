@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidSurgery, TooManyConnections, UnsupportedFamily
+from .errors import InvalidSurgery, TooManyConnections
 from .seifert import BrieskornSphere
 
 # About 54 MB of connections at some 270 bytes each.
@@ -40,21 +40,12 @@ class FlatConnection:
     host: BrieskornSphere
 
 
-def surgery_parameters(X: BrieskornSphere) -> tuple[int, int, int]:
-    """(q, k, m) = (q, |K|, (q - 1)/2) for a sphere from the surgery family."""
-    if X.surgery_origin is None:
-        raise UnsupportedFamily(f"{X} did not come from a (2,q) torus knot surgery")
-    q, K = X.surgery_origin
-    return q, abs(K), (q - 1) // 2
-
-
 def is_admissible(X: BrieskornSphere, L2: int, L3: int) -> bool:
     """Parity and trace-reachability test for a candidate (1, L2, L3)."""
-    q, k, m = surgery_parameters(X)
     _, a2, a3 = X.a
     if not (0 < L2 < a2 and 0 < L3 < a3):
         return False
-    if (L2 - m) % 2 != 0 or (L3 - k) % 2 != 0:
+    if (L2 - (X.q - 1) // 2) % 2 != 0 or (L3 - abs(X.K)) % 2 != 0:
         return False
     # compare via integers: bound = |a3/2 - a3*L2/a2| = |a2*a3 - 2*a3*L2| / (2*a2)
     twice_bound_num = abs(a2 * a3 - 2 * a3 * L2)  # = 2*a2*bound
@@ -66,8 +57,8 @@ def enumerate_connections(X: BrieskornSphere) -> list[FlatConnection]:
 
     Raises TooManyConnections when there would be more than MAX_CONNECTIONS.
     """
-    q, k, m = surgery_parameters(X)
-    check_connection_budget([(q, k)])
+    k, m = abs(X.K), (X.q - 1) // 2
+    check_connection_budget([(X.q, k)])
     a1, a2, a3 = X.a
     a = X.fiber_product
     out: list[FlatConnection] = []

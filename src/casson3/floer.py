@@ -255,6 +255,10 @@ def apply_move(cc: Z2ChainComplex, mv: MorseMove) -> Z2ChainComplex:
 # ---------------------------------------------------------------------------
 # random complexes and moves, for fuzzing and simulation
 
+# Largest max_dim `floer-sim` accepts: a complex holds dense
+# dims[p-1] x dims[p] bit matrices, so its memory and time grow as max_dim^2.
+MAX_DIM = 64
+
 
 def random_complex(rng: Random, max_dim: int = 6) -> Z2ChainComplex:
     """Random valid complex: a random boundary map is forced to zero and the
@@ -319,8 +323,6 @@ def r_invariant(a: tuple[int, int, int], e: int) -> int:
 def floer_grading(c: FlatConnection) -> int:
     """Degree (mod 8) of the connection in its host's chain complex."""
     X = c.host
-    if X.surgery_origin is None:
-        raise GradingFormulaUnavailable(f"{X} is outside the surgery family")
     mu = r_invariant(X.a, c.e)
     if X.orientation == 1:
         return (mu + 3) % 8

@@ -20,10 +20,8 @@ from casson3.assembly import (
     reference_Lambda,
 )
 from casson3.dedekind import c_correction
-from casson3.errors import Casson3Error, InvalidSurgery, MissingClosedForm, UnsupportedFamily
-from casson3.flat_moduli import enumerate_connections
-from casson3.floer import build_floer_complex
-from casson3.seifert import BrieskornSphere, from_surgery, reverse_orientation
+from casson3.errors import Casson3Error, InvalidSurgery, MissingClosedForm
+from casson3.seifert import from_surgery, reverse_orientation
 
 
 def test_assemble_3_1():
@@ -143,14 +141,6 @@ def test_missing_closed_form():
         reference_A(11, 1)
     with pytest.raises(InvalidSurgery):
         assemble(3, 0)
-
-
-def test_sphere_outside_the_family_has_one_error():
-    X = BrieskornSphere(a=(2, 3, 5), b0=-1, b=(1, 1, 1), orientation=1)
-    for entry in (enumerate_connections, c_correction, build_floer_complex,
-                  assemble_on_sphere):
-        with pytest.raises(UnsupportedFamily):
-            entry(X)
 
 
 def test_report_consistency_enforced():

@@ -12,7 +12,7 @@ import casson3
 from casson3 import flat_moduli
 from casson3.assembly import _TABLE
 from casson3.cli import RunConfig, main, run
-from casson3.floer import random_complex
+from casson3.floer import MAX_DIM, random_complex
 
 
 def run_cli(args):
@@ -162,6 +162,7 @@ def test_usage_errors_exit_2():
         ["fit", "--q", "5,3", "--sign", "+", "--degree", "2", "--samples", "5"],
         ["conjecture", "--samples", "2"],
         ["floer-sim", "--max-dim", "-1"],
+        ["floer-sim", "--max-dim", str(MAX_DIM + 1)],
         ["floer-sim", "--moves", "-3"],
         ["table", "-v"],
         ["table", "--q", ","],
@@ -194,7 +195,9 @@ def test_config_in_code_matches_command_line():
                                ("fit", {"q_list": (3,), "degree": 2}),
                                ("fit", {"q_list": (3,), "sign": "+"}),
                                ("fit", {"q_list": (5,), "sign": "+", "degree": 4,
-                                        "target": "b"})):
+                                        "target": "b"}),
+                               ("rho", {"q_list": (5,), "k_list": (1,), "path": "bogus"}),
+                               ("floer_sim", {"max_dim": MAX_DIM + 1})):
         with pytest.raises(ValueError):
             RunConfig(subcommand, **fields)
 

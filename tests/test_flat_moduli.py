@@ -3,15 +3,14 @@ import math
 import pytest
 
 from casson3 import flat_moduli
-from casson3.errors import InvalidSurgery, TooManyConnections, UnsupportedFamily
+from casson3.errors import InvalidSurgery, TooManyConnections
 from casson3.flat_moduli import (
     check_connection_budget,
     count_connections,
     enumerate_connections,
     is_admissible,
-    surgery_parameters,
 )
-from casson3.seifert import BrieskornSphere, from_surgery, reverse_orientation
+from casson3.seifert import from_surgery, reverse_orientation
 
 from tabledata import expected_rows
 
@@ -99,7 +98,7 @@ def test_exhaustive_complement_small_spheres():
             if a3 > 200:
                 continue
             enumerated = {(c.L[1], c.L[2]) for c in enumerate_connections(X)}
-            q_, k, m = surgery_parameters(X)
+            k, m = abs(K), (q - 1) // 2
             for L2 in range(1, a2):
                 for L3 in range(1, a3):
                     admissible = is_admissible(X, L2, L3)
@@ -127,12 +126,6 @@ def test_t_index_is_rank_within_branch():
         l3s = [l3 for _, l3 in branch]
         assert ts == list(range(1, len(branch) + 1))
         assert l3s == sorted(l3s)
-
-
-def test_unsupported_family():
-    X = BrieskornSphere(a=(2, 3, 5), b0=-1, b=(1, 1, 1), orientation=-1)
-    with pytest.raises(UnsupportedFamily):
-        enumerate_connections(X)
 
 
 def test_count_connections_validation():
