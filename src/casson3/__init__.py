@@ -1,8 +1,7 @@
 """casson3: exact arithmetic for a fully perturbative SU(3) Casson-type
 invariant of the homology spheres obtained by 1/K surgery on (2,q) torus
 knots, with the structural laws (integrality, orientation symmetry, move
-calculus for the chain-complex correction, connected sums) as testable
-surfaces."""
+calculus for the chain-complex correction) as testable surfaces."""
 
 __version__ = "0.1.0"
 
@@ -10,10 +9,7 @@ from .assembly import (
     InvariantReport,
     assemble,
     assemble_on_sphere,
-    connect_sum_Lambda,
-    connect_sum_lambda,
     lambda_su2,
-    lambda_su3,
     reference_A,
     reference_B,
     reference_C,

@@ -174,39 +174,3 @@ def assemble(q: int, K: int, path: str = "float") -> InvariantReport:
     """Full invariant report for 1/K surgery on the (2,q) torus knot."""
     return assemble_on_sphere(from_surgery(q, K), path=path)
 
-
-def lambda_su3(q: int, K: int) -> Fraction:
-    """The small-perturbation SU(3) invariant A + B; the fully perturbative
-    Lambda differs from it by C + D."""
-    return reference_A(q, K) + reference_B(q, K)
-
-
-def connect_sum_Lambda(
-    Lambda1: Fraction,
-    Lambda2: Fraction,
-    lambda_su2_1: Fraction,
-    lambda_su2_2: Fraction,
-    floer_sum: int = 0,
-    floer_1: int = 0,
-    floer_2: int = 0,
-) -> Fraction:
-    """Connected-sum value: Lambda1 + Lambda2 + (9/2) l1 l2 - (1/4)(Floer(sum)
-    - Floer(1) - Floer(2)).  The summands' SU(2) values and the correction
-    terms are explicit inputs; the caller picks their normalization."""
-    return (
-        Fraction(Lambda1) + Fraction(Lambda2)
-        + Fraction(9, 2) * Fraction(lambda_su2_1) * Fraction(lambda_su2_2)
-        - Fraction(1, 4) * (floer_sum - floer_1 - floer_2)
-    )
-
-
-def connect_sum_lambda(
-    lambda1: Fraction,
-    lambda2: Fraction,
-    lambda_su2_1: Fraction,
-    lambda_su2_2: Fraction,
-) -> Fraction:
-    """Connected-sum rule for the small-perturbation invariant, with
-    coefficient 4 on the product term."""
-    return (Fraction(lambda1) + Fraction(lambda2)
-            + 4 * Fraction(lambda_su2_1) * Fraction(lambda_su2_2))

@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import __version__
 from .assembly import (
@@ -28,7 +28,7 @@ from .assembly import (
 )
 from .dedekind import PATHS, c_correction, rho_adjoint
 from .errors import Casson3Error
-from .flat_moduli import check_connection_budget, enumerate_connections
+from .flat_moduli import FlatConnection, check_connection_budget, enumerate_connections
 from .floer import MAX_DIM, apply_move, floer_correction, random_complex, random_move
 from .knotpoly import check_conjecture
 from .polynomial import fit_and_verify
@@ -159,18 +159,24 @@ def _cells(cfg: RunConfig) -> list[tuple[int, int]]:
     return [(q, K) for q in sorted(cfg.q_list) for K in sorted(cfg.k_list)]
 
 
+def _connections(cfg: RunConfig) -> Iterator[tuple[int, int, FlatConnection]]:
+    """(q, K, connection) over every cell of the request.  The caller keeps
+    every row until the output is written, so the whole request is checked
+    against the connection budget before the first sphere is enumerated."""
+    cells = _cells(cfg)
+    check_connection_budget(cells)
+    for q, K in cells:
+        for c in enumerate_connections(from_surgery(q, K)):
+            yield q, K, c
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_reps(cfg: RunConfig, out) -> int:
     header = ("q", "K", "L1", "L2", "L3", "t", "e")
-    rows = []
-    cells = _cells(cfg)
-    check_connection_budget(cells)  # every row is kept until the output is written
-    for q, K in cells:
-        for c in enumerate_connections(from_surgery(q, K)):
-            rows.append((q, K, c.L[0], c.L[1], c.L[2], c.t_index, c.e))
+    rows = [(q, K, *c.L, c.t_index, c.e) for q, K, c in _connections(cfg)]
     _emit(cfg, header, rows, {"connections": [dict(zip(header, r)) for r in rows]}, out)
     return 0
 
@@ -179,15 +185,10 @@ def cmd_rho(cfg: RunConfig, out) -> int:
     if cfg.per_connection:
         header = ("q", "K", "L1", "L2", "L3", "t", "e", "rho", "float_value", "float_error")
         rows = []
-        cells = _cells(cfg)
-        check_connection_budget(cells)
-        for q, K in cells:
-            X = from_surgery(q, K)
-            for c in enumerate_connections(X):
-                rv = rho_adjoint(c, path=cfg.path)
-                rows.append((q, K, c.L[0], c.L[1], c.L[2], c.t_index, c.e,
-                             rv.exact, repr(rv.float_check.value),
-                             repr(rv.float_check.error_bound)))
+        for q, K, c in _connections(cfg):
+            rv = rho_adjoint(c, path=cfg.path)
+            rows.append((q, K, *c.L, c.t_index, c.e, rv.exact,
+                         repr(rv.float_check.value), repr(rv.float_check.error_bound)))
     else:
         header = ("q", "K", "C")
         rows = [(q, K, c_correction(from_surgery(q, K), path=cfg.path))

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidSurgery, TooManyConnections
-from .seifert import BrieskornSphere
+from .errors import TooManyConnections
+from .seifert import BrieskornSphere, check_surgery
 
 # About 54 MB of connections at some 270 bytes each.
 MAX_CONNECTIONS = 200_000
@@ -57,8 +57,8 @@ def enumerate_connections(X: BrieskornSphere) -> list[FlatConnection]:
 
     Raises TooManyConnections when there would be more than MAX_CONNECTIONS.
     """
+    check_connection_budget([(X.q, X.K)])
     k, m = abs(X.K), (X.q - 1) // 2
-    check_connection_budget([(X.q, k)])
     a1, a2, a3 = X.a
     a = X.fiber_product
     out: list[FlatConnection] = []
@@ -78,7 +78,7 @@ def enumerate_connections(X: BrieskornSphere) -> list[FlatConnection]:
 def check_connection_budget(cells: Sequence[tuple[int, int]]) -> None:
     """Raise TooManyConnections if the spheres of the (q, K) cells together
     have more than MAX_CONNECTIONS flat connections."""
-    count = sum(count_connections(q, abs(K)) for q, K in cells)
+    count = sum(count_connections(q, K) for q, K in cells)
     if count > MAX_CONNECTIONS:
         if len(cells) == 1:
             what = f"q={cells[0][0]}, |K|={abs(cells[0][1])} has"
@@ -88,8 +88,7 @@ def check_connection_budget(cells: Sequence[tuple[int, int]]) -> None:
             f"{what} {count} flat connections; the budget is {MAX_CONNECTIONS}")
 
 
-def count_connections(q: int, k: int) -> int:
-    """(q^2 - 1) k / 4; equals len(enumerate_connections) for both surgery signs."""
-    if q < 3 or q % 2 == 0 or k < 1:
-        raise InvalidSurgery(f"need odd q >= 3 and k >= 1, got q={q}, k={k}")
-    return (q * q - 1) * k // 4
+def count_connections(q: int, K: int) -> int:
+    """(q^2 - 1) |K| / 4; equals len(enumerate_connections) for both surgery signs."""
+    check_surgery(q, K)
+    return (q * q - 1) * abs(K) // 4

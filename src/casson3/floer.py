@@ -167,7 +167,8 @@ def homology_ranks(cc: Z2ChainComplex) -> tuple[int, ...]:
 
 
 def dual_reflect(cc: Z2ChainComplex) -> Z2ChainComplex:
-    """Degree-reflected dual: p -> -3-p (mod 8), boundaries transposed."""
+    """Degree-reflected dual: p -> -3-p (mod 8), boundaries transposed.  This
+    is the complex of the same sphere with the opposite orientation."""
     return Z2ChainComplex(tuple(cc.boundary[(-2 - p) % 8].transpose() for p in range(8)))
 
 

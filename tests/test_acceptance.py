@@ -12,7 +12,6 @@ import pytest
 from casson3.assembly import (
     assemble,
     assemble_on_sphere,
-    connect_sum_Lambda,
     reference_C,
     reference_Lambda,
 )
@@ -177,10 +176,3 @@ def test_criterion_8_conjecture_report(grid):
     print("\nACCEPTANCE 8 PASS: N(q) matches counts and |second derivative|; "
           "stated-form factor discrepancy flagged")
 
-
-def test_criterion_9_connect_sum():
-    assert connect_sum_Lambda(0, 0, 0, 0) == 0
-    assert connect_sum_Lambda(Fraction(1, 4), Fraction(1, 4), 2, 2) == Fraction(37, 2)
-    assert connect_sum_Lambda(Fraction(1, 4), Fraction(1, 4), 2, 2,
-                              floer_sum=2) == 18
-    print("\nACCEPTANCE 9 PASS: connected-sum combinator exact on worked inputs")

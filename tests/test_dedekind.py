@@ -62,7 +62,7 @@ def _coprime_args(draw, max_n):
     return A, e, n
 
 
-_PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+_PROPERTY = settings(deadline=None, max_examples=60)
 
 
 @_PROPERTY
@@ -90,7 +90,7 @@ def test_integer_kernel_is_minus_4n_times_the_reference_wrappers(args):
     assert M == -4 * n * cot_sum_exact(*args) == -4 * n * cot_sum_lattice(*args)
 
 
-@settings(derandomize=True, deadline=None, max_examples=25)
+@settings(deadline=None, max_examples=25)
 @given(_coprime_args(10**5))
 def test_exact_kernel_within_float_bound_to_large_n(args):
     value, bound = _kernels.cot_sum_numpy(*args)

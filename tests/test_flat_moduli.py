@@ -55,7 +55,7 @@ def test_counts_formula():
         for k in range(1, 11):
             for K in (k, -k):
                 n = len(enumerate_connections(from_surgery(q, K)))
-                assert n == count_connections(q, k), (q, K, n)
+                assert n == count_connections(q, K), (q, K, n)
 
 
 def test_rows_and_e_values():

@@ -245,6 +245,12 @@ def test_reversed_host_gradings_follow_duality():
     Y = reverse_orientation(X)
     for cx, cy in zip(enumerate_connections(X), enumerate_connections(Y)):
         assert floer_grading(cy) == (-3 - floer_grading(cx)) % 8
+    # reversing the host's orientation is dual_reflect on the whole complex
+    for q in range(3, 14, 2):
+        for K in [k for k in range(-6, 7) if k]:
+            X = from_surgery(q, K)
+            assert build_floer_complex(reverse_orientation(X)) == \
+                dual_reflect(build_floer_complex(X)), (q, K)
 
 
 def test_build_floer_complex():

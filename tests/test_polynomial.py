@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from casson3.polynomial import RationalPoly, fit_and_verify
 
-# derandomized: the same examples on every run, nothing stored between runs
-deterministic = settings(derandomize=True, database=None, max_examples=30, deadline=None)
+_PROPERTY = settings(max_examples=30, deadline=None)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 nonzero = rationals.filter(bool)
@@ -21,7 +20,7 @@ def t_to(n):
     return ONE.shift(n)
 
 
-@deterministic
+@_PROPERTY
 @given(polys, polys, nonzero, st.integers(-4, 4))
 def test_evaluation_is_a_ring_map(a, b, x, k):
     assert (a + b)(x) == a(x) + b(x)
@@ -30,7 +29,7 @@ def test_evaluation_is_a_ring_map(a, b, x, k):
     assert a.shift(k)(x) == a(x) * x ** k
 
 
-@deterministic
+@_PROPERTY
 @given(polys, st.integers(0, 3), st.integers(0, 3))
 def test_zero_padding_is_invisible(a, before, after):
     padded = RationalPoly((0,) * before + a.coeffs + (0,) * after, a.low - before)
@@ -38,7 +37,7 @@ def test_zero_padding_is_invisible(a, before, after):
     assert a - a == RationalPoly.zero()
 
 
-@deterministic
+@_PROPERTY
 @given(st.data(), st.integers(0, 4))
 def test_fit_recovers_polynomial(data, d):
     coeffs = data.draw(st.lists(rationals, min_size=d, max_size=d)) + [data.draw(nonzero)]
