@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import __version__
 from .assembly import (
@@ -139,10 +139,11 @@ def _emit_json(payload: dict, out) -> None:
 
 
 def _emit(cfg: RunConfig, header: Sequence[str], rows: Iterable[Sequence],
-          payload: dict, out) -> None:
-    """The rows as csv or a markdown table, or the payload as JSON, per cfg.fmt."""
+          payload: Callable[[], dict], out) -> None:
+    """The rows as csv or a markdown table, or the payload as JSON, per cfg.fmt.
+    payload builds the JSON object, so csv and markdown never pay for it."""
     if cfg.fmt == "json":
-        _emit_json(payload, out)
+        _emit_json(payload(), out)
         return
     if cfg.fmt == "markdown-table":
         out.write("| " + " | ".join(header) + " |\n")
@@ -177,7 +178,8 @@ def _connections(cfg: RunConfig) -> Iterator[tuple[int, int, FlatConnection]]:
 def cmd_reps(cfg: RunConfig, out) -> int:
     header = ("q", "K", "L1", "L2", "L3", "t", "e")
     rows = [(q, K, *c.L, c.t_index, c.e) for q, K, c in _connections(cfg)]
-    _emit(cfg, header, rows, {"connections": [dict(zip(header, r)) for r in rows]}, out)
+    _emit(cfg, header, rows, lambda: {"connections": [dict(zip(header, r)) for r in rows]},
+          out)
     return 0
 
 
@@ -194,7 +196,8 @@ def cmd_rho(cfg: RunConfig, out) -> int:
         rows = [(q, K, c_correction(from_surgery(q, K), path=cfg.path))
                 for q, K in _cells(cfg)]
     _emit(cfg, header, rows,
-          {"path": cfg.path, "rows": [dict(zip(header, map(str, r))) for r in rows]}, out)
+          lambda: {"path": cfg.path, "rows": [dict(zip(header, map(str, r))) for r in rows]},
+          out)
     return 0
 
 
@@ -202,7 +205,7 @@ def cmd_invariants(cfg: RunConfig, out) -> int:
     reports = [assemble(q, K, path=cfg.path).to_json_dict() for q, K in _cells(cfg)]
     header = tuple(reports[0])
     _emit(cfg, header, [tuple(r.values()) for r in reports],
-          {"path": cfg.path, "reports": reports}, out)
+          lambda: {"path": cfg.path, "reports": reports}, out)
     return 0
 
 
@@ -220,8 +223,8 @@ def cmd_table(cfg: RunConfig, out) -> int:
         rows.append((r.q, r.K, r.Lambda_su3, lam_ref, r.C, c_ref,
                      "MATCH" if ok else "MISMATCH"))
     _emit(cfg, header, rows,
-          {"mismatches": mismatches,
-           "rows": [dict(zip(header, map(str, row))) for row in rows]}, out)
+          lambda: {"mismatches": mismatches,
+                   "rows": [dict(zip(header, map(str, row))) for row in rows]}, out)
     return 3 if mismatches else 0
 
 
@@ -268,7 +271,7 @@ def cmd_conjecture(cfg: RunConfig, out) -> int:
         reports.append(check_conjecture(q, fit_plus, fit_minus))
     header = tuple(reports[0])
     _emit(cfg, header, [tuple(r[k] for k in header) for r in reports],
-          {"reports": reports}, out)
+          lambda: {"reports": reports}, out)
     return 0
 
 

@@ -59,7 +59,9 @@ Each fiber's kernel call is made on the residues (a/a_i mod a_i, e mod a_i,
 a_i), and both the integer and the float kernel are memoised on them in
 bounded caches (`_kernels.CACHE_SIZE` entries): the invariant e is unique
 per connection, but its residue mod a_3 repeats, so most calls of a sweep
-are cache hits.
+are cache hits.  A float miss evaluates no trig function: it gathers from
+per-modulus cot and sin tables, which a smaller bounded cache keeps for the
+few moduli a_i of recent spheres (`_kernels.TABLE_CACHE_SIZE`).
 """
 from __future__ import annotations
 

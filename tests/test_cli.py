@@ -9,7 +9,7 @@ from random import Random
 import pytest
 
 import casson3
-from casson3 import flat_moduli
+from casson3 import cli, flat_moduli
 from casson3.assembly import _TABLE
 from casson3.cli import RunConfig, main, run
 from casson3.floer import MAX_DIM, random_complex
@@ -76,6 +76,25 @@ def test_table_matches_and_exit_code():
     assert code == 0
     assert "MISMATCH" not in out
     assert out.count("MATCH") == 4
+
+
+@pytest.mark.parametrize("subcommand, fmt, builds", [
+    ("reps", "csv", 0), ("rho", "csv", 0), ("table", "markdown-table", 0),
+    ("reps", "json", 1), ("rho", "json", 1),
+])
+def test_json_payload_is_built_only_for_json(monkeypatch, subcommand, fmt, builds):
+    calls = []
+    real_emit = cli._emit
+
+    def counting_emit(cfg, header, rows, payload, out):
+        def build():
+            calls.append(subcommand)
+            return payload()
+        real_emit(cfg, header, rows, build, out)
+
+    monkeypatch.setattr(cli, "_emit", counting_emit)
+    run(RunConfig(subcommand, q_list=(3,), k_list=(1,), fmt=fmt), io.StringIO())
+    assert len(calls) == builds
 
 
 def test_fit_json():

@@ -39,6 +39,21 @@ def _cot_sum_direct(A, e, n):
     return total
 
 
+def _cot_sum_numpy_trig(A, e, n):
+    """Bit-level oracle: the float kernel's expression with every trig value
+    evaluated per call, as the kernel computed it before its tables."""
+    A %= n
+    e %= n
+    m = np.arange(1, n, dtype=np.int64)
+    x1 = np.pi * ((A * m) % n) / n
+    x2 = np.pi * m / n
+    s = np.sin(np.pi * ((e * m) % n) / n)
+    terms = (np.cos(x1) / np.sin(x1)) * (np.cos(x2) / np.sin(x2)) * s * s
+    total = float(np.sum(terms))
+    largest = max(float(np.max(np.abs(terms))), abs(total)) if n > 1 else 0.0
+    return total, (n - 1) * _kernels.EPS * (largest + n)
+
+
 def _cot_sum_convolution(A, e, n):
     """Independent exact oracle: the closed convolution form
     S = -(2 N(0) - N(1) - N(-1)) / (4n), N(s) = sum_r p_r p_{(-A r - e s) mod n},
@@ -104,6 +119,23 @@ def test_float_memo_is_bit_identical(args):
     assert _kernels.cot_sum(A, e, n) == _kernels.cot_sum_numpy(A % n, e % n, n)
 
 
+@_PROPERTY
+@given(_coprime_args(3000))
+def test_table_kernel_is_bit_identical_to_trig(args):
+    assert _kernels.cot_sum_numpy(*args) == _cot_sum_numpy_trig(*args)
+
+
+@pytest.mark.parametrize("n", [2, 3, 1009, 1399])
+def test_table_kernel_is_bit_identical_to_trig_at_fixed_moduli(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        A = rng.randrange(-3 * n, 3 * n)
+        while math.gcd(A, n) != 1:
+            A = rng.randrange(-3 * n, 3 * n)
+        e = rng.randrange(-3 * n, 3 * n)
+        assert _kernels.cot_sum_numpy(A, e, n) == _cot_sum_numpy_trig(A, e, n)
+
+
 def test_kernel_caches_stay_bounded():
     # distinct raw keys at n = 7 are cheap to evaluate; overfill each cache
     caches = (cot_sum_numerator, cot_sum_exact, cot_sum_lattice, _kernels.cot_sum)
@@ -114,8 +146,14 @@ def test_kernel_caches_stay_bounded():
             info = cache.cache_info()
             assert info.maxsize == _kernels.CACHE_SIZE
             assert info.currsize <= info.maxsize
+        # the per-modulus trig tables: one entry per distinct n
+        for n in range(2, _kernels.TABLE_CACHE_SIZE + 12):
+            _kernels.cot_sum_numpy(1, 1, n)
+        info = _kernels._tables.cache_info()
+        assert info.maxsize == _kernels.TABLE_CACHE_SIZE
+        assert info.currsize <= info.maxsize
     finally:
-        for cache in caches:
+        for cache in (*caches, _kernels._tables):
             cache.cache_clear()
 
 

@@ -1,5 +1,5 @@
-"""Tests of RationalPoly arithmetic and formatting, and property tests of
-RationalPoly and fit_and_verify."""
+"""Tests of RationalPoly arithmetic and formatting, and example and property
+tests of RationalPoly and fit_and_verify."""
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -69,3 +69,22 @@ def test_rational_poly_format():
     assert RationalPoly((-1, 1)).format("x") == "x - 1"
     assert RationalPoly((0, 0, 0, -1)).format("K") == "-K^3"
     assert RationalPoly.zero().format("K") == "0"
+
+
+def test_vandermonde_quadratic_closed_form():
+    pts = {1: Fraction(1, 4), 2: Fraction(11, 2), 3: Fraction(63, 4)}
+    poly = fit_and_verify(pts, 2)
+    assert poly.coeffs == (Fraction(0), Fraction(-9, 4), Fraction(10, 4))
+    for x, y in pts.items():
+        assert poly(x) == y
+
+
+def test_vandermonde_zero_poly():
+    assert fit_and_verify({0: 0, 1: 0}, 1) == RationalPoly.zero()
+
+
+def test_vandermonde_cubic():
+    # oracle: evaluate K^3 + K by hand at 1, 2, -1, -2 -> 2, 10, -2, -10
+    pts = {1: 2, 2: 10, -1: -2, -2: -10}
+    poly = fit_and_verify(pts, 3)
+    assert poly.coeffs == (Fraction(0), Fraction(1), Fraction(0), Fraction(1))
