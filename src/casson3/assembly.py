@@ -12,9 +12,10 @@ closed forms; C and D are computed.  The lowercase invariant lambda_su3 is
 A + B, the small-perturbation variant without the C and D corrections.
 
 Reference values for golden comparisons: Lambda is stored, like A and B,
-for q in SUPPORTED_Q only; C has one closed form for every odd q >= 3
-(`reference_C`), fitted by exact interpolation and checked against the
-computation, not derived.  4 * Lambda is always an integer.
+for the q of the table (SUPPORTED_Q) only; C has one closed form for every
+odd q >= 3 (`reference_C`), fitted by exact interpolation and checked
+against the computation, not derived.  B and C are cubics in K over one
+factor, `cleared_denominator`.  4 * Lambda is always an integer.
 """
 from __future__ import annotations
 
@@ -27,42 +28,42 @@ from .floer import build_floer_complex, floer_correction
 from .polynomial import RationalPoly
 from .seifert import BrieskornSphere, check_surgery, from_surgery
 
-SUPPORTED_Q = (3, 5, 7, 9)
-
-
-def _poly(*coeffs) -> RationalPoly:
-    """Coefficients highest power first, for readability below."""
-    return RationalPoly(coeffs[::-1])
-
-
-# Each entry: A (quadratic), B = num/den (cubic over linear), Lambda_plus,
-# Lambda_minus (quadratics).  Coefficients highest power first.
-_TABLE: dict[int, dict[str, object]] = {
+# The stored closed forms of q = 3, 5, 7, 9, each a RationalPoly in K with
+# coefficients lowest power first: A and the Lambda branches are quadratics,
+# and B is the cubic numerator it has over `cleared_denominator(q, K)`.
+_TABLE: dict[int, dict[str, RationalPoly]] = {
     3: {
-        "A": _poly(3, -1, 0),
-        "B": (_poly(-24, -84, 13, 0), _poly(36, -6)),
-        "Lambda+": _poly(Fraction(10, 4), Fraction(-9, 4), 0),
-        "Lambda-": _poly(Fraction(10, 4), Fraction(-11, 4), 0),
+        "A": RationalPoly((0, -1, 3)),
+        "B": RationalPoly((0, 26, -168, -48)),
+        "Lambda+": RationalPoly((0, Fraction(-9, 4), Fraction(10, 4))),
+        "Lambda-": RationalPoly((0, Fraction(-11, 4), Fraction(10, 4))),
     },
     5: {
-        "A": _poly(33, -9, 0),
-        "B": (_poly(-200, -1620, 151, 0), _poly(100, -10)),
-        "Lambda+": _poly(Fraction(126, 4), Fraction(-79, 4), 0),
-        "Lambda-": _poly(Fraction(126, 4), Fraction(-85, 4), 0),
+        "A": RationalPoly((0, -9, 33)),
+        "B": RationalPoly((0, 302, -3240, -400)),
+        "Lambda+": RationalPoly((0, Fraction(-79, 4), Fraction(126, 4))),
+        "Lambda-": RationalPoly((0, Fraction(-85, 4), Fraction(126, 4))),
     },
     7: {
-        "A": _poly(138, -26, 0),
-        "B": (_poly(-784, -9128, 606, 0), _poly(196, -14)),
-        "Lambda+": _poly(Fraction(540, 4), Fraction(-230, 4), 0),
-        "Lambda-": _poly(Fraction(540, 4), Fraction(-242, 4), 0),
+        "A": RationalPoly((0, -26, 138)),
+        "B": RationalPoly((0, 1212, -18256, -1568)),
+        "Lambda+": RationalPoly((0, Fraction(-230, 4), Fraction(540, 4))),
+        "Lambda-": RationalPoly((0, Fraction(-242, 4), Fraction(540, 4))),
     },
     9: {
-        "A": _poly(390, -58, 0),
-        "B": (_poly(-2160, -33192, 1714, 0), _poly(324, -18)),
-        "Lambda+": _poly(Fraction(1540, 4), Fraction(-514, 4), 0),
-        "Lambda-": _poly(Fraction(1540, 4), Fraction(-534, 4), 0),
+        "A": RationalPoly((0, -58, 390)),
+        "B": RationalPoly((0, 3428, -66384, -4320)),
+        "Lambda+": RationalPoly((0, Fraction(-514, 4), Fraction(1540, 4))),
+        "Lambda-": RationalPoly((0, Fraction(-534, 4), Fraction(1540, 4))),
     },
 }
+
+SUPPORTED_Q = tuple(sorted(_TABLE))
+
+
+def cleared_denominator(q: int, K: int) -> int:
+    """4q(2qK - 1): B and C are each a cubic in K over this factor."""
+    return 4 * q * (2 * q * K - 1)
 
 
 def _forms(q: int) -> dict:
@@ -86,8 +87,7 @@ def reference_A(q: int, K: int) -> Fraction:
 
 def reference_B(q: int, K: int) -> Fraction:
     check_surgery(q, K)
-    num, den = _forms(q)["B"]
-    return num(K) / den(K)
+    return _forms(q)["B"](K) / cleared_denominator(q, K)
 
 
 def reference_C(q: int, K: int) -> Fraction:
@@ -105,7 +105,7 @@ def reference_C(q: int, K: int) -> Fraction:
     # the bracket times 24, so the numerator is an integer
     bracket = (4 * q * q * K ** 3 + 2 * q * (4 * q * q + 3 * sigma * q - 3) * K * K
                - 3 * (q * q + sigma * q - 1) * K)
-    return Fraction((q * q - 1) * bracket, 96 * q * (2 * q * K - 1))
+    return Fraction((q * q - 1) * bracket, 24 * cleared_denominator(q, K))
 
 
 def reference_Lambda(q: int, K: int) -> Fraction:

@@ -21,6 +21,7 @@ from . import __version__
 from .assembly import (
     SUPPORTED_Q,
     assemble,
+    cleared_denominator,
     reference_A,
     reference_B,
     reference_C,
@@ -29,7 +30,8 @@ from .assembly import (
 from .dedekind import PATHS, c_correction, rho_adjoint
 from .errors import Casson3Error
 from .flat_moduli import FlatConnection, check_connection_budget, enumerate_connections
-from .floer import MAX_DIM, apply_move, floer_correction, random_complex, random_move
+from .floer import (MAX_DIM, MAX_MOVES, apply_move, floer_correction, random_complex,
+                    random_move)
 from .knotpoly import check_conjecture
 from .polynomial import fit_and_verify
 from .seifert import from_surgery
@@ -108,8 +110,8 @@ class RunConfig:
         if self.subcommand == "floer_sim":
             if not 0 <= self.max_dim <= MAX_DIM:
                 raise ValueError(f"--max-dim must be in 0..{MAX_DIM}, got {self.max_dim}")
-            if self.moves < 0:
-                raise ValueError("--moves must be >= 0")
+            if not 0 <= self.moves <= MAX_MOVES:
+                raise ValueError(f"--moves must be in 0..{MAX_MOVES}, got {self.moves}")
 
 
 def _parse_k_range(text: str) -> tuple[int, ...]:
@@ -187,8 +189,9 @@ def cmd_rho(cfg: RunConfig, out) -> int:
     if cfg.per_connection:
         header = ("q", "K", "L1", "L2", "L3", "t", "e", "rho", "float_value", "float_error")
         rows = []
+        # each rho from the integer kernel; --path chooses only how C is summed
         for q, K, c in _connections(cfg):
-            rv = rho_adjoint(c, path=cfg.path)
+            rv = rho_adjoint(c, path="exact")
             rows.append((q, K, *c.L, c.t_index, c.e, rv.exact,
                          repr(rv.float_check.value), repr(rv.float_check.error_bound)))
     else:
@@ -243,9 +246,9 @@ def cmd_fit(cfg: RunConfig, out) -> int:
         vals = {K: reference_B(q, K) for K in ks}
     if cfg.target in ("C", "B"):
         # both are a cubic over 2qK - 1, so the cleared numerator is fitted
-        vals = {K: 4 * q * (2 * q * K - 1) * v for K, v in vals.items()}
+        vals = {K: cleared_denominator(q, K) * v for K, v in vals.items()}
         payload["cleared_by"] = "4q(2qK-1)"
-    poly = fit_and_verify(vals, cfg.degree, extra_check_points=cfg.samples - cfg.degree - 1)
+    poly = fit_and_verify(vals, cfg.degree)
     payload.update({
         "q": q,
         "sign": cfg.sign,
@@ -266,9 +269,7 @@ def cmd_conjecture(cfg: RunConfig, out) -> int:
     for q in sorted(cfg.q_list):
         plus = {K: assemble(q, K, path=cfg.path).Lambda_su3 for K in range(1, samples + 1)}
         minus = {K: assemble(q, K, path=cfg.path).Lambda_su3 for K in range(-samples, 0)}
-        fit_plus = fit_and_verify(plus, 2, extra_check_points=samples - 3)
-        fit_minus = fit_and_verify(minus, 2, extra_check_points=samples - 3)
-        reports.append(check_conjecture(q, fit_plus, fit_minus))
+        reports.append(check_conjecture(q, fit_and_verify(plus, 2), fit_and_verify(minus, 2)))
     header = tuple(reports[0])
     _emit(cfg, header, [tuple(r[k] for k in header) for r in reports],
           lambda: {"reports": reports}, out)
@@ -280,9 +281,10 @@ def cmd_floer_sim(cfg: RunConfig, out) -> int:
     cc = random_complex(rng, cfg.max_dim)
     starting_dims = list(cc.dims)
     transcript = []
+    after = floer_correction(cc)
     for step in range(cfg.moves):
         mv = random_move(rng, cc)
-        before = floer_correction(cc)
+        before = after
         cc = apply_move(cc, mv)
         after = floer_correction(cc)
         transcript.append({

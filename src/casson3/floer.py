@@ -259,6 +259,9 @@ def apply_move(cc: Z2ChainComplex, mv: MorseMove) -> Z2ChainComplex:
 # Largest max_dim `floer-sim` accepts: a complex holds dense
 # dims[p-1] x dims[p] bit matrices, so its memory and time grow as max_dim^2.
 MAX_DIM = 64
+# Largest number of moves `floer-sim` accepts: its transcript keeps one entry,
+# about 1.6 KB, per move until the output is written.
+MAX_MOVES = 10_000
 
 
 def random_complex(rng: Random, max_dim: int = 6) -> Z2ChainComplex:

@@ -1,40 +1,20 @@
-"""Laurent polynomials with exact rational coefficients, and exact polynomial
-fits verified at extra sample points.
+"""Laurent polynomials with exact rational coefficients, stored lowest power
+first, and exact polynomial fits checked at every sample beyond the ones
+they interpolate.
 
 Exact arithmetic makes "fits exactly or not" decidable, so there is no
-least-squares notion here: a fit either interpolates every extra check point
-or the data is not polynomial of the claimed degree.
+least-squares notion here: a fit either passes through every remaining
+sample or the data is not polynomial of the claimed degree.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .errors import DegreeExceeded
 
 Scalar = Union[int, Fraction]
-
-
-def format_terms(terms: Iterable[tuple[int, Scalar]], var: str) -> str:
-    """Human-readable sum of (power, coefficient) terms given highest power
-    first, e.g. '5/2*K^2 - 9/4*K'; zero coefficients are left out and an
-    empty sum reads '0'."""
-    parts = []
-    for n, c in terms:
-        if c == 0:
-            continue
-        mag = abs(c)
-        if n == 0:
-            body = str(mag)
-        else:
-            power = var if n == 1 else f"{var}^{n}"
-            body = power if mag == 1 else f"{mag}*{power}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts) or "0"
 
 
 @dataclass(frozen=True)
@@ -120,21 +100,31 @@ class RationalPoly:
         return bool(self.coeffs)
 
     def format(self, var: str = "K") -> str:
-        """Human-readable form, highest power first, e.g. '5/2*K^2 - 9/4*K'."""
-        return format_terms(self.terms(), var)
+        """Human-readable form, highest power first, e.g. '5/2*K^2 - 9/4*K';
+        zero coefficients are left out and the zero polynomial reads '0'."""
+        parts = []
+        for n, c in self.terms():
+            mag = abs(c)
+            if n == 0:
+                body = str(mag)
+            else:
+                power = var if n == 1 else f"{var}^{n}"
+                body = power if mag == 1 else f"{mag}*{power}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts) or "0"
 
 
-def fit_and_verify(
-    values: Mapping[Scalar, Scalar],
-    degree: int,
-    extra_check_points: int = 0,
-) -> RationalPoly:
+def fit_and_verify(values: Mapping[Scalar, Scalar], degree: int) -> RationalPoly:
     """Fit a degree-`degree` polynomial through the first degree+1 samples
     (keys sorted ascending, Lagrange form) and require every remaining sample
-    to lie on it exactly; raises DegreeExceeded otherwise."""
-    needed = degree + 1 + extra_check_points
-    if len(values) < needed:
-        raise ValueError(f"need at least {needed} samples, got {len(values)}")
+    to lie on it exactly; raises DegreeExceeded otherwise.  The caller decides
+    how many samples to check by how many it passes; fewer than degree+1 is
+    a ValueError."""
+    if len(values) < degree + 1:
+        raise ValueError(f"need at least {degree + 1} samples, got {len(values)}")
     keys = sorted(values)
     fit_keys, check_keys = keys[: degree + 1], keys[degree + 1:]
     poly = RationalPoly.zero()

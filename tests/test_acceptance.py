@@ -144,12 +144,12 @@ def test_criterion_7_polynomial_structure(grid):
     for q in GRID_Q:
         plus = {K: reports[(q, K)].Lambda_su3 for K in GRID_K if K > 0}
         minus = {K: reports[(q, K)].Lambda_su3 for K in GRID_K if K < 0}
-        fit_plus = fit_and_verify(plus, 2, extra_check_points=3)
-        fit_minus = fit_and_verify(minus, 2, extra_check_points=3)
+        fit_plus = fit_and_verify(plus, 2)
+        fit_minus = fit_and_verify(minus, 2)
         with pytest.raises(DegreeExceeded):
-            fit_and_verify(plus, 1, extra_check_points=3)
+            fit_and_verify(plus, 1)
         with pytest.raises(DegreeExceeded):
-            fit_and_verify(minus, 1, extra_check_points=3)
+            fit_and_verify(minus, 1)
         assert fit_plus != fit_minus
         n_q = (q * q - 1) // 4
         assert fit_plus - fit_minus == RationalPoly((0, Fraction(n_q, 4)))
@@ -164,8 +164,8 @@ def test_criterion_8_conjecture_report(grid):
         minus = {K: reports[(q, K)].Lambda_su3 for K in GRID_K if K < 0}
         rep = check_conjecture(
             q,
-            fit_and_verify(plus, 2, extra_check_points=3),
-            fit_and_verify(minus, 2, extra_check_points=3),
+            fit_and_verify(plus, 2),
+            fit_and_verify(minus, 2),
         )
         assert rep["N"] == (q * q - 1) // 4
         assert rep["rep_count_matches_N"]

@@ -9,10 +9,10 @@ from random import Random
 import pytest
 
 import casson3
-from casson3 import cli, flat_moduli
+from casson3 import cli, dedekind, flat_moduli
 from casson3.assembly import _TABLE
 from casson3.cli import RunConfig, main, run
-from casson3.floer import MAX_DIM, random_complex
+from casson3.floer import MAX_DIM, MAX_MOVES, random_complex
 
 
 def run_cli(args):
@@ -48,6 +48,14 @@ def test_rho_aggregate_and_per_connection():
     payload = json.loads(out)
     assert payload["schema"] == "casson3/1"
     assert [row["rho"] for row in payload["rows"]] == ["73/15", "97/15"]
+
+
+def test_per_connection_rho_comes_from_the_integer_kernel(monkeypatch):
+    # a wrong lattice point from snapping never reaches the printed rho
+    monkeypatch.setattr(dedekind, "snap_rho", lambda estimate, X: Fraction(0))
+    code, out = run_cli(["rho", "--q", "3", "--K", "1", "--per-connection"])
+    assert code == 0
+    assert [line.split(",")[7] for line in out.splitlines()[1:]] == ["73/15", "97/15"]
 
 
 def test_invariants_rows_and_flag():
@@ -115,7 +123,7 @@ def test_fit_cleared_c_and_b_give_the_stored_numerators(q, sign):
     c_num = [Fraction(0), Fraction(-(q * q - 1) * (q * q + s * q - 1), 8),
              Fraction((q * q - 1) * q * (4 * q * q + 3 * s * q - 3), 12),
              Fraction((q * q - 1) * q * q, 6)]
-    b_num = [2 * c for c in _TABLE[q]["B"][0].coeffs]
+    b_num = _TABLE[q]["B"].coeffs
     for target, num in (("C", c_num), ("B", b_num)):
         code, out = run_cli(["fit", "--q", str(q), "--sign", sign, "--target", target,
                              "--degree", "3", "--samples", "6"])
@@ -158,6 +166,19 @@ def test_floer_sim_transcript():
     assert payload["starting_dims"] == list(random_complex(Random(7), 4).dims)
 
 
+def test_floer_sim_computes_one_correction_per_step(monkeypatch):
+    calls = []
+    real_correction = cli.floer_correction
+
+    def counting_correction(cc):
+        calls.append(cc)
+        return real_correction(cc)
+
+    monkeypatch.setattr(cli, "floer_correction", counting_correction)
+    assert run(RunConfig("floer_sim", seed=7, moves=40), io.StringIO()) == 0
+    assert len(calls) == 40 + 1
+
+
 def test_floer_sim_seed_changes_output():
     _, out7 = run_cli(["floer-sim", "--seed", "7", "--moves", "30"])
     _, out8 = run_cli(["floer-sim", "--seed", "8", "--moves", "30"])
@@ -183,6 +204,7 @@ def test_usage_errors_exit_2():
         ["floer-sim", "--max-dim", "-1"],
         ["floer-sim", "--max-dim", str(MAX_DIM + 1)],
         ["floer-sim", "--moves", "-3"],
+        ["floer-sim", "--moves", str(MAX_MOVES + 1)],
         ["table", "-v"],
         ["table", "--q", ","],
         ["conjecture", "--q-list", ","],
@@ -216,7 +238,8 @@ def test_config_in_code_matches_command_line():
                                ("fit", {"q_list": (5,), "sign": "+", "degree": 4,
                                         "target": "b"}),
                                ("rho", {"q_list": (5,), "k_list": (1,), "path": "bogus"}),
-                               ("floer_sim", {"max_dim": MAX_DIM + 1})):
+                               ("floer_sim", {"max_dim": MAX_DIM + 1}),
+                               ("floer_sim", {"moves": MAX_MOVES + 1})):
         with pytest.raises(ValueError):
             RunConfig(subcommand, **fields)
 

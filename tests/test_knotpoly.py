@@ -62,8 +62,7 @@ def test_second_derivative_values():
 def _fits(q):
     plus = {K: reference_Lambda(q, K) for K in range(1, 6)}
     minus = {K: reference_Lambda(q, K) for K in range(-5, 0)}
-    return (fit_and_verify(plus, 2, extra_check_points=2),
-            fit_and_verify(minus, 2, extra_check_points=2))
+    return fit_and_verify(plus, 2), fit_and_verify(minus, 2)
 
 
 def test_conjecture_report_q3():

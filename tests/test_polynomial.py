@@ -2,6 +2,7 @@
 tests of RationalPoly and fit_and_verify."""
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from casson3.polynomial import RationalPoly, fit_and_verify
@@ -43,7 +44,7 @@ def test_fit_recovers_polynomial(data, d):
     coeffs = data.draw(st.lists(rationals, min_size=d, max_size=d)) + [data.draw(nonzero)]
     p = RationalPoly(tuple(coeffs))
     xs = data.draw(st.lists(st.integers(-20, 20), min_size=d + 3, max_size=d + 3, unique=True))
-    assert fit_and_verify({x: p(x) for x in xs}, d, extra_check_points=2) == p
+    assert fit_and_verify({x: p(x) for x in xs}, d) == p
 
 
 def test_laurent_arithmetic():
@@ -88,3 +89,18 @@ def test_vandermonde_cubic():
     pts = {1: 2, 2: 10, -1: -2, -2: -10}
     poly = fit_and_verify(pts, 3)
     assert poly.coeffs == (Fraction(0), Fraction(1), Fraction(0), Fraction(1))
+
+
+def test_fit_constant():
+    assert fit_and_verify({1: Fraction(5), 2: Fraction(5), 3: Fraction(5)}, 0).coeffs \
+        == (Fraction(5),)
+
+
+def test_needs_enough_samples():
+    with pytest.raises(ValueError):
+        fit_and_verify({1: Fraction(1), 2: Fraction(2)}, 2)
+
+
+def test_vandermonde_errors():
+    with pytest.raises(ValueError):
+        fit_and_verify({1: 1}, 1)
