@@ -158,19 +158,19 @@ class InvariantReport:
         }
 
 
-def assemble_on_sphere(X: BrieskornSphere, path: str = "float") -> InvariantReport:
+def assemble_on_sphere(X: BrieskornSphere) -> InvariantReport:
     """Report for the sphere X, with C computed from the cotangent sums on X
     as given (either orientation); A is looked up first, so a q without
     closed forms raises MissingClosedForm before any work."""
     q, K = X.q, X.K
     A = reference_A(q, K)
     B = reference_B(q, K)
-    C = c_correction(X, path=path)
+    C = c_correction(X)
     D = Fraction(-1, 4) * floer_correction(build_floer_complex(X))
     return InvariantReport(q=q, K=K, A=A, B=B, C=C, D=D)
 
 
-def assemble(q: int, K: int, path: str = "float") -> InvariantReport:
+def assemble(q: int, K: int) -> InvariantReport:
     """Full invariant report for 1/K surgery on the (2,q) torus knot."""
-    return assemble_on_sphere(from_surgery(q, K), path=path)
+    return assemble_on_sphere(from_surgery(q, K))
 

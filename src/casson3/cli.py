@@ -27,7 +27,7 @@ from .assembly import (
     reference_C,
     reference_Lambda,
 )
-from .dedekind import PATHS, c_correction, rho_adjoint
+from .dedekind import c_correction, rho_adjoint
 from .errors import Casson3Error
 from .flat_moduli import FlatConnection, check_connection_budget, enumerate_connections
 from .floer import (MAX_DIM, MAX_MOVES, apply_move, floer_correction, random_complex,
@@ -64,7 +64,6 @@ class RunConfig:
     q_list: tuple[int, ...] = ()
     k_list: tuple[int, ...] = ()
     fmt: Optional[str] = None
-    path: str = "float"
     per_connection: bool = False
     sign: Optional[str] = None
     target: str = "Lambda"
@@ -80,8 +79,6 @@ class RunConfig:
             self.fmt = formats[0]
         elif self.fmt not in formats:
             raise ValueError(f"{self.subcommand} prints {formats}, not {self.fmt!r}")
-        if self.path not in PATHS:
-            raise ValueError(f"path must be one of {PATHS}, got {self.path!r}")
         if self.subcommand in ("table", "conjecture") and not self.q_list:
             self.q_list = SUPPORTED_Q
         if self.subcommand == "table" and not self.k_list:
@@ -189,33 +186,30 @@ def cmd_rho(cfg: RunConfig, out) -> int:
     if cfg.per_connection:
         header = ("q", "K", "L1", "L2", "L3", "t", "e", "rho", "float_value", "float_error")
         rows = []
-        # each rho from the integer kernel; --path chooses only how C is summed
         for q, K, c in _connections(cfg):
-            rv = rho_adjoint(c, path="exact")
+            rv = rho_adjoint(c)
             rows.append((q, K, *c.L, c.t_index, c.e, rv.exact,
                          repr(rv.float_check.value), repr(rv.float_check.error_bound)))
     else:
         header = ("q", "K", "C")
-        rows = [(q, K, c_correction(from_surgery(q, K), path=cfg.path))
-                for q, K in _cells(cfg)]
+        rows = [(q, K, c_correction(from_surgery(q, K))) for q, K in _cells(cfg)]
     _emit(cfg, header, rows,
-          lambda: {"path": cfg.path, "rows": [dict(zip(header, map(str, r))) for r in rows]},
-          out)
+          lambda: {"rows": [dict(zip(header, map(str, r))) for r in rows]}, out)
     return 0
 
 
 def cmd_invariants(cfg: RunConfig, out) -> int:
-    reports = [assemble(q, K, path=cfg.path).to_json_dict() for q, K in _cells(cfg)]
+    reports = [assemble(q, K).to_json_dict() for q, K in _cells(cfg)]
     header = tuple(reports[0])
     _emit(cfg, header, [tuple(r.values()) for r in reports],
-          lambda: {"path": cfg.path, "reports": reports}, out)
+          lambda: {"reports": reports}, out)
     return 0
 
 
 def cmd_table(cfg: RunConfig, out) -> int:
     header = ("q", "K", "Lambda_computed", "Lambda_reference", "C_computed",
               "C_reference", "status")
-    reports = [assemble(q, K, path=cfg.path) for q, K in _cells(cfg)]
+    reports = [assemble(q, K) for q, K in _cells(cfg)]
     rows = []
     mismatches = 0
     for r in reports:
@@ -237,9 +231,9 @@ def cmd_fit(cfg: RunConfig, out) -> int:
     ks = [sign * k for k in range(1, cfg.samples + 1)]
     payload = {}
     if cfg.target == "Lambda":
-        vals = {K: assemble(q, K, path=cfg.path).Lambda_su3 for K in ks}
+        vals = {K: assemble(q, K).Lambda_su3 for K in ks}
     elif cfg.target == "C":
-        vals = {K: c_correction(from_surgery(q, K), path=cfg.path) for K in ks}
+        vals = {K: c_correction(from_surgery(q, K)) for K in ks}
     elif cfg.target == "A":
         vals = {K: reference_A(q, K) for K in ks}
     else:
@@ -267,8 +261,8 @@ def cmd_conjecture(cfg: RunConfig, out) -> int:
     samples = cfg.samples
     reports = []
     for q in sorted(cfg.q_list):
-        plus = {K: assemble(q, K, path=cfg.path).Lambda_su3 for K in range(1, samples + 1)}
-        minus = {K: assemble(q, K, path=cfg.path).Lambda_su3 for K in range(-samples, 0)}
+        plus = {K: assemble(q, K).Lambda_su3 for K in range(1, samples + 1)}
+        minus = {K: assemble(q, K).Lambda_su3 for K in range(-samples, 0)}
         reports.append(check_conjecture(q, fit_and_verify(plus, 2), fit_and_verify(minus, 2)))
     header = tuple(reports[0])
     _emit(cfg, header, [tuple(r[k] for k in header) for r in reports],
@@ -312,16 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"casson3 {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name: str, summary: str, with_path: bool = True) -> argparse.ArgumentParser:
+    def add(name: str, summary: str) -> argparse.ArgumentParser:
         # an option the user leaves out stays off the namespace, so RunConfig
         # supplies its default
         p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         p.add_argument("--format", dest="fmt", choices=_FORMATS[name.replace("-", "_")])
-        if with_path:
-            p.add_argument("--path", choices=PATHS, help="rho evaluation path")
         return p
 
-    p = add("reps", "enumerate irreducible SU(2) rotation numbers", with_path=False)
+    p = add("reps", "enumerate irreducible SU(2) rotation numbers")
     p.add_argument("--q", required=True, help="odd q >= 3, comma separated")
     p.add_argument("--K", required=True, help="K or a..b range, excluding 0")
 
@@ -349,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-list", dest="q")
     p.add_argument("--samples", type=int)
 
-    p = add("floer-sim", "audit transcript of random chain-complex moves", with_path=False)
+    p = add("floer-sim", "audit transcript of random chain-complex moves")
     p.add_argument("--seed", type=int)
     p.add_argument("--moves", type=int)
     p.add_argument("--max-dim", type=int)

@@ -17,23 +17,25 @@ rho_nat, and the aggregate correction is
 
 which is therefore orientation-invariant.
 
-Two evaluation paths are provided and cross-validated:
+C has one evaluation contract: every rho is evaluated by two independent
+kernels, and `c_correction` returns the snapped float aggregate only if it
+equals the integer one (ConventionMismatch otherwise).
 
-* ``float``   - the numpy kernel's double sum, rounded onto the lattice
+* snapped     - the numpy kernel's double sum, rounded onto the lattice
                 (1/D)Z, D = 4*a1*a2*a3, which holds every rho.  The nearest
                 point p/d (lowest terms) is taken only if it lies within the
                 error bound err and 3*err*d*D < 1: any other rational with
                 denominator <= D is then at least 1/(d*D) from p/d, so more
                 than 2*err from the estimate.  Otherwise the value escalates
-                to the exact path.
-* ``exact``   - closed form over the integers: writing cot(pi j/n) =
+                to the integer kernel.
+* integer     - closed form over the integers: writing cot(pi j/n) =
                 (i/n)(x+1)U(x) at x = exp(2 pi i j/n) with U(x) = sum r x^r
                 and expanding, S(A,e,n) = -M / (4n) with the integer
                 M = 2 N(0) - N(1) - N(-1), where
                 N(s) = sum_r p_r p_{(-A r - e s) mod n} and
                 p = [n-1, 1, 3, ..., 2n-3].
 
-The exact kernel never forms that convolution.  Expanding the residue
+The integer kernel never forms that convolution.  Expanding the residue
 (-A r - e s) mod n through a floor leaves a polynomial part in closed form,
 two boundary terms and one weighted floor sum sum_r (2r-1) floor((-A r -
 e s)/n), i.e. a weighted count of lattice points under a line.
@@ -271,12 +273,13 @@ def snap_rho(estimate: FloatEstimate, X: BrieskornSphere) -> Fraction:
     return Fraction(p, D)
 
 
-def rho_adjoint(c: FlatConnection, path: str = "float") -> RhoValue:
+def rho_adjoint(c: FlatConnection, path: str = "exact") -> RhoValue:
     """Adjoint rho invariant of one connection on its oriented host sphere.
 
-    path 'float' rounds the double sum onto the lattice of `snap_rho` and
-    escalates to the exact path on a SnapFailure; 'exact' is pure integer
-    arithmetic.  The float cross-check is always attached.
+    path 'exact' is pure integer arithmetic; 'float', the first aggregate of
+    `c_correction`, rounds the double sum onto the lattice of `snap_rho` and
+    escalates to the integer kernel on a SnapFailure.  The float cross-check
+    is always attached.
     """
     if path not in PATHS:
         raise ValueError(f"path must be one of {PATHS}, got {path!r}")
@@ -329,19 +332,19 @@ def verify_convention() -> bool:
     return True
 
 
-def c_correction(X: BrieskornSphere, path: str = "float") -> Fraction:
+def c_correction(X: BrieskornSphere) -> Fraction:
     """C(X) = (-eps/8) * sum of adjoint rho over the irreducible connections.
 
     eps is the orientation sign, so the value is orientation-invariant.  The
-    float path's aggregate is verified against the exact path.
+    snapped float aggregate is returned only if it equals the integer one;
+    ConventionMismatch otherwise.
     """
-    value = _aggregate(X, path)
-    if path == "float":
-        exact_value = _aggregate(X, "exact")
-        if value != exact_value:
-            raise ConventionMismatch(
-                f"float-path aggregate {value} disagrees with exact path {exact_value}"
-            )
+    value = _aggregate(X, "float")
+    exact_value = _aggregate(X, "exact")
+    if value != exact_value:
+        raise ConventionMismatch(
+            f"snapped float aggregate {value} disagrees with integer aggregate {exact_value}"
+        )
     return value
 
 

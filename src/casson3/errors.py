@@ -12,7 +12,7 @@ class InvalidSurgery(Casson3Error):
 
 class SnapFailure(Casson3Error):
     """A float rho did not single out one point of the 1/(4*a1*a2*a3) lattice;
-    the caller falls back to the exact path."""
+    the caller falls back to the integer kernel."""
 
 
 class TooManyConnections(Casson3Error):

@@ -37,9 +37,9 @@ GRID_K = tuple(k for k in range(-6, 7) if k != 0)
 
 @pytest.fixture(scope="module")
 def grid():
-    """Reports for the whole grid via the default float path, plus wall time."""
+    """Reports for the whole grid, plus wall time."""
     t0 = time.perf_counter()
-    reports = {(q, K): assemble(q, K, path="float") for q in GRID_Q for K in GRID_K}
+    reports = {(q, K): assemble(q, K) for q in GRID_Q for K in GRID_K}
     elapsed = time.perf_counter() - t0
     return reports, elapsed
 
@@ -62,10 +62,10 @@ def test_criterion_2_c_column(grid):
     worst_rel = 0.0
     for (q, K), r in reports.items():
         assert r.C == reference_C(q, K), (q, K)  # computed, zero tolerance
-        # float-path aggregate (pre-snap doubles) against the exact value
+        # aggregate of the pre-snap doubles against the exact value
         X = from_surgery(q, K)
         agg = -X.orientation / 8.0 * sum(
-            rho_adjoint(c, path="exact").float_check.value
+            rho_adjoint(c).float_check.value
             for c in enumerate_connections(X)
         )
         rel = abs(agg - float(r.C)) / max(1.0, abs(float(r.C)))

@@ -41,10 +41,10 @@ def test_assemble_5_1():
     assert r.Lambda_su3 == Fraction(47, 4)
 
 
-def test_golden_subset_exact_path():
+def test_golden_subset():
     for q in (3, 5, 7, 9):
         for K in (1, -1, 2, -2):
-            r = assemble(q, K, path="exact")
+            r = assemble(q, K)
             assert r.Lambda_su3 == reference_Lambda(q, K), (q, K)
             assert r.C == reference_C(q, K), (q, K)
             assert (4 * r.Lambda_su3).denominator == 1
@@ -52,10 +52,10 @@ def test_golden_subset_exact_path():
 
 @pytest.mark.slow
 @pytest.mark.parametrize("q", SUPPORTED_Q)
-def test_golden_sweep_exact_path_to_K_100(q):
+def test_golden_sweep_to_K_100(q):
     # deselected by default; run with `python -m pytest -m slow`
     for K in (k for k in range(-100, 101) if k):
-        r = assemble(q, K, path="exact")
+        r = assemble(q, K)
         assert r.C == reference_C(q, K), (q, K)
         assert r.Lambda_su3 == reference_Lambda(q, K), (q, K)
 
@@ -65,7 +65,7 @@ def test_golden_sweep_exact_path_to_K_100(q):
 def test_c_sweep_beyond_the_stored_q(q):
     # deselected by default; the closed form of C against the computation
     for K in (k for k in range(-40, 41) if k):
-        assert c_correction(from_surgery(q, K), path="exact") == reference_C(q, K), (q, K)
+        assert c_correction(from_surgery(q, K)) == reference_C(q, K), (q, K)
 
 
 def test_reference_c_is_lambda_minus_a_minus_b():
@@ -82,8 +82,8 @@ def test_reference_c_is_lambda_minus_a_minus_b():
 def test_c_closed_form_matches_the_computation(q, K):
     X = from_surgery(q, K)
     want = reference_C(q, K)
-    assert c_correction(X, path="exact") == want
-    assert c_correction(reverse_orientation(X), path="exact") == want
+    assert c_correction(X) == want
+    assert c_correction(reverse_orientation(X)) == want
 
 
 def test_lambda_su2():
@@ -105,7 +105,7 @@ def test_lambda_su3_small_perturbation_variant():
 
 def test_difference_is_correction_terms():
     for q, K in [(3, 1), (5, 2), (7, -1), (9, -2)]:
-        r = assemble(q, K, path="exact")
+        r = assemble(q, K)
         assert r.lambda_su3 == reference_A(q, K) + reference_B(q, K)
         assert r.Lambda_su3 - r.lambda_su3 == r.C + r.D
 
@@ -116,8 +116,8 @@ def test_orientation_symmetry_sample():
         q = rng.choice([3, 5, 7, 9])
         K = rng.choice([k for k in range(-4, 5) if k])
         X = from_surgery(q, K)
-        a = assemble_on_sphere(X, path="exact")
-        b = assemble_on_sphere(reverse_orientation(X), path="exact")
+        a = assemble_on_sphere(X)
+        b = assemble_on_sphere(reverse_orientation(X))
         assert a.Lambda_su3 == b.Lambda_su3
         assert a.C == b.C
 

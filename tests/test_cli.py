@@ -12,7 +12,9 @@ import casson3
 from casson3 import cli, dedekind, flat_moduli
 from casson3.assembly import _TABLE
 from casson3.cli import RunConfig, main, run
+from casson3.errors import ConventionMismatch
 from casson3.floer import MAX_DIM, MAX_MOVES, random_complex
+from casson3.seifert import from_surgery
 
 
 def run_cli(args):
@@ -39,7 +41,7 @@ def test_reps_deterministic():
 
 
 def test_rho_aggregate_and_per_connection():
-    code, out = run_cli(["rho", "--q", "3", "--K", "1", "--path", "exact"])
+    code, out = run_cli(["rho", "--q", "3", "--K", "1"])
     assert code == 0
     assert out.splitlines()[1] == "3,1,17/12"
     code, out = run_cli(["rho", "--q", "3", "--K", "1", "--per-connection",
@@ -48,6 +50,23 @@ def test_rho_aggregate_and_per_connection():
     payload = json.loads(out)
     assert payload["schema"] == "casson3/1"
     assert [row["rho"] for row in payload["rows"]] == ["73/15", "97/15"]
+
+
+def test_c_refuses_a_float_aggregate_that_disagrees(monkeypatch):
+    # a wrong lattice point from `snap_rho` stops C, and `table` with it,
+    # instead of reaching the output
+    with monkeypatch.context() as m:
+        m.setattr(dedekind, "snap_rho", lambda estimate, X: Fraction(0))
+        with pytest.raises(ConventionMismatch):
+            dedekind.c_correction(from_surgery(3, 1))
+        assert run_cli(["table", "--q", "3", "--K-range", "1..1"]) == (1, "")
+    # the two aggregates are compared as well: a float aggregate off by one
+    # is refused even where every rho in it passed its own cross-check
+    aggregate = dedekind._aggregate
+    monkeypatch.setattr(dedekind, "_aggregate",
+                        lambda X, path: aggregate(X, path) + (path == "float"))
+    with pytest.raises(ConventionMismatch, match="disagrees with integer aggregate"):
+        dedekind.c_correction(from_surgery(3, 1))
 
 
 def test_per_connection_rho_comes_from_the_integer_kernel(monkeypatch):
@@ -196,7 +215,11 @@ def test_usage_errors_exit_2():
         run_cli(["rho", "--q", "3", "--K", "0"])  # K range excludes 0
     assert exc.value.code == 2
     for args in (
-        ["rho", "--q", "3", "--K", "1", "--path", "lattice"],
+        ["rho", "--q", "3", "--K", "1", "--path", "exact"],
+        ["invariants", "--q", "3", "--K-range", "1..1", "--path", "exact"],
+        ["table", "--path", "exact"],
+        ["fit", "--q", "3", "--sign", "+", "--degree", "2", "--samples", "3", "--path", "exact"],
+        ["conjecture", "--path", "exact"],
         ["fit", "--q", "3", "--sign", "+", "--degree", "2", "--samples", "2"],
         ["fit", "--q", "3", "--sign", "+", "--degree", "-1", "--samples", "2"],
         ["fit", "--q", "5,3", "--sign", "+", "--degree", "2", "--samples", "5"],
@@ -228,16 +251,17 @@ def test_config_in_code_matches_command_line():
         out = io.StringIO()
         assert run(config, out) == 0
         assert run_cli(args) == (0, out.getvalue()), args
-    # a misspelt option is refused, never replaced by its default
-    with pytest.raises(TypeError):
-        RunConfig("floer_sim", sed=3)
+    # a misspelt or removed option is refused, never replaced by its default
+    for subcommand, fields in (("floer_sim", {"sed": 3}),
+                               ("rho", {"q_list": (5,), "k_list": (1,), "path": "exact"})):
+        with pytest.raises(TypeError):
+            RunConfig(subcommand, **fields)
     for subcommand, fields in (("reps", {}), ("rho", {"q_list": (3,)}),
                                ("invariants", {"k_list": (1,)}),
                                ("fit", {"q_list": (3,), "degree": 2}),
                                ("fit", {"q_list": (3,), "sign": "+"}),
                                ("fit", {"q_list": (5,), "sign": "+", "degree": 4,
                                         "target": "b"}),
-                               ("rho", {"q_list": (5,), "k_list": (1,), "path": "bogus"}),
                                ("floer_sim", {"max_dim": MAX_DIM + 1}),
                                ("floer_sim", {"moves": MAX_MOVES + 1})):
         with pytest.raises(ValueError):

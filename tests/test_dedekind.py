@@ -185,13 +185,13 @@ def test_vanishing_sine_factors():
 
 def test_rho_aggregate_q3():
     X = from_surgery(3, 1)
-    total = sum(rho_adjoint(c, path="exact").exact for c in enumerate_connections(X))
+    total = sum(rho_adjoint(c).exact for c in enumerate_connections(X))
     assert total == Fraction(34, 3)  # 8 * C(3,1) since eps = -1
 
 
 def test_rho_aggregate_q5():
     X = from_surgery(5, 1)
-    total = sum(rho_adjoint(c, path="exact").exact for c in enumerate_connections(X))
+    total = sum(rho_adjoint(c).exact for c in enumerate_connections(X))
     assert total == Fraction(2266, 45)  # 8 * 1133/180
 
 
@@ -209,7 +209,7 @@ def test_paths_identical_on_sample():
     for q, K in [(3, 1), (5, -1), (7, 2), (9, -3)]:
         X = from_surgery(q, K)
         for c in enumerate_connections(X):
-            ref = rho_adjoint(c, path="exact").exact
+            ref = rho_adjoint(c).exact
             assert rho_adjoint(c, path="float").exact == ref
 
 
@@ -219,16 +219,16 @@ def test_float_within_error_bound_full_range():
         for K in [k for k in range(-10, 11) if k]:
             X = from_surgery(q, K)
             for c in enumerate_connections(X):
-                rv = rho_adjoint(c, path="exact")
+                rv = rho_adjoint(c)
                 resid = abs(rv.exact - Fraction(rv.float_check.value))
                 assert resid <= Fraction(rv.float_check.error_bound), (q, K, c.L)
 
 
 def test_snap_denominators_divide_4a():
-    # `rho --per-connection` on the float path prints the point of (1/4a)Z that
-    # `snap_rho` picks, checked only against the float it came from; it is the
-    # exact rho only because every exact rho lies on that lattice (9120
-    # connections here)
+    # the snapped float aggregate of `c_correction` sums the points of (1/4a)Z
+    # that `snap_rho` picks, each checked only against the float it came from;
+    # they are the exact rho only because every exact rho lies on that lattice
+    # (9120 connections here)
     for q in (3, 5, 7, 9, 21, 41):
         for K in (1, -1, 3, -4, 7):
             X = from_surgery(q, K)
@@ -243,8 +243,8 @@ def test_orientation_antisymmetry():
         Y = reverse_orientation(X)
         for cx, cy in zip(enumerate_connections(X), enumerate_connections(Y)):
             assert cx.L == cy.L
-            assert rho_adjoint(cx, path="exact").exact == -rho_adjoint(cy, path="exact").exact
-        assert c_correction(X, path="exact") == c_correction(Y, path="exact")
+            assert rho_adjoint(cx).exact == -rho_adjoint(cy).exact
+        assert c_correction(X) == c_correction(Y)
 
 
 def test_snap_rho_rejects_wide_window():
@@ -260,7 +260,7 @@ def test_snap_rho_returns_real_rho_values():
     # the float estimate of every connection singles out its exact rho
     for q, K in [(3, 1), (3, -1), (7, 2), (9, -12)]:
         for c in enumerate_connections(from_surgery(q, K)):
-            rv = rho_adjoint(c, path="exact")
+            rv = rho_adjoint(c)
             assert snap_rho(rv.float_check, c.host) == rv.exact
 
 
@@ -297,7 +297,7 @@ def test_exact_rho_is_cross_checked_against_the_float_kernel(monkeypatch):
                         lambda A, e, n: true_numerator(A, e, n) + 1)
     for c in enumerate_connections(from_surgery(5, -2)):
         with pytest.raises(ConventionMismatch):
-            rho_adjoint(c, path="exact")
+            rho_adjoint(c)
 
 
 def test_rho_value_cross_check_is_inclusive_at_the_bound():

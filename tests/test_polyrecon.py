@@ -19,7 +19,7 @@ def test_fit_lambda_q3():
 def test_fit_scaled_C_is_cubic():
     # 12(6K-1) * C(3,K) on K = 1..6, computed from the cotangent sums
     values = {
-        K: 12 * (6 * K - 1) * c_correction(from_surgery(3, K), path="exact")
+        K: 12 * (6 * K - 1) * c_correction(from_surgery(3, K))
         for K in range(1, 7)
     }
     poly = fit_and_verify(values, 3)
