@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
-Subcommands: reps, rho, invariants, table, fit, conjecture, floer-sim.
-Output is deterministic for a fixed configuration: rationals are serialized
-as exact "p/q" strings, JSON objects carry the schema tag "casson3/1", and
-rows are emitted in sorted (q, K) order.
+`_SUBCOMMANDS` names each subcommand with its handler and output formats.
+The parser only turns options into `RunConfig` fields, and `RunConfig` is
+the one validator.  Output is deterministic for a fixed configuration:
+rationals are serialized as exact "p/q" strings, JSON objects carry the
+schema tag "casson3/1", and rows are emitted in sorted (q, K) order.
 
 Exit codes: 0 success, 1 computation error, 2 usage error, 3 when `table`
 finds a MISMATCH row.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -38,27 +40,24 @@ from .seifert import from_surgery
 
 SCHEMA = "casson3/1"
 
-# Output formats of each subcommand; the first is its default.
-_FORMATS = {
-    "reps": ("csv", "json"),
-    "rho": ("csv", "json"),
-    "invariants": ("csv", "json", "markdown-table"),
-    "table": ("csv", "json", "markdown-table"),
-    "fit": ("json",),
-    "conjecture": ("json", "markdown-table"),
-    "floer_sim": ("json",),
+# what `fit` reconstructs: target -> ((q, K) -> value, whether it is cleared);
+# C and B are each a cubic over 2qK - 1, so their numerator is fitted
+_TARGETS = {
+    "Lambda": (lambda q, K: assemble(q, K).Lambda_su3, False),
+    "C": (lambda q, K: c_correction(from_surgery(q, K)), True),
+    "A": (reference_A, False),
+    "B": (reference_B, True),
 }
-
-_TARGETS = ("Lambda", "C", "A", "B")  # what `fit` reconstructs
 
 
 @dataclass
 class RunConfig:
     """Validated run description: one subcommand plus its options, with every
-    default (the parser sets none), so a config built in code prints what the
-    command line with the same settings prints.  fmt None is the subcommand's
-    first format; `table` and `conjecture` without q cover SUPPORTED_Q, and
-    `table` without K covers -6..6."""
+    default.  It is the only validator (the parser sets no default and requires
+    no option), so a config built in code prints, or refuses, what the command
+    line with the same settings does.  fmt None is the subcommand's first
+    format; `table` and `conjecture` without q cover SUPPORTED_Q, and `table`
+    without K covers -6..6."""
 
     subcommand: str
     q_list: tuple[int, ...] = ()
@@ -74,7 +73,7 @@ class RunConfig:
     max_dim: int = 4
 
     def __post_init__(self):
-        formats = _FORMATS[self.subcommand]
+        formats = _SUBCOMMANDS[self.subcommand][1]
         if self.fmt is None:
             self.fmt = formats[0]
         elif self.fmt not in formats:
@@ -91,6 +90,11 @@ class RunConfig:
                 raise ValueError(f"q must be odd and >= 3, got {q}")
         if any(k == 0 for k in self.k_list):
             raise ValueError("K range must exclude 0")
+        # a repeat would print its rows twice and count twice against the budget
+        for name, values in (("q", self.q_list), ("K", self.k_list)):
+            repeated = [v for v, n in Counter(values).items() if n > 1]
+            if repeated:
+                raise ValueError(f"{name} {repeated[0]} is given more than once")
         if self.subcommand == "fit":
             if len(self.q_list) != 1:
                 raise ValueError(f"fit takes one q, got {len(self.q_list)}")
@@ -112,24 +116,25 @@ class RunConfig:
 
 
 def _parse_k_range(text: str) -> tuple[int, ...]:
-    """'a..b' or a single integer; 0 is never a valid surgery coefficient."""
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        ks = tuple(k for k in range(lo, hi + 1) if k != 0)
-        if not ks:
-            raise ValueError(f"K range {text!r} contains no nonzero values")
-        return ks
-    k = int(text)
-    if k == 0:
-        raise ValueError("K must be nonzero")
-    return (k,)
+    """The --K and --K-range type: 'a..b' or a single integer, 0 left out."""
+    lo, dots, hi = text.partition("..")
+    try:
+        ks = tuple(k for k in range(int(lo), int(hi if dots else lo) + 1) if k != 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"K {text!r} is not an integer or a..b") from None
+    if not ks:
+        raise argparse.ArgumentTypeError(f"K range {text!r} contains no nonzero values")
+    return ks
 
 
 def _parse_q_list(text: str) -> tuple[int, ...]:
-    qs = tuple(int(part) for part in text.split(",") if part.strip())
+    """The --q and --q-list type: comma-separated integers."""
+    try:
+        qs = tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"q list {text!r} is not integers") from None
     if not qs:
-        raise ValueError(f"q list {text!r} names no value")
+        raise argparse.ArgumentTypeError(f"q list {text!r} names no value")
     return qs
 
 
@@ -228,22 +233,11 @@ def cmd_table(cfg: RunConfig, out) -> int:
 def cmd_fit(cfg: RunConfig, out) -> int:
     q = cfg.q_list[0]
     sign = 1 if cfg.sign == "+" else -1
-    ks = [sign * k for k in range(1, cfg.samples + 1)]
-    payload = {}
-    if cfg.target == "Lambda":
-        vals = {K: assemble(q, K).Lambda_su3 for K in ks}
-    elif cfg.target == "C":
-        vals = {K: c_correction(from_surgery(q, K)) for K in ks}
-    elif cfg.target == "A":
-        vals = {K: reference_A(q, K) for K in ks}
-    else:
-        vals = {K: reference_B(q, K) for K in ks}
-    if cfg.target in ("C", "B"):
-        # both are a cubic over 2qK - 1, so the cleared numerator is fitted
-        vals = {K: cleared_denominator(q, K) * v for K, v in vals.items()}
-        payload["cleared_by"] = "4q(2qK-1)"
+    value, cleared = _TARGETS[cfg.target]
+    vals = {K: value(q, K) * (cleared_denominator(q, K) if cleared else 1)
+            for K in (sign * k for k in range(1, cfg.samples + 1))}
     poly = fit_and_verify(vals, cfg.degree)
-    payload.update({
+    payload = {
         "q": q,
         "sign": cfg.sign,
         "target": cfg.target,
@@ -252,7 +246,9 @@ def cmd_fit(cfg: RunConfig, out) -> int:
         "checked_points": cfg.samples - cfg.degree - 1,
         "coefficients_low_to_high": [str(c) for c in poly.coeffs],
         "polynomial": poly.format("K"),
-    })
+    }
+    if cleared:
+        payload["cleared_by"] = "4q(2qK-1)"
     _emit_json(payload, out)
     return 0
 
@@ -294,6 +290,23 @@ def cmd_floer_sim(cfg: RunConfig, out) -> int:
     return 0
 
 
+# subcommand -> (handler, output formats); the first format is the default
+_SUBCOMMANDS = {
+    "reps": (cmd_reps, ("csv", "json")),
+    "rho": (cmd_rho, ("csv", "json")),
+    "invariants": (cmd_invariants, ("csv", "json", "markdown-table")),
+    "table": (cmd_table, ("csv", "json", "markdown-table")),
+    "fit": (cmd_fit, ("json",)),
+    "conjecture": (cmd_conjecture, ("json", "markdown-table")),
+    "floer_sim": (cmd_floer_sim, ("json",)),
+}
+
+
+def run(config: RunConfig, out=None) -> int:
+    """Execute one validated configuration; returns the process exit status."""
+    return _SUBCOMMANDS[config.subcommand][0](config, out or sys.stdout)
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -310,35 +323,37 @@ def build_parser() -> argparse.ArgumentParser:
         # an option the user leaves out stays off the namespace, so RunConfig
         # supplies its default
         p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-        p.add_argument("--format", dest="fmt", choices=_FORMATS[name.replace("-", "_")])
+        p.add_argument("--format", dest="fmt", choices=_SUBCOMMANDS[name.replace("-", "_")][1])
         return p
 
     p = add("reps", "enumerate irreducible SU(2) rotation numbers")
-    p.add_argument("--q", required=True, help="odd q >= 3, comma separated")
-    p.add_argument("--K", required=True, help="K or a..b range, excluding 0")
+    p.add_argument("--q", dest="q_list", type=_parse_q_list,
+                   help="odd q >= 3, comma separated")
+    p.add_argument("--K", dest="k_list", type=_parse_k_range,
+                   help="K or a..b range, excluding 0")
 
     p = add("rho", "adjoint rho invariants / aggregate correction C")
-    p.add_argument("--q", required=True)
-    p.add_argument("--K", required=True)
+    p.add_argument("--q", dest="q_list", type=_parse_q_list)
+    p.add_argument("--K", dest="k_list", type=_parse_k_range)
     p.add_argument("--per-connection", action="store_true")
 
     p = add("invariants", "full invariant reports")
-    p.add_argument("--q", required=True)
-    p.add_argument("--K-range", dest="K", required=True)
+    p.add_argument("--q", dest="q_list", type=_parse_q_list)
+    p.add_argument("--K-range", dest="k_list", type=_parse_k_range)
 
     p = add("table", "computed values against the reference closed forms")
-    p.add_argument("--q")
-    p.add_argument("--K-range", dest="K")
+    p.add_argument("--q", dest="q_list", type=_parse_q_list)
+    p.add_argument("--K-range", dest="k_list", type=_parse_k_range)
 
     p = add("fit", "exact polynomial reconstruction of one target")
-    p.add_argument("--q", required=True)
-    p.add_argument("--sign", choices=("+", "-"), required=True)
+    p.add_argument("--q", dest="q_list", type=_parse_q_list)
+    p.add_argument("--sign", choices=("+", "-"))
     p.add_argument("--target", choices=_TARGETS)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--degree", type=int)
+    p.add_argument("--samples", type=int)
 
     p = add("conjecture", "quadratic-difference report per q")
-    p.add_argument("--q-list", dest="q")
+    p.add_argument("--q-list", dest="q_list", type=_parse_q_list)
     p.add_argument("--samples", type=int)
 
     p = add("floer-sim", "audit transcript of random chain-complex moves")
@@ -350,30 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """RunConfig of the parsed arguments, passed on as keywords; only what the user set."""
+    """RunConfig of the parsed arguments: only the options the user set."""
     given = vars(args)
-    subcommand = given.pop("subcommand").replace("-", "_")
-    if "q" in given:
-        given["q_list"] = _parse_q_list(given.pop("q"))
-    if "K" in given:
-        given["k_list"] = _parse_k_range(given.pop("K"))
-    return RunConfig(subcommand, **given)
-
-
-_COMMANDS = {
-    "reps": cmd_reps,
-    "rho": cmd_rho,
-    "invariants": cmd_invariants,
-    "table": cmd_table,
-    "fit": cmd_fit,
-    "conjecture": cmd_conjecture,
-    "floer_sim": cmd_floer_sim,
-}
-
-
-def run(config: RunConfig, out=None) -> int:
-    """Execute one validated configuration; returns the process exit status."""
-    return _COMMANDS[config.subcommand](config, out or sys.stdout)
+    return RunConfig(given.pop("subcommand").replace("-", "_"), **given)
 
 
 def _normalize_argv(argv: Sequence[str]) -> list[str]:

@@ -204,7 +204,7 @@ def test_floer_sim_seed_changes_output():
     assert out7 != out8
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["invariants", "--q", "3"])  # missing --K-range
     assert exc.value.code == 2
@@ -231,10 +231,21 @@ def test_usage_errors_exit_2():
         ["table", "-v"],
         ["table", "--q", ","],
         ["conjecture", "--q-list", ","],
+        # omissions that only RunConfig refuses
+        ["reps", "--q", "3"],
+        ["fit", "--q", "5", "--degree", "2"],
+        ["fit", "--sign", "+", "--degree", "2"],
+        # a repeated q would print its rows twice
+        ["reps", "--q", "3,3", "--K", "1"],
+        ["fit", "--q", "5,5", "--sign", "+", "--degree", "2"],
     ):
         with pytest.raises(SystemExit) as exc:
             run_cli(args)
         assert exc.value.code == 2, args
+    assert "q 5 is given more than once" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        run_cli(["rho", "--q", ",", "--K", "1"])
+    assert "argument --q" in capsys.readouterr().err
 
 
 def test_config_in_code_matches_command_line():
@@ -246,7 +257,7 @@ def test_config_in_code_matches_command_line():
         (RunConfig("rho", q_list=(5,), k_list=(-1, 1, 2), per_connection=True),
          ["rho", "--q", "5", "--K", "-1..2", "--per-connection"]),
         (RunConfig("fit", q_list=(5,), sign="-", degree=2),
-         ["fit", "--q", "5", "--sign", "-", "--degree", "2", "--samples", "5"]),
+         ["fit", "--q", "5", "--sign", "-", "--degree", "2"]),
     ):
         out = io.StringIO()
         assert run(config, out) == 0
@@ -262,6 +273,9 @@ def test_config_in_code_matches_command_line():
                                ("fit", {"q_list": (3,), "sign": "+"}),
                                ("fit", {"q_list": (5,), "sign": "+", "degree": 4,
                                         "target": "b"}),
+                               ("reps", {"q_list": (3, 3), "k_list": (1,)}),
+                               ("rho", {"q_list": (3,), "k_list": (1, 1)}),
+                               ("fit", {"q_list": (5, 5), "sign": "+", "degree": 2}),
                                ("floer_sim", {"max_dim": MAX_DIM + 1}),
                                ("floer_sim", {"moves": MAX_MOVES + 1})):
         with pytest.raises(ValueError):

@@ -349,3 +349,21 @@ def test_numpy_kernel_matches_exact():
     for A, e, n in _random_cases(40, 1):
         value, bound = _kernels.cot_sum(A, e, n)
         assert abs(Fraction(value) - cot_sum_exact(A, e, n)) <= Fraction(bound)
+
+
+# the stdlib Fraction guarantees every exact value in the package rests on:
+# lowest terms, a positive denominator, and arithmetic that never rounds
+def test_exactness_roundtrip_random():
+    rng = random.Random(7)
+    for _ in range(500):
+        a = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
+        b = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
+        assert (a + b) - b == a
+        if b != 0:
+            assert (a * b) / b == a
+
+
+def test_fraction_normalized_invariants():
+    r = Fraction(6, -4)
+    assert r.denominator > 0 and abs(Fraction(r.numerator, r.denominator)) == abs(r)
+    assert Fraction(2, 4) == Fraction(1, 2)
