@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
-`_SUBCOMMANDS` names each subcommand with its handler and output formats.
-The parser only turns options into `RunConfig` fields, and `RunConfig` is
-the one validator.  Output is deterministic for a fixed configuration:
+`_OPTIONS` is the one option table, and `_SUBCOMMANDS` gives each subcommand
+its handler, formats, summary and flags.  The parser is built from the two;
+`RunConfig`, the one validator, reads the same tables and refuses a field no
+flag of its subcommand sets.  Output is deterministic for a fixed configuration:
 rationals are serialized as exact "p/q" strings, JSON objects carry the
 schema tag "casson3/1", and rows are emitted in sorted (q, K) order.
 
@@ -15,7 +16,7 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -31,7 +32,8 @@ from .assembly import (
 )
 from .dedekind import c_correction, rho_adjoint
 from .errors import Casson3Error
-from .flat_moduli import FlatConnection, check_connection_budget, enumerate_connections
+from .flat_moduli import (MAX_CONNECTIONS, FlatConnection, check_connection_budget,
+                          enumerate_connections)
 from .floer import (MAX_DIM, MAX_MOVES, apply_move, floer_correction, random_complex,
                     random_move)
 from .knotpoly import check_conjecture
@@ -54,10 +56,11 @@ _TARGETS = {
 class RunConfig:
     """Validated run description: one subcommand plus its options, with every
     default.  It is the only validator (the parser sets no default and requires
-    no option), so a config built in code prints, or refuses, what the command
-    line with the same settings does.  fmt None is the subcommand's first
-    format; `table` and `conjecture` without q cover SUPPORTED_Q, and `table`
-    without K covers -6..6."""
+    no option), and it refuses a field off its default that no flag of the
+    subcommand sets, so a config built in code prints, or refuses, what the
+    command line with the same settings does.  fmt None is the subcommand's
+    first format; `table` and `conjecture` without q cover SUPPORTED_Q, and
+    `table` without K covers -6..6."""
 
     subcommand: str
     q_list: tuple[int, ...] = ()
@@ -73,7 +76,13 @@ class RunConfig:
     max_dim: int = 4
 
     def __post_init__(self):
-        formats = _SUBCOMMANDS[self.subcommand][1]
+        if self.subcommand not in _SUBCOMMANDS:
+            raise ValueError(f"no subcommand {self.subcommand!r}")
+        _, formats, _, flags = _SUBCOMMANDS[self.subcommand]
+        takes = {"subcommand", "fmt"} | {_OPTIONS[flag]["dest"] for flag in flags}
+        for field in fields(self):
+            if field.name not in takes and getattr(self, field.name) != field.default:
+                raise ValueError(f"{self.subcommand} takes no {field.name}")
         if self.fmt is None:
             self.fmt = formats[0]
         elif self.fmt not in formats:
@@ -119,9 +128,16 @@ def _parse_k_range(text: str) -> tuple[int, ...]:
     """The --K and --K-range type: 'a..b' or a single integer, 0 left out."""
     lo, dots, hi = text.partition("..")
     try:
-        ks = tuple(k for k in range(int(lo), int(hi if dots else lo) + 1) if k != 0)
+        lo, hi = int(lo), int(hi if dots else lo)
     except ValueError:
         raise argparse.ArgumentTypeError(f"K {text!r} is not an integer or a..b") from None
+    # checked before the range is built: every subcommand that takes K enumerates
+    # its spheres, and (q^2 - 1)|K|/4 >= 2|K| connections is over the budget at
+    # every q >= 3.  A C-only work bound (ROADMAP item 2) will revisit this limit.
+    if max(abs(lo), abs(hi)) > MAX_CONNECTIONS // 2:
+        raise argparse.ArgumentTypeError(f"K {text!r} has |K| > {MAX_CONNECTIONS // 2}, over "
+                                         f"{MAX_CONNECTIONS} flat connections at every q")
+    ks = tuple(k for k in range(lo, hi + 1) if k != 0)
     if not ks:
         raise argparse.ArgumentTypeError(f"K range {text!r} contains no nonzero values")
     return ks
@@ -136,6 +152,24 @@ def _parse_q_list(text: str) -> tuple[int, ...]:
     if not qs:
         raise argparse.ArgumentTypeError(f"q list {text!r} names no value")
     return qs
+
+
+_Q = {"dest": "q_list", "type": _parse_q_list, "help": "odd q >= 3, comma separated"}
+_K = {"dest": "k_list", "type": _parse_k_range, "help": "K or a..b range, excluding 0"}
+
+# flag -> argparse settings; dest is the RunConfig field the flag sets
+_OPTIONS = {
+    "--q": _Q, "--q-list": _Q,
+    "--K": _K, "--K-range": _K,
+    "--per-connection": {"dest": "per_connection", "action": "store_true"},
+    "--sign": {"dest": "sign", "choices": ("+", "-")},
+    "--target": {"dest": "target", "choices": _TARGETS},
+    "--degree": {"dest": "degree", "type": int},
+    "--samples": {"dest": "samples", "type": int},
+    "--seed": {"dest": "seed", "type": int},
+    "--moves": {"dest": "moves", "type": int},
+    "--max-dim": {"dest": "max_dim", "type": int},
+}
 
 
 def _emit_json(payload: dict, out) -> None:
@@ -290,15 +324,22 @@ def cmd_floer_sim(cfg: RunConfig, out) -> int:
     return 0
 
 
-# subcommand -> (handler, output formats); the first format is the default
+# subcommand (on the command line "_" is "-") -> (handler, formats, summary, flags)
 _SUBCOMMANDS = {
-    "reps": (cmd_reps, ("csv", "json")),
-    "rho": (cmd_rho, ("csv", "json")),
-    "invariants": (cmd_invariants, ("csv", "json", "markdown-table")),
-    "table": (cmd_table, ("csv", "json", "markdown-table")),
-    "fit": (cmd_fit, ("json",)),
-    "conjecture": (cmd_conjecture, ("json", "markdown-table")),
-    "floer_sim": (cmd_floer_sim, ("json",)),
+    "reps": (cmd_reps, ("csv", "json"), "enumerate irreducible SU(2) rotation numbers",
+             ("--q", "--K")),
+    "rho": (cmd_rho, ("csv", "json"), "adjoint rho invariants / aggregate correction C",
+            ("--q", "--K", "--per-connection")),
+    "invariants": (cmd_invariants, ("csv", "json", "markdown-table"),
+                   "full invariant reports", ("--q", "--K-range")),
+    "table": (cmd_table, ("csv", "json", "markdown-table"),
+              "computed values against the reference closed forms", ("--q", "--K-range")),
+    "fit": (cmd_fit, ("json",), "exact polynomial reconstruction of one target",
+            ("--q", "--sign", "--target", "--degree", "--samples")),
+    "conjecture": (cmd_conjecture, ("json", "markdown-table"),
+                   "quadratic-difference report per q", ("--q-list", "--samples")),
+    "floer_sim": (cmd_floer_sim, ("json",), "audit transcript of random chain-complex moves",
+                  ("--seed", "--moves", "--max-dim")),
 }
 
 
@@ -318,81 +359,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"casson3 {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name: str, summary: str) -> argparse.ArgumentParser:
+    for name, (_, formats, summary, flags) in _SUBCOMMANDS.items():
         # an option the user leaves out stays off the namespace, so RunConfig
         # supplies its default
-        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-        p.add_argument("--format", dest="fmt", choices=_SUBCOMMANDS[name.replace("-", "_")][1])
-        return p
-
-    p = add("reps", "enumerate irreducible SU(2) rotation numbers")
-    p.add_argument("--q", dest="q_list", type=_parse_q_list,
-                   help="odd q >= 3, comma separated")
-    p.add_argument("--K", dest="k_list", type=_parse_k_range,
-                   help="K or a..b range, excluding 0")
-
-    p = add("rho", "adjoint rho invariants / aggregate correction C")
-    p.add_argument("--q", dest="q_list", type=_parse_q_list)
-    p.add_argument("--K", dest="k_list", type=_parse_k_range)
-    p.add_argument("--per-connection", action="store_true")
-
-    p = add("invariants", "full invariant reports")
-    p.add_argument("--q", dest="q_list", type=_parse_q_list)
-    p.add_argument("--K-range", dest="k_list", type=_parse_k_range)
-
-    p = add("table", "computed values against the reference closed forms")
-    p.add_argument("--q", dest="q_list", type=_parse_q_list)
-    p.add_argument("--K-range", dest="k_list", type=_parse_k_range)
-
-    p = add("fit", "exact polynomial reconstruction of one target")
-    p.add_argument("--q", dest="q_list", type=_parse_q_list)
-    p.add_argument("--sign", choices=("+", "-"))
-    p.add_argument("--target", choices=_TARGETS)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--samples", type=int)
-
-    p = add("conjecture", "quadratic-difference report per q")
-    p.add_argument("--q-list", dest="q_list", type=_parse_q_list)
-    p.add_argument("--samples", type=int)
-
-    p = add("floer-sim", "audit transcript of random chain-complex moves")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--moves", type=int)
-    p.add_argument("--max-dim", type=int)
-
+        p = sub.add_parser(name.replace("_", "-"), help=summary,
+                           argument_default=argparse.SUPPRESS)
+        p.add_argument("--format", dest="fmt", choices=formats)
+        for flag in flags:
+            p.add_argument(flag, **_OPTIONS[flag])
+        # subcommand: the RunConfig name; usage_error: how main reports a refused config
+        p.set_defaults(subcommand=name, usage_error=p.error)
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """RunConfig of the parsed arguments: only the options the user set."""
-    given = vars(args)
-    return RunConfig(given.pop("subcommand").replace("-", "_"), **given)
 
 
 def _normalize_argv(argv: Sequence[str]) -> list[str]:
     """Join '--K -3..3' style pairs into '--K=-3..3' so argparse does not read
     the leading dash of a negative range as an option."""
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--K", "--K-range") and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        if out and _OPTIONS.get(out[-1]) is _K:
+            out[-1] += f"={tok}"
+        else:
+            out.append(tok)
     return out
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_normalize_argv(sys.argv[1:] if argv is None else argv))
+    argv = sys.argv[1:] if argv is None else argv
+    args = vars(build_parser().parse_args(_normalize_argv(argv)))
+    usage_error = args.pop("usage_error")
     try:
-        config = config_from_args(args)
+        config = RunConfig(**args)
     except ValueError as exc:
-        parser.error(str(exc))  # exits 2
+        usage_error(str(exc))  # exits 2
     try:
         return run(config)
     except Casson3Error as exc:

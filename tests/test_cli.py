@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -246,6 +247,33 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit):
         run_cli(["rho", "--q", ",", "--K", "1"])
     assert "argument --q" in capsys.readouterr().err
+    # a RunConfig refusal is reported under the subcommand's usage line
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["reps", "--q", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: casson3 reps ")
+    assert err.endswith("casson3 reps: error: reps needs q and K\n")
+
+
+def test_k_beyond_every_budget_exit_2(capsys):
+    # refused before the range is built: 1..100000000 as a tuple needs about 4 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--K-range", "1..100000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 2
+    assert peak < 5_000_000
+    # over the connection budget at every q, so refused as usage, not computed
+    for args in (["reps", "--q", "3", "--K", "100001"],
+                 ["rho", "--q", "3", "--K", "-100001..1"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2, args
+    assert "|K| > 100000" in capsys.readouterr().err
 
 
 def test_config_in_code_matches_command_line():
@@ -277,7 +305,11 @@ def test_config_in_code_matches_command_line():
                                ("rho", {"q_list": (3,), "k_list": (1, 1)}),
                                ("fit", {"q_list": (5, 5), "sign": "+", "degree": 2}),
                                ("floer_sim", {"max_dim": MAX_DIM + 1}),
-                               ("floer_sim", {"moves": MAX_MOVES + 1})):
+                               ("floer_sim", {"moves": MAX_MOVES + 1}),
+                               ("bogus", {}),
+                               # a field no flag of the subcommand sets
+                               ("reps", {"q_list": (3,), "k_list": (1,), "seed": 5}),
+                               ("table", {"per_connection": True})):
         with pytest.raises(ValueError):
             RunConfig(subcommand, **fields)
 
