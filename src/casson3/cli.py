@@ -30,7 +30,7 @@ from .assembly import (
     reference_C,
     reference_Lambda,
 )
-from .dedekind import c_correction, rho_adjoint
+from .dedekind import c_correction, check_kernel_work, rho_adjoint
 from .errors import Casson3Error
 from .flat_moduli import (MAX_CONNECTIONS, FlatConnection, check_connection_budget,
                           enumerate_connections)
@@ -223,6 +223,8 @@ def cmd_reps(cfg: RunConfig, out) -> int:
 
 def cmd_rho(cfg: RunConfig, out) -> int:
     if cfg.per_connection:
+        for q, K in _cells(cfg):
+            check_kernel_work(from_surgery(q, K))
         header = ("q", "K", "L1", "L2", "L3", "t", "e", "rho", "float_value", "float_error")
         rows = []
         for q, K, c in _connections(cfg):

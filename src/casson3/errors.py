@@ -16,7 +16,9 @@ class SnapFailure(Casson3Error):
 
 
 class TooManyConnections(Casson3Error):
-    """A sphere has more flat connections than one run may enumerate."""
+    """A sphere has more flat connections than one run may enumerate, or its
+    rho invariants need more kernel work (connections x a3) than one run may
+    spend."""
 
 
 class ConventionMismatch(Casson3Error):

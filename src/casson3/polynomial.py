@@ -122,7 +122,9 @@ def fit_and_verify(values: Mapping[Scalar, Scalar], degree: int) -> RationalPoly
     (keys sorted ascending, Lagrange form) and require every remaining sample
     to lie on it exactly; raises DegreeExceeded otherwise.  The caller decides
     how many samples to check by how many it passes; fewer than degree+1 is
-    a ValueError."""
+    a ValueError, and so is a negative degree."""
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     if len(values) < degree + 1:
         raise ValueError(f"need at least {degree + 1} samples, got {len(values)}")
     keys = sorted(values)

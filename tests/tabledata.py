@@ -1,5 +1,5 @@
 """Reference row data for the rotation-number enumeration of the surgery
-family, used by the enumeration tests and the acceptance suite.
+family, used by the enumeration tests of `test_flat_moduli.py`.
 
 Each row describes one L2 branch: L3 = (c*k + d) + 2t for t = 1..(span*k),
 and e = e_k*k + e_t*t + e_0.  K > 0 rows have d = -2; K < 0 rows have d = 0.

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from random import Random
@@ -324,6 +325,12 @@ def test_connection_budget_exit_1(capsys):
     code, out = run_cli(["reps", "--q", "101", "--K", "100000"])
     assert (code, out) == (1, "")
     assert "budget" in capsys.readouterr().err
+    # 200 000 connections fit the budget, but 1.2e11 units of kernel work do not
+    for flags in ([], ["--per-connection"]):
+        t0 = time.perf_counter()
+        assert run_cli(["rho", "--q", "3", "--K", "-100000", *flags]) == (1, ""), flags
+        assert time.perf_counter() - t0 < 1.0, flags
+        assert "kernel work" in capsys.readouterr().err
 
 
 def test_request_budget_exit_1(capsys, monkeypatch):

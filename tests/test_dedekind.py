@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from casson3.dedekind import (
     snap_rho,
     verify_convention,
 )
-from casson3.errors import ConventionMismatch, SnapFailure
+from casson3.errors import ConventionMismatch, SnapFailure, TooManyConnections
 from casson3.flat_moduli import enumerate_connections
 from casson3.seifert import from_surgery, reverse_orientation
 
@@ -214,14 +215,20 @@ def test_paths_identical_on_sample():
 
 
 def test_float_within_error_bound_full_range():
-    # every connection, q in {3,5,7,9}, |K| <= 10
+    # every connection, q in {3,5,7,9}, |K| <= 10, and the pre-snap aggregate of C
+    t0 = time.perf_counter()
     for q in (3, 5, 7, 9):
         for K in [k for k in range(-10, 11) if k]:
             X = from_surgery(q, K)
+            aggregate = 0.0
             for c in enumerate_connections(X):
                 rv = rho_adjoint(c)
                 resid = abs(rv.exact - Fraction(rv.float_check.value))
                 assert resid <= Fraction(rv.float_check.error_bound), (q, K, c.L)
+                aggregate += rv.float_check.value
+            C = float(c_correction(X))
+            assert abs(-X.orientation / 8 * aggregate - C) <= 1e-8 * max(1.0, abs(C)), (q, K)
+    assert time.perf_counter() - t0 < 30.0
 
 
 def test_snap_denominators_divide_4a():
@@ -235,6 +242,13 @@ def test_snap_denominators_divide_4a():
             bound = 4 * X.fiber_product
             for c in enumerate_connections(X):
                 assert bound % dedekind._rho_exact(X, c.e).denominator == 0, (q, K, c.L)
+
+
+def test_kernel_work_is_refused_before_enumeration(monkeypatch):
+    monkeypatch.setattr(dedekind, "MAX_KERNEL_WORK", 10)
+    monkeypatch.setattr(dedekind, "enumerate_connections", None)  # a call raises TypeError
+    with pytest.raises(TooManyConnections, match="44 units"):  # 4 connections, a3 = 11
+        c_correction(from_surgery(3, 2))
 
 
 def test_orientation_antisymmetry():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -156,24 +157,26 @@ def test_isotopy_is_identity():
     assert apply_move(cc, MorseMove("isotopy")) == cc
 
 
-def test_move_fuzz_small():
-    rng = random.Random(12345)
-    for _ in range(300):
-        cc = random_complex(rng, 4)
+def test_move_fuzz():
+    t0 = time.perf_counter()
+    rng = random.Random(987654321)
+    for _ in range(10_000):
+        cc = random_complex(rng, 6)
         start_h = homology_ranks(cc)
         corr = floer_correction(cc)
-        for _ in range(6):
+        for _ in range(rng.randint(3, 6)):
             mv = random_move(rng, cc)
             cc = apply_move(cc, mv)  # constructor re-checks d.d = 0
             new_corr = floer_correction(cc)
             if mv.kind in ("isotopy", "handle_slide"):
-                assert new_corr == corr
+                assert new_corr == corr, mv
             elif mv.kind == "birth":
-                assert new_corr - corr == (-1) ** mv.p
+                assert new_corr - corr == (-1) ** mv.p, mv
             else:
-                assert new_corr - corr == -((-1) ** mv.p)
+                assert new_corr - corr == -((-1) ** mv.p), mv
             corr = new_corr
-            assert homology_ranks(cc) == start_h
+            assert homology_ranks(cc) == start_h, mv
+    assert time.perf_counter() - t0 < 60.0
 
 
 def test_dual_reflect_preserves_correction():

@@ -102,13 +102,10 @@ def test_fit_constant():
 
 
 def test_needs_enough_samples():
-    with pytest.raises(ValueError):
-        fit_and_verify({1: Fraction(1), 2: Fraction(2)}, 2)
-
-
-def test_vandermonde_errors():
-    with pytest.raises(ValueError):
-        fit_and_verify({1: 1}, 1)
+    for values, degree in (({1: Fraction(1), 2: Fraction(2)}, 2), ({1: 1}, 1),
+                           ({1: 1, 2: 4, 3: 9, 4: 16}, -2)):
+        with pytest.raises(ValueError):
+            fit_and_verify(values, degree)
 
 
 def test_fit_lambda_q3():
@@ -128,9 +125,10 @@ def test_fit_scaled_C_is_cubic():
 
 
 def test_degree_too_low_raises():
-    values = {K: reference_Lambda(3, K) for K in range(1, 5)}
-    with pytest.raises(DegreeExceeded):
-        fit_and_verify(values, 1)
+    for q in (3, 5, 7, 9):
+        for branch in (range(1, 7), range(-6, 0)):
+            with pytest.raises(DegreeExceeded):
+                fit_and_verify({K: reference_Lambda(q, K) for K in branch}, 1)
 
 
 def test_branches_differ():
