@@ -29,10 +29,10 @@ CACHE_SIZE = 2 ** 14
 
 # maxsize of the per-modulus table cache.  A cell uses three moduli (2, q and
 # a3) and 2 and q repeat across cells, so 8 keeps a sweep's tables warm.  An
-# entry holds about 24*n bytes.  A sphere has (q^2 - 1)|K|/4 connections and
-# a3 = 2q|K| +- 1, at most 3 per connection, so the connection budget bounds a
-# request's sum of a3 to about 3 * MAX_CONNECTIONS and one entry to about
-# 15 MB; the q <= 9, |K| <= 80 tables take under 40 KB each.
+# entry holds about 24*n bytes.  The connection budget bounds each sphere, so
+# a3 = 2q|K| +- 1 <= 600 001 (q = 3) and one entry is at most about 15 MB; the
+# kernel-work bound of a CLI request gives a3 <= 54 769 and about 1.3 MB.  The
+# q <= 9, |K| <= 80 tables take under 40 KB each.
 TABLE_CACHE_SIZE = 8
 
 

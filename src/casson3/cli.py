@@ -7,6 +7,14 @@ flag of its subcommand sets.  Output is deterministic for a fixed configuration:
 rationals are serialized as exact "p/q" strings, JSON objects carry the
 schema tag "casson3/1", and rows are emitted in sorted (q, K) order.
 
+Work bounds: `run` sums the work of the request's spheres (`_cells`) and
+checks it once before the handler starts (exit 1): `reps` against
+MAX_CONNECTIONS; `rho` against MAX_KERNEL_WORK, and MAX_CONNECTIONS too with
+--per-connection; `invariants`, `table`, `fit` and `conjecture` against
+MAX_KERNEL_WORK (both in `flat_moduli`).  `floer-sim` is bounded by MAX_DIM
+and MAX_MOVES.  A |K| of --K or --K-range, or a --samples, over
+MAX_CONNECTIONS // 2 is a usage error, refused before anything is built.
+
 Exit codes: 0 success, 1 computation error, 2 usage error, 3 when `table`
 finds a MISMATCH row.
 """
@@ -30,10 +38,10 @@ from .assembly import (
     reference_C,
     reference_Lambda,
 )
-from .dedekind import c_correction, check_kernel_work, rho_adjoint
+from .dedekind import c_correction, rho_adjoint
 from .errors import Casson3Error
 from .flat_moduli import (MAX_CONNECTIONS, FlatConnection, check_connection_budget,
-                          enumerate_connections)
+                          check_kernel_work, enumerate_connections)
 from .floer import (MAX_DIM, MAX_MOVES, apply_move, floer_correction, random_complex,
                     random_move)
 from .knotpoly import check_conjecture
@@ -60,7 +68,7 @@ class RunConfig:
     subcommand sets, so a config built in code prints, or refuses, what the
     command line with the same settings does.  fmt None is the subcommand's
     first format; `table` and `conjecture` without q cover SUPPORTED_Q, and
-    `table` without K covers -6..6."""
+    `table` without K covers -6..6, `fit` sign*1..samples, `conjecture` +-1..samples."""
 
     subcommand: str
     q_list: tuple[int, ...] = ()
@@ -117,6 +125,11 @@ class RunConfig:
                 raise ValueError(f"--samples must be >= --degree + 1, got {self.samples}")
         if self.subcommand == "conjecture" and self.samples < 3:
             raise ValueError("--samples must be >= 3 for the quadratic fits")
+        if self.subcommand in ("fit", "conjecture"):
+            if self.samples > MAX_CONNECTIONS // 2:  # the --K rule, before any K is built
+                raise ValueError(f"--samples {self.samples} has |K| > {MAX_CONNECTIONS // 2}")
+            signs = {"+": (1,), "-": (-1,)}.get(self.sign, (-1, 1))
+            self.k_list = tuple(sorted(s * k for s in signs for k in range(1, self.samples + 1)))
         if self.subcommand == "floer_sim":
             if not 0 <= self.max_dim <= MAX_DIM:
                 raise ValueError(f"--max-dim must be in 0..{MAX_DIM}, got {self.max_dim}")
@@ -199,14 +212,8 @@ def _cells(cfg: RunConfig) -> list[tuple[int, int]]:
 
 
 def _connections(cfg: RunConfig) -> Iterator[tuple[int, int, FlatConnection]]:
-    """(q, K, connection) over every cell of the request.  The caller keeps
-    every row until the output is written, so the whole request is checked
-    against the connection budget before the first sphere is enumerated."""
-    cells = _cells(cfg)
-    check_connection_budget(cells)
-    for q, K in cells:
-        for c in enumerate_connections(from_surgery(q, K)):
-            yield q, K, c
+    """(q, K, connection) over every cell of the request."""
+    return ((q, K, c) for q, K in _cells(cfg) for c in enumerate_connections(from_surgery(q, K)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +230,6 @@ def cmd_reps(cfg: RunConfig, out) -> int:
 
 def cmd_rho(cfg: RunConfig, out) -> int:
     if cfg.per_connection:
-        for q, K in _cells(cfg):
-            check_kernel_work(from_surgery(q, K))
         header = ("q", "K", "L1", "L2", "L3", "t", "e", "rho", "float_value", "float_error")
         rows = []
         for q, K, c in _connections(cfg):
@@ -268,10 +273,9 @@ def cmd_table(cfg: RunConfig, out) -> int:
 
 def cmd_fit(cfg: RunConfig, out) -> int:
     q = cfg.q_list[0]
-    sign = 1 if cfg.sign == "+" else -1
     value, cleared = _TARGETS[cfg.target]
     vals = {K: value(q, K) * (cleared_denominator(q, K) if cleared else 1)
-            for K in (sign * k for k in range(1, cfg.samples + 1))}
+            for K in cfg.k_list}
     poly = fit_and_verify(vals, cfg.degree)
     payload = {
         "q": q,
@@ -290,11 +294,10 @@ def cmd_fit(cfg: RunConfig, out) -> int:
 
 
 def cmd_conjecture(cfg: RunConfig, out) -> int:
-    samples = cfg.samples
     reports = []
     for q in sorted(cfg.q_list):
-        plus = {K: assemble(q, K).Lambda_su3 for K in range(1, samples + 1)}
-        minus = {K: assemble(q, K).Lambda_su3 for K in range(-samples, 0)}
+        plus = {K: assemble(q, K).Lambda_su3 for K in cfg.k_list if K > 0}
+        minus = {K: assemble(q, K).Lambda_su3 for K in cfg.k_list if K < 0}
         reports.append(check_conjecture(q, fit_and_verify(plus, 2), fit_and_verify(minus, 2)))
     header = tuple(reports[0])
     _emit(cfg, header, [tuple(r[k] for k in header) for r in reports],
@@ -346,7 +349,12 @@ _SUBCOMMANDS = {
 
 
 def run(config: RunConfig, out=None) -> int:
-    """Execute one validated configuration; returns the process exit status."""
+    """Check the request's work bounds, then run it; returns the exit status."""
+    cells = _cells(config)
+    if config.subcommand == "reps" or config.per_connection:
+        check_connection_budget(cells)
+    if config.subcommand != "reps":  # floer-sim has no cells
+        check_kernel_work(cells)
     return _SUBCOMMANDS[config.subcommand][0](config, out or sys.stdout)
 
 

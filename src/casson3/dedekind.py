@@ -73,22 +73,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _kernels
-from .errors import ConventionMismatch, SnapFailure, TooManyConnections
-from .flat_moduli import FlatConnection, count_connections, enumerate_connections
+from .errors import ConventionMismatch, SnapFailure
+from .flat_moduli import FlatConnection, check_kernel_work, enumerate_connections
 from .seifert import BrieskornSphere, from_surgery
 
 PATHS = ("float", "exact")
 
 SNAP_DENOMINATOR_FACTOR = 4  # every rho lies on (1/D)Z, D = 4*a1*a2*a3
 MAX_SNAP_ERROR = 1e-6  # snapping is refused above this accumulated error
-
-# Kernel work of one sphere, in units of connections x a3: each connection's
-# float kernel sums a3 - 1 terms on the third fiber, and its residues there
-# barely repeat.  On a 2-core x86 VM, C took 23-39 ns a unit up to (3, +-4000)
-# (1.9e8 units) and 60 s at (3, 9128), 1.0e9 units, once the residues outgrow
-# the kernel caches.  The slow sweep's largest sphere, (21, +-40), has 7.4e6
-# units; (3, -100000) has 1.2e11.
-MAX_KERNEL_WORK = 10 ** 9
 
 # frozen calibration anchors: aggregate corrections for q = 3, K = +-1
 _ANCHORS = ((3, 1, Fraction(17, 12)), (3, -1, Fraction(-41, 84)))
@@ -340,25 +332,15 @@ def verify_convention() -> bool:
     return True
 
 
-def check_kernel_work(X: BrieskornSphere) -> None:
-    """Raise TooManyConnections if evaluating rho on every connection of X
-    takes more than MAX_KERNEL_WORK units of connections x a3."""
-    work = count_connections(X.q, X.K) * X.a[2]
-    if work > MAX_KERNEL_WORK:
-        raise TooManyConnections(
-            f"q={X.q}, |K|={abs(X.K)} needs {work} units of kernel work (connections x a3); "
-            f"the bound is {MAX_KERNEL_WORK}")
-
-
 def c_correction(X: BrieskornSphere) -> Fraction:
     """C(X) = (-eps/8) * sum of adjoint rho over the irreducible connections.
 
     eps is the orientation sign, so the value is orientation-invariant.  The
     snapped float aggregate is returned only if it equals the integer one;
-    ConventionMismatch otherwise.  A sphere over MAX_KERNEL_WORK is refused
-    with TooManyConnections before any connection is enumerated.
+    ConventionMismatch otherwise.  A sphere over MAX_KERNEL_WORK (`flat_moduli`)
+    is refused with TooManyConnections before any connection is enumerated.
     """
-    check_kernel_work(X)
+    check_kernel_work([(X.q, X.K)])
     value = _aggregate(X, "float")
     exact_value = _aggregate(X, "exact")
     if value != exact_value:

@@ -12,10 +12,11 @@ m = (q-1)/2 and k = |K|.  The bound is the exact transcription of
 |cos(pi*L3/a3)| < sin(pi*L2/a2), valid on both sides of a2/2.  Enumeration
 depends only on the multiplicities, never on the orientation.
 
-A sphere has (q^2 - 1)|K|/4 of them, and one enumeration holds them all, so
-`enumerate_connections` refuses a sphere with more than MAX_CONNECTIONS
-before it starts.  A request that keeps the connections of several spheres
-checks their total against the same budget with `check_connection_budget`.
+Both work budgets of a request live here.  A sphere has (q^2 - 1)|K|/4
+connections, which one enumeration holds, and rho on all of them costs
+connections x a3 units of kernel work; `check_connection_budget` and
+`check_kernel_work` bound the sums over a request's (q, K) cells by
+MAX_CONNECTIONS and MAX_KERNEL_WORK.
 """
 from __future__ import annotations
 
@@ -23,10 +24,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import TooManyConnections
-from .seifert import BrieskornSphere, check_surgery
+from .seifert import BrieskornSphere, check_surgery, from_surgery
 
 # About 54 MB of connections at some 270 bytes each.
 MAX_CONNECTIONS = 200_000
+
+# About a minute: a connection's float kernel sums a3 - 1 terms whose residues
+# barely repeat, and on a 2-core x86 VM C took 23-39 ns a unit up to
+# (3, +-4000), 1.9e8 units, and 60 s at (3, 9128), 1.0e9 units.
+MAX_KERNEL_WORK = 10 ** 9
 
 
 @dataclass(frozen=True)
@@ -78,14 +84,22 @@ def enumerate_connections(X: BrieskornSphere) -> list[FlatConnection]:
 def check_connection_budget(cells: Sequence[tuple[int, int]]) -> None:
     """Raise TooManyConnections if the spheres of the (q, K) cells together
     have more than MAX_CONNECTIONS flat connections."""
-    count = sum(count_connections(q, K) for q, K in cells)
-    if count > MAX_CONNECTIONS:
-        if len(cells) == 1:
-            what = f"q={cells[0][0]}, |K|={abs(cells[0][1])} has"
-        else:
-            what = f"the {len(cells)} requested spheres have"
-        raise TooManyConnections(
-            f"{what} {count} flat connections; the budget is {MAX_CONNECTIONS}")
+    _check_sum(cells, count_connections, "flat connections", MAX_CONNECTIONS)
+
+
+def check_kernel_work(cells: Sequence[tuple[int, int]]) -> None:
+    """Raise TooManyConnections if rho on every connection of the (q, K) cells
+    takes more than MAX_KERNEL_WORK units of connections x a3."""
+    _check_sum(cells, lambda q, K: count_connections(q, K) * from_surgery(q, K).a[2],
+               "units of kernel work (connections x a3)", MAX_KERNEL_WORK)
+
+
+def _check_sum(cells: Sequence[tuple[int, int]], size, unit: str, budget: int) -> None:
+    total = sum(size(q, K) for q, K in cells)
+    if total > budget:
+        what = (f"q={cells[0][0]}, |K|={abs(cells[0][1])} has" if len(cells) == 1
+                else f"the {len(cells)} requested spheres have")
+        raise TooManyConnections(f"{what} {total} {unit}; the budget is {budget}")
 
 
 def count_connections(q: int, K: int) -> int:

@@ -31,6 +31,20 @@ def run_cli(args):
     return code, buf.getvalue()
 
 
+def run_traced(args):
+    """(exit code, stdout, tracemalloc peak) of main(args); a usage error
+    exits 2 with no stdout."""
+    tracemalloc.start()
+    try:
+        try:
+            code, out = run_cli(args)
+        except SystemExit as exc:
+            code, out = exc.code, ""
+        return code, out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_reps_csv_q3():
     code, out = run_cli(["reps", "--q", "3", "--K", "1"])
     assert code == 0
@@ -258,23 +272,18 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_k_beyond_every_budget_exit_2(capsys):
-    # refused before the range is built: 1..100000000 as a tuple needs about 4 GB
-    tracemalloc.start()
-    try:
-        with pytest.raises(SystemExit) as exc:
-            main(["table", "--K-range", "1..100000000"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert exc.value.code == 2
-    assert peak < 5_000_000
-    # over the connection budget at every q, so refused as usage, not computed
-    for args in (["reps", "--q", "3", "--K", "100001"],
-                 ["rho", "--q", "3", "--K", "-100001..1"]):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(args)
-        assert exc.value.code == 2, args
-    assert "|K| > 100000" in capsys.readouterr().err
+    # over the connection budget at every q, so refused as usage before any K
+    # is built: 1..100000000 as a tuple needs about 4 GB
+    for args in (["table", "--K-range", "1..100000000"],
+                 ["reps", "--q", "3", "--K", "100001"],
+                 ["rho", "--q", "3", "--K", "-100001..1"],
+                 ["fit", "--q", "3", "--sign", "+", "--target", "A", "--degree", "2",
+                  "--samples", "100001"],
+                 ["conjecture", "--samples", "100001"]):
+        code, out, peak = run_traced(args)
+        assert (code, out) == (2, ""), args
+        assert peak < 5_000_000, args
+        assert "|K| > 100000" in capsys.readouterr().err, args
 
 
 def test_config_in_code_matches_command_line():
@@ -344,6 +353,24 @@ def test_request_budget_exit_1(capsys, monkeypatch):
         assert run_cli(args) == (1, "")
         assert "budget is 10" in capsys.readouterr().err
     assert run_cli(["reps", "--q", "3", "--K", "-1..2"])[0] == 0  # 8 connections
+    monkeypatch.undo()
+    # every sphere is under the kernel-work bound, but not their sum: refused
+    # whole, before the first C is computed
+    monkeypatch.setattr(dedekind, "enumerate_connections", None)  # a call raises TypeError
+    for args in (["rho", "--q", "3", "--K", "8990..9000"],  # 1.1e10 units
+                 ["table", "--q", "3", "--K-range", "1..9000"],
+                 ["conjecture", "--q-list", "9", "--samples", "2000"],
+                 ["fit", "--q", "3", "--sign", "+", "--target", "C", "--degree", "3",
+                  "--samples", "9000"]):
+        t0 = time.perf_counter()
+        code, out, peak = run_traced(args)
+        assert (code, out) == (1, ""), args
+        assert time.perf_counter() - t0 < 1.0, args
+        assert peak < 5_000_000, args
+        assert "kernel work" in capsys.readouterr().err, args
+    monkeypatch.undo()
+    # 20 000 connections: the connection budget alone bounds reps
+    assert run_cli(["reps", "--q", "3", "--K", "10000"])[0] == 0
 
 
 def test_console_entry_point():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casson3 import _kernels, dedekind
+from casson3 import _kernels, dedekind, flat_moduli
 from casson3.dedekind import (
     MAX_SNAP_ERROR,
     FloatEstimate,
@@ -245,7 +245,7 @@ def test_snap_denominators_divide_4a():
 
 
 def test_kernel_work_is_refused_before_enumeration(monkeypatch):
-    monkeypatch.setattr(dedekind, "MAX_KERNEL_WORK", 10)
+    monkeypatch.setattr(flat_moduli, "MAX_KERNEL_WORK", 10)
     monkeypatch.setattr(dedekind, "enumerate_connections", None)  # a call raises TypeError
     with pytest.raises(TooManyConnections, match="44 units"):  # 4 connections, a3 = 11
         c_correction(from_surgery(3, 2))
