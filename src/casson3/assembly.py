@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .dedekind import c_correction
 from .errors import Casson3Error, MissingClosedForm
+from .flat_moduli import count_connections
 from .floer import build_floer_complex, floer_correction
 from .polynomial import RationalPoly
 from .seifert import BrieskornSphere, check_surgery, from_surgery
@@ -75,9 +76,9 @@ def _forms(q: int) -> dict:
 
 
 def lambda_su2(q: int, K: int) -> Fraction:
-    """SU(2) Casson invariant of the surgery sphere: K (q^2 - 1) / 4."""
-    check_surgery(q, K)
-    return Fraction(K * (q * q - 1), 4)
+    """SU(2) Casson invariant of the surgery sphere: the flat connections
+    counted with the sign of K."""
+    return Fraction((1 if K > 0 else -1) * count_connections(q, K))
 
 
 def reference_A(q: int, K: int) -> Fraction:

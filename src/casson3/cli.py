@@ -5,15 +5,17 @@ its handler, formats, summary and flags.  The parser is built from the two;
 `RunConfig`, the one validator, reads the same tables and refuses a field no
 flag of its subcommand sets.  Output is deterministic for a fixed configuration:
 rationals are serialized as exact "p/q" strings, JSON objects carry the
-schema tag "casson3/1", and rows are emitted in sorted (q, K) order.
+schema tag "casson3/1", and rows are emitted in sorted (q, K) order.  `fit`
+takes no --degree: it reports the least degree that fits its samples.
 
 Work bounds: `run` sums the work of the request's spheres (`_cells`) and
 checks it once before the handler starts (exit 1): `reps` against
 MAX_CONNECTIONS; `rho` against MAX_KERNEL_WORK, and MAX_CONNECTIONS too with
---per-connection; `invariants`, `table`, `fit` and `conjecture` against
-MAX_KERNEL_WORK (both in `flat_moduli`).  `floer-sim` is bounded by MAX_DIM
-and MAX_MOVES.  A |K| of --K or --K-range, or a --samples, over
-MAX_CONNECTIONS // 2 is a usage error, refused before anything is built.
+--per-connection; `invariants`, `table`, `conjecture` and `fit` of Lambda or C
+against MAX_KERNEL_WORK (both in `flat_moduli`).  `floer-sim` is bounded by
+MAX_DIM and MAX_MOVES.  A |K| of --K or --K-range, or a --samples, over
+MAX_CONNECTIONS // 2 is a usage error, refused before anything is built; that
+rule alone bounds `fit` of A or B, which reads stored forms and evaluates no rho.
 
 Exit codes: 0 success, 1 computation error, 2 usage error, 3 when `table`
 finds a MISMATCH row.
@@ -68,7 +70,9 @@ class RunConfig:
     subcommand sets, so a config built in code prints, or refuses, what the
     command line with the same settings does.  fmt None is the subcommand's
     first format; `table` and `conjecture` without q cover SUPPORTED_Q, and
-    `table` without K covers -6..6, `fit` sign*1..samples, `conjecture` +-1..samples."""
+    `table` without K covers -6..6, `fit` sign*1..samples, `conjecture` +-1..samples.
+    `fit` and `conjecture` take --samples >= 2 and no degree; a fit that no
+    sample checks is a computation error (exit 1)."""
 
     subcommand: str
     q_list: tuple[int, ...] = ()
@@ -77,7 +81,6 @@ class RunConfig:
     per_connection: bool = False
     sign: Optional[str] = None
     target: str = "Lambda"
-    degree: Optional[int] = None
     samples: int = 5
     seed: int = 0
     moves: int = 50
@@ -119,13 +122,9 @@ class RunConfig:
                 raise ValueError(f"fit needs --sign + or -, got {self.sign!r}")
             if self.target not in _TARGETS:
                 raise ValueError(f"fit has no target {self.target!r}")
-            if self.degree is None or self.degree < 0:
-                raise ValueError(f"--degree must be >= 0, got {self.degree}")
-            if self.samples < self.degree + 1:
-                raise ValueError(f"--samples must be >= --degree + 1, got {self.samples}")
-        if self.subcommand == "conjecture" and self.samples < 3:
-            raise ValueError("--samples must be >= 3 for the quadratic fits")
         if self.subcommand in ("fit", "conjecture"):
+            if self.samples < 2:
+                raise ValueError(f"--samples must be >= 2, got {self.samples}")
             if self.samples > MAX_CONNECTIONS // 2:  # the --K rule, before any K is built
                 raise ValueError(f"--samples {self.samples} has |K| > {MAX_CONNECTIONS // 2}")
             signs = {"+": (1,), "-": (-1,)}.get(self.sign, (-1, 1))
@@ -177,7 +176,6 @@ _OPTIONS = {
     "--per-connection": {"dest": "per_connection", "action": "store_true"},
     "--sign": {"dest": "sign", "choices": ("+", "-")},
     "--target": {"dest": "target", "choices": _TARGETS},
-    "--degree": {"dest": "degree", "type": int},
     "--samples": {"dest": "samples", "type": int},
     "--seed": {"dest": "seed", "type": int},
     "--moves": {"dest": "moves", "type": int},
@@ -276,14 +274,15 @@ def cmd_fit(cfg: RunConfig, out) -> int:
     value, cleared = _TARGETS[cfg.target]
     vals = {K: value(q, K) * (cleared_denominator(q, K) if cleared else 1)
             for K in cfg.k_list}
-    poly = fit_and_verify(vals, cfg.degree)
+    poly = fit_and_verify(vals)
+    degree = max(poly.degree, 0)  # the zero polynomial is fitted at degree 0
     payload = {
         "q": q,
         "sign": cfg.sign,
         "target": cfg.target,
-        "degree": cfg.degree,
+        "degree": degree,
         "samples": cfg.samples,
-        "checked_points": cfg.samples - cfg.degree - 1,
+        "checked_points": cfg.samples - degree - 1,
         "coefficients_low_to_high": [str(c) for c in poly.coeffs],
         "polynomial": poly.format("K"),
     }
@@ -298,7 +297,7 @@ def cmd_conjecture(cfg: RunConfig, out) -> int:
     for q in sorted(cfg.q_list):
         plus = {K: assemble(q, K).Lambda_su3 for K in cfg.k_list if K > 0}
         minus = {K: assemble(q, K).Lambda_su3 for K in cfg.k_list if K < 0}
-        reports.append(check_conjecture(q, fit_and_verify(plus, 2), fit_and_verify(minus, 2)))
+        reports.append(check_conjecture(q, fit_and_verify(plus), fit_and_verify(minus)))
     header = tuple(reports[0])
     _emit(cfg, header, [tuple(r[k] for k in header) for r in reports],
           lambda: {"reports": reports}, out)
@@ -340,7 +339,7 @@ _SUBCOMMANDS = {
     "table": (cmd_table, ("csv", "json", "markdown-table"),
               "computed values against the reference closed forms", ("--q", "--K-range")),
     "fit": (cmd_fit, ("json",), "exact polynomial reconstruction of one target",
-            ("--q", "--sign", "--target", "--degree", "--samples")),
+            ("--q", "--sign", "--target", "--samples")),
     "conjecture": (cmd_conjecture, ("json", "markdown-table"),
                    "quadratic-difference report per q", ("--q-list", "--samples")),
     "floer_sim": (cmd_floer_sim, ("json",), "audit transcript of random chain-complex moves",
@@ -353,7 +352,8 @@ def run(config: RunConfig, out=None) -> int:
     cells = _cells(config)
     if config.subcommand == "reps" or config.per_connection:
         check_connection_budget(cells)
-    if config.subcommand != "reps":  # floer-sim has no cells
+    # floer-sim has no cells; only `fit` sets a target, and A or B evaluates no rho
+    if config.subcommand != "reps" and config.target not in ("A", "B"):
         check_kernel_work(cells)
     return _SUBCOMMANDS[config.subcommand][0](config, out or sys.stdout)
 

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 from .errors import NotCoprime
-from .flat_moduli import enumerate_connections
+from .flat_moduli import count_connections, enumerate_connections
 from .polynomial import RationalPoly
 from .seifert import from_surgery
 
@@ -41,12 +41,12 @@ def check_conjecture(q: int, fit_plus: RationalPoly, fit_minus: RationalPoly) ->
     representation count and the Alexander second derivative.
 
     Reports (never asserts): whether fit_plus - fit_minus equals (1/4) N(q) K
-    with N(q) = (q^2 - 1)/4, whether N(q) matches the per-|K| count of
-    irreducible SU(2) representations and |D''(1)| of the (2,q) torus knot,
+    with N(q) = count_connections(q, 1), whether N(q) matches the enumerated
+    irreducible SU(2) representations at K = 1 and |D''(1)| of the (2,q) torus knot,
     and how the as-stated form 'P+ = P- - |K| D''(1)' differs (a factor that
     is flagged, not resolved).
     """
-    n_q = (q * q - 1) // 4
+    n_q = count_connections(q, 1)
     diff = fit_plus - fit_minus
     expected = RationalPoly((0, Fraction(n_q, 4)))
     d2 = second_derivative_at_one(alexander_torus(2, q))

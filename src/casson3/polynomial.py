@@ -1,10 +1,10 @@
 """Laurent polynomials with exact rational coefficients, stored lowest power
-first, and exact polynomial fits checked at every sample beyond the ones
-they interpolate.
+first, and exact polynomial fits of least degree, checked at every sample
+beyond the ones they interpolate.
 
 Exact arithmetic makes "fits exactly or not" decidable, so there is no
-least-squares notion here: a fit either passes through every remaining
-sample or the data is not polynomial of the claimed degree.
+least-squares notion here: the degree is the least one whose fit passes
+through every sample, and a fit that no sample would check is refused.
 """
 from __future__ import annotations
 
@@ -117,30 +117,28 @@ class RationalPoly:
         return " ".join(parts) or "0"
 
 
-def fit_and_verify(values: Mapping[Scalar, Scalar], degree: int) -> RationalPoly:
-    """Fit a degree-`degree` polynomial through the first degree+1 samples
-    (keys sorted ascending, Lagrange form) and require every remaining sample
-    to lie on it exactly; raises DegreeExceeded otherwise.  The caller decides
-    how many samples to check by how many it passes; fewer than degree+1 is
-    a ValueError, and so is a negative degree."""
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    if len(values) < degree + 1:
-        raise ValueError(f"need at least {degree + 1} samples, got {len(values)}")
-    keys = sorted(values)
-    fit_keys, check_keys = keys[: degree + 1], keys[degree + 1:]
+def fit_and_verify(values: Mapping[Scalar, Scalar]) -> RationalPoly:
+    """The least-degree polynomial through the samples.  Its degree d is the
+    first level of Newton divided differences (keys sorted) with two or more
+    entries, all equal: the fit interpolates the first d + 1 samples, and that
+    level checks the rest, in O(samples * d).  The zero polynomial has d = 0.
+    Raises DegreeExceeded if no sample would check the fit, and ValueError
+    for fewer than 2 samples."""
+    if len(values) < 2:
+        raise ValueError(f"need at least 2 samples, got {len(values)}")
+    xs = sorted(values)
+    level = [Fraction(values[x]) for x in xs]
+    newton = []  # f[x_0, ..., x_k]: the first entry of each level k
+    for k in range(len(xs) - 1):
+        newton.append(level[0])
+        if all(v == level[0] for v in level):
+            break
+        level = [(b - a) / (xs[i + k + 1] - xs[i])
+                 for i, (a, b) in enumerate(zip(level, level[1:]))]
+    else:
+        raise DegreeExceeded(f"no polynomial of degree below {len(xs) - 1} passes "
+                             f"through the {len(xs)} samples, so none checks a fit")
     poly = RationalPoly.zero()
-    for xi in fit_keys:
-        basis, denom = RationalPoly((1,)), Fraction(1)
-        for xj in fit_keys:
-            if xj != xi:
-                basis = basis * RationalPoly((-xj, 1))
-                denom *= xi - xj
-        poly = poly + basis * (Fraction(values[xi]) / denom)
-    for k in check_keys:
-        got = poly(k)
-        if got != values[k]:
-            raise DegreeExceeded(
-                f"degree-{degree} fit predicts {got} at {k}, data says {values[k]}"
-            )
+    for x, c in reversed(list(zip(xs, newton))):
+        poly = poly * RationalPoly((-x, 1)) + RationalPoly((c,))
     return poly

@@ -141,12 +141,14 @@ def test_json_payload_is_built_only_for_json(monkeypatch, subcommand, fmt, build
 
 
 def test_fit_json():
-    code, out = run_cli(["fit", "--q", "5", "--sign", "-", "--degree", "2",
-                         "--samples", "5"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["coefficients_low_to_high"] == ["0", "-85/4", "63/2"]
-    assert payload["checked_points"] == 2
+    # the degree is the least that fits, and every sample beyond it is checked
+    for sign, samples, coefficients in (("-", "5", ["0", "-85/4", "63/2"]),
+                                        ("+", "6", ["0", "-79/4", "63/2"])):
+        code, out = run_cli(["fit", "--q", "5", "--sign", sign, "--samples", samples])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["coefficients_low_to_high"] == coefficients
+        assert (payload["degree"], payload["checked_points"]) == (2, int(samples) - 3)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
@@ -161,17 +163,21 @@ def test_fit_cleared_c_and_b_give_the_stored_numerators(q, sign):
     b_num = _TABLE[q]["B"].coeffs
     for target, num in (("C", c_num), ("B", b_num)):
         code, out = run_cli(["fit", "--q", str(q), "--sign", sign, "--target", target,
-                             "--degree", "3", "--samples", "6"])
+                             "--samples", "6"])
         assert code == 0
         payload = json.loads(out)
         assert payload["cleared_by"] == "4q(2qK-1)"
         assert payload["coefficients_low_to_high"] == [str(c) for c in num]
 
 
-def test_fit_wrong_degree_is_computation_error():
-    code, _ = run_cli(["fit", "--q", "3", "--sign", "+", "--degree", "1",
-                       "--samples", "4"])
-    assert code == 1
+def test_unchecked_fit_is_computation_error(capsys):
+    # a cubic through 4 samples, or a quadratic through 2 or 3, leaves no
+    # sample to check the fit
+    for args in (["fit", "--q", "5", "--sign", "+", "--target", "C", "--samples", "4"],
+                 ["conjecture", "--q-list", "3", "--samples", "3"],
+                 ["conjecture", "--samples", "2"]):
+        assert run_cli(args) == (1, ""), args
+        assert "none checks a fit" in capsys.readouterr().err, args
 
 
 def test_conjecture_json():
@@ -234,12 +240,12 @@ def test_usage_errors_exit_2(capsys):
         ["rho", "--q", "3", "--K", "1", "--path", "exact"],
         ["invariants", "--q", "3", "--K-range", "1..1", "--path", "exact"],
         ["table", "--path", "exact"],
-        ["fit", "--q", "3", "--sign", "+", "--degree", "2", "--samples", "3", "--path", "exact"],
+        ["fit", "--q", "3", "--sign", "+", "--samples", "3", "--path", "exact"],
         ["conjecture", "--path", "exact"],
-        ["fit", "--q", "3", "--sign", "+", "--degree", "2", "--samples", "2"],
-        ["fit", "--q", "3", "--sign", "+", "--degree", "-1", "--samples", "2"],
-        ["fit", "--q", "5,3", "--sign", "+", "--degree", "2", "--samples", "5"],
-        ["conjecture", "--samples", "2"],
+        ["fit", "--q", "3", "--sign", "+", "--degree", "2"],
+        ["fit", "--q", "3", "--sign", "+", "--samples", "1"],
+        ["fit", "--q", "5,3", "--sign", "+", "--samples", "5"],
+        ["conjecture", "--samples", "1"],
         ["floer-sim", "--max-dim", "-1"],
         ["floer-sim", "--max-dim", str(MAX_DIM + 1)],
         ["floer-sim", "--moves", "-3"],
@@ -249,11 +255,11 @@ def test_usage_errors_exit_2(capsys):
         ["conjecture", "--q-list", ","],
         # omissions that only RunConfig refuses
         ["reps", "--q", "3"],
-        ["fit", "--q", "5", "--degree", "2"],
-        ["fit", "--sign", "+", "--degree", "2"],
+        ["fit", "--q", "5"],
+        ["fit", "--sign", "+"],
         # a repeated q would print its rows twice
         ["reps", "--q", "3,3", "--K", "1"],
-        ["fit", "--q", "5,5", "--sign", "+", "--degree", "2"],
+        ["fit", "--q", "5,5", "--sign", "+"],
     ):
         with pytest.raises(SystemExit) as exc:
             run_cli(args)
@@ -277,8 +283,7 @@ def test_k_beyond_every_budget_exit_2(capsys):
     for args in (["table", "--K-range", "1..100000000"],
                  ["reps", "--q", "3", "--K", "100001"],
                  ["rho", "--q", "3", "--K", "-100001..1"],
-                 ["fit", "--q", "3", "--sign", "+", "--target", "A", "--degree", "2",
-                  "--samples", "100001"],
+                 ["fit", "--q", "3", "--sign", "+", "--target", "A", "--samples", "100001"],
                  ["conjecture", "--samples", "100001"]):
         code, out, peak = run_traced(args)
         assert (code, out) == (2, ""), args
@@ -294,26 +299,24 @@ def test_config_in_code_matches_command_line():
         (RunConfig("conjecture"), ["conjecture"]),
         (RunConfig("rho", q_list=(5,), k_list=(-1, 1, 2), per_connection=True),
          ["rho", "--q", "5", "--K", "-1..2", "--per-connection"]),
-        (RunConfig("fit", q_list=(5,), sign="-", degree=2),
-         ["fit", "--q", "5", "--sign", "-", "--degree", "2"]),
+        (RunConfig("fit", q_list=(5,), sign="-"), ["fit", "--q", "5", "--sign", "-"]),
     ):
         out = io.StringIO()
         assert run(config, out) == 0
         assert run_cli(args) == (0, out.getvalue()), args
     # a misspelt or removed option is refused, never replaced by its default
     for subcommand, fields in (("floer_sim", {"sed": 3}),
-                               ("rho", {"q_list": (5,), "k_list": (1,), "path": "exact"})):
+                               ("rho", {"q_list": (5,), "k_list": (1,), "path": "exact"}),
+                               ("fit", {"q_list": (5,), "sign": "+", "degree": 2})):
         with pytest.raises(TypeError):
             RunConfig(subcommand, **fields)
     for subcommand, fields in (("reps", {}), ("rho", {"q_list": (3,)}),
                                ("invariants", {"k_list": (1,)}),
-                               ("fit", {"q_list": (3,), "degree": 2}),
-                               ("fit", {"q_list": (3,), "sign": "+"}),
-                               ("fit", {"q_list": (5,), "sign": "+", "degree": 4,
-                                        "target": "b"}),
+                               ("fit", {"q_list": (3,)}),
+                               ("fit", {"q_list": (5,), "sign": "+", "target": "b"}),
                                ("reps", {"q_list": (3, 3), "k_list": (1,)}),
                                ("rho", {"q_list": (3,), "k_list": (1, 1)}),
-                               ("fit", {"q_list": (5, 5), "sign": "+", "degree": 2}),
+                               ("fit", {"q_list": (5, 5), "sign": "+"}),
                                ("floer_sim", {"max_dim": MAX_DIM + 1}),
                                ("floer_sim", {"moves": MAX_MOVES + 1}),
                                ("bogus", {}),
@@ -360,14 +363,17 @@ def test_request_budget_exit_1(capsys, monkeypatch):
     for args in (["rho", "--q", "3", "--K", "8990..9000"],  # 1.1e10 units
                  ["table", "--q", "3", "--K-range", "1..9000"],
                  ["conjecture", "--q-list", "9", "--samples", "2000"],
-                 ["fit", "--q", "3", "--sign", "+", "--target", "C", "--degree", "3",
-                  "--samples", "9000"]):
+                 ["fit", "--q", "3", "--sign", "+", "--target", "C", "--samples", "9000"]):
         t0 = time.perf_counter()
         code, out, peak = run_traced(args)
         assert (code, out) == (1, ""), args
         assert time.perf_counter() - t0 < 1.0, args
         assert peak < 5_000_000, args
         assert "kernel work" in capsys.readouterr().err, args
+    # A reads its stored form and evaluates no rho, so 4.0e9 units of kernel
+    # work at 1000 samples do not stop it
+    assert run_cli(["fit", "--q", "3", "--sign", "+", "--target", "A",
+                    "--samples", "1000"])[0] == 0
     monkeypatch.undo()
     # 20 000 connections: the connection budget alone bounds reps
     assert run_cli(["reps", "--q", "3", "--K", "10000"])[0] == 0

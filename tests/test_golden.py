@@ -10,7 +10,7 @@ The commands (file name: arguments) are
     invariants_json:          invariants --q 3,5 --K-range -3..3 --format json
     rho:                      rho --q 3,5,7,9 --K -4..4
     fit_A / fit_B / fit_C / fit_Lambda:
-                              fit --q 5 --sign + --target T --degree D --samples 6
+                              fit --q 5 --sign + --target T --samples 6
     conjecture:               conjecture
     conjecture_markdown:      conjecture --q-list 3,5 --samples 4 --format markdown-table
     reps:                     reps --q 5 --K -2..2
@@ -38,14 +38,10 @@ COMMANDS = {
                             "--format", "markdown-table"],
     "invariants_json": ["invariants", "--q", "3,5", "--K-range", "-3..3", "--format", "json"],
     "rho": ["rho", "--q", "3,5,7,9", "--K", "-4..4"],
-    "fit_A": ["fit", "--q", "5", "--sign", "+", "--target", "A", "--degree", "2",
-              "--samples", "6"],
-    "fit_B": ["fit", "--q", "5", "--sign", "+", "--target", "B", "--degree", "3",
-              "--samples", "6"],
-    "fit_C": ["fit", "--q", "5", "--sign", "+", "--target", "C", "--degree", "3",
-              "--samples", "6"],
-    "fit_Lambda": ["fit", "--q", "5", "--sign", "+", "--target", "Lambda", "--degree", "2",
-                   "--samples", "6"],
+    "fit_A": ["fit", "--q", "5", "--sign", "+", "--target", "A", "--samples", "6"],
+    "fit_B": ["fit", "--q", "5", "--sign", "+", "--target", "B", "--samples", "6"],
+    "fit_C": ["fit", "--q", "5", "--sign", "+", "--target", "C", "--samples", "6"],
+    "fit_Lambda": ["fit", "--q", "5", "--sign", "+", "--target", "Lambda", "--samples", "6"],
     "conjecture": ["conjecture"],
     "conjecture_markdown": ["conjecture", "--q-list", "3,5", "--samples", "4",
                             "--format", "markdown-table"],

@@ -62,7 +62,7 @@ def test_second_derivative_values():
 def _fits(q):
     plus = {K: reference_Lambda(q, K) for K in range(1, 7)}
     minus = {K: reference_Lambda(q, K) for K in range(-6, 0)}
-    return fit_and_verify(plus, 2), fit_and_verify(minus, 2)
+    return fit_and_verify(plus), fit_and_verify(minus)
 
 
 def test_conjecture_report_q3():
