@@ -5,6 +5,12 @@ The correction term of a complex is sum_p (-1)^p rank(d: C_{p+1} -> C_p); it
 is invariant under isotopy and handle slides, jumps by +(-1)^p at a birth in
 degrees (p, p+1), and by -(-1)^p at the matching death.
 
+A complex is frozen, so it computes the ranks of its 8 boundary maps once
+(`Z2ChainComplex.ranks`) and the correction term and the homology ranks both
+read them.  The constructor checks d.d = 0 on all 8 products; a move starts
+from a checked complex and changes 2 or 3 consecutive maps, so it re-checks
+only the 3 or 4 products those maps enter.
+
 Gradings:  mu_nat(e) = 2 e^2/a + sum_i (2/a_i) S(a/a_i, e, a_i) is an exact
 integer for a flat connection with invariant e on the naturally oriented
 sphere (it reproduces the classical {1, 5} for Sigma(2,3,5)).  With the
@@ -26,6 +32,7 @@ parity, so every boundary map vanishes and the correction term is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from random import Random
 from typing import Iterable, Optional
 
@@ -91,7 +98,18 @@ class GF2Matrix:
         return GF2Matrix(tuple(cols), self.nrows)
 
     def rank(self) -> int:
-        return len(_rref_pivots(self.rows))
+        """Size of an echelon basis of the rows; unlike `nullspace`, it
+        needs no back-substitution."""
+        basis: dict[int, int] = {}  # lowest set bit -> echelon row
+        for r in self.rows:
+            while r:
+                low = r & -r
+                pivot = basis.get(low)
+                if pivot is None:
+                    basis[low] = r
+                    break
+                r ^= pivot
+        return len(basis)
 
 
 def _rref_pivots(rows: Iterable[int]) -> dict[int, int]:
@@ -142,14 +160,37 @@ class Z2ChainComplex:
     def __post_init__(self):
         if len(self.boundary) != 8:
             raise ValueError("need exactly 8 boundary maps")
-        dims = tuple(M.ncols for M in self.boundary)
-        object.__setattr__(self, "dims", dims)
-        for p, M in enumerate(self.boundary):
-            if M.nrows != dims[p - 1]:
-                raise ValueError(f"boundary[{p}] has {M.nrows} rows, want {dims[p - 1]}")
-        for p in range(8):
-            if not self.boundary[p].mul(self.boundary[(p + 1) % 8]).is_zero():
-                raise ValueError(f"d. d != 0 at degree {(p + 1) % 8}")
+        object.__setattr__(self, "dims", tuple(M.ncols for M in self.boundary))
+        self._check(range(8))
+
+    @classmethod
+    def _after_move(cls, boundary: tuple[GF2Matrix, ...],
+                    touched: tuple[int, ...]) -> "Z2ChainComplex":
+        """The complex a move makes from a checked one by changing only the
+        maps in `touched`: every other d.d product is one already checked."""
+        cc = object.__new__(cls)
+        object.__setattr__(cc, "boundary", boundary)
+        object.__setattr__(cc, "dims", tuple(M.ncols for M in boundary))
+        cc._check(touched)
+        return cc
+
+    def _check(self, maps: Iterable[int]) -> None:
+        """Row counts of the given maps, then d.d = 0 on every product
+        boundary[k] boundary[k+1] that one of them enters."""
+        bnd, dims = self.boundary, self.dims
+        products = set()
+        for p in maps:
+            if bnd[p].nrows != dims[p - 1]:
+                raise ValueError(f"boundary[{p}] has {bnd[p].nrows} rows, want {dims[p - 1]}")
+            products.update(((p - 1) % 8, p))
+        for k in sorted(products):
+            if not bnd[k].mul(bnd[(k + 1) % 8]).is_zero():
+                raise ValueError(f"d. d != 0 at degree {(k + 1) % 8}")
+
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        """rank(boundary[p]) for p = 0..7, computed once per complex."""
+        return tuple(M.rank() for M in self.boundary)
 
 
 def zero_complex(dims: tuple[int, ...]) -> Z2ChainComplex:
@@ -158,11 +199,11 @@ def zero_complex(dims: tuple[int, ...]) -> Z2ChainComplex:
 
 def floer_correction(cc: Z2ChainComplex) -> int:
     """sum_p (-1)^p rank(d: C_{p+1} -> C_p)."""
-    return sum((-1) ** p * cc.boundary[(p + 1) % 8].rank() for p in range(8))
+    return sum(cc.ranks[1::2]) - sum(cc.ranks[0::2])
 
 
 def homology_ranks(cc: Z2ChainComplex) -> tuple[int, ...]:
-    ranks = [M.rank() for M in cc.boundary]
+    ranks = cc.ranks
     return tuple(cc.dims[p] - ranks[p] - ranks[(p + 1) % 8] for p in range(8))
 
 
@@ -226,7 +267,7 @@ def apply_move(cc: Z2ChainComplex, mv: MorseMove) -> Z2ChainComplex:
         new_rows = list(N.rows)
         new_rows[t] ^= new_rows[s]  # row t += row s
         bnd[up] = GF2Matrix(tuple(new_rows), N.ncols)
-        return Z2ChainComplex(tuple(bnd))
+        return Z2ChainComplex._after_move(tuple(bnd), (p, up))
 
     if mv.kind == "birth":
         up, up2 = (p + 1) % 8, (p + 2) % 8
@@ -235,7 +276,7 @@ def apply_move(cc: Z2ChainComplex, mv: MorseMove) -> Z2ChainComplex:
         bnd[up] = GF2Matrix(new_rows, M.ncols + 1)
         bnd[p] = GF2Matrix(bnd[p].rows, bnd[p].ncols + 1)  # df = 0
         bnd[up2] = GF2Matrix(bnd[up2].rows + (0,), bnd[up2].ncols)  # nothing else hits e
-        return Z2ChainComplex(tuple(bnd))
+        return Z2ChainComplex._after_move(tuple(bnd), (p, up, up2))
 
     # death
     up, up2 = (p + 1) % 8, (p + 2) % 8
@@ -250,7 +291,7 @@ def apply_move(cc: Z2ChainComplex, mv: MorseMove) -> Z2ChainComplex:
     bnd[up] = M2
     bnd[p] = _delete_col(bnd[p], f)
     bnd[up2] = _delete_row(bnd[up2], e)
-    return Z2ChainComplex(tuple(bnd))
+    return Z2ChainComplex._after_move(tuple(bnd), (p, up, up2))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +332,7 @@ def random_move(rng: Random, cc: Z2ChainComplex) -> MorseMove:
     slide_degrees = [p for p in range(8) if cc.dims[p] >= 2]
     if slide_degrees:
         kinds.append("handle_slide")
-    death_degrees = [p for p in range(8) if not cc.boundary[(p + 1) % 8].is_zero()]
+    death_degrees = [p for p in range(8) if any(cc.boundary[(p + 1) % 8].rows)]
     if death_degrees:
         kinds.append("death")
     kind = rng.choice(kinds)
@@ -305,7 +346,12 @@ def random_move(rng: Random, cc: Z2ChainComplex) -> MorseMove:
         return MorseMove("handle_slide", p=p, pair=(s, t))
     p = rng.choice(death_degrees)
     M = cc.boundary[(p + 1) % 8]
-    pairs = [(i, j) for i in range(M.nrows) for j in range(M.ncols) if M.entry(i, j)]
+    pairs = []  # the set entries, row by row, each row's in ascending column
+    for i, r in enumerate(M.rows):
+        while r:
+            low = r & -r
+            pairs.append((i, low.bit_length() - 1))
+            r ^= low
     return MorseMove("death", p=p, pair=rng.choice(pairs))
 
 

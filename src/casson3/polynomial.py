@@ -16,6 +16,12 @@ from .errors import DegreeExceeded
 
 Scalar = Union[int, Fraction]
 
+# Highest degree `fit_and_verify` tries.  Its targets are at most cubic in K
+# (Lambda and A quadratic, the cleared B and C cubic), and samples that lie
+# on no low-degree polynomial would otherwise build every divided-difference
+# level, O(samples^2) growing fractions, before being refused.
+MAX_FIT_DEGREE = 8
+
 
 @dataclass(frozen=True)
 class RationalPoly:
@@ -122,20 +128,24 @@ def fit_and_verify(values: Mapping[Scalar, Scalar]) -> RationalPoly:
     first level of Newton divided differences (keys sorted) with two or more
     entries, all equal: the fit interpolates the first d + 1 samples, and that
     level checks the rest, in O(samples * d).  The zero polynomial has d = 0.
-    Raises DegreeExceeded if no sample would check the fit, and ValueError
-    for fewer than 2 samples."""
+    Raises DegreeExceeded if no sample would check the fit or d would exceed
+    MAX_FIT_DEGREE, and ValueError for fewer than 2 samples."""
     if len(values) < 2:
         raise ValueError(f"need at least 2 samples, got {len(values)}")
     xs = sorted(values)
     level = [Fraction(values[x]) for x in xs]
     newton = []  # f[x_0, ..., x_k]: the first entry of each level k
-    for k in range(len(xs) - 1):
+    capped = len(xs) - 2 > MAX_FIT_DEGREE
+    for k in range(MAX_FIT_DEGREE + 1 if capped else len(xs) - 1):
         newton.append(level[0])
         if all(v == level[0] for v in level):
             break
         level = [(b - a) / (xs[i + k + 1] - xs[i])
                  for i, (a, b) in enumerate(zip(level, level[1:]))]
     else:
+        if capped:
+            raise DegreeExceeded(f"no polynomial of degree at most {MAX_FIT_DEGREE} "
+                                 f"(MAX_FIT_DEGREE) passes through the {len(xs)} samples")
         raise DegreeExceeded(f"no polynomial of degree below {len(xs) - 1} passes "
                              f"through the {len(xs)} samples, so none checks a fit")
     poly = RationalPoly.zero()

@@ -12,6 +12,7 @@ from casson3.floer import (
     GF2Matrix,
     MorseMove,
     Z2ChainComplex,
+    _rref_pivots,
     apply_move,
     build_floer_complex,
     dual_reflect,
@@ -58,6 +59,7 @@ def test_rank_against_row_space_oracle():
             span |= {v ^ r for v in span}
         assert len(span) == 2 ** rank
         assert M.transpose().rank() == rank
+        assert rank == len(_rref_pivots(M.rows))
         basis = nullspace(M)
         assert rank + len(basis) == ncols
         assert all(bin(r & v).count("1") % 2 == 0 for r in M.rows for v in basis)
@@ -103,6 +105,24 @@ def test_d_squared_validation():
     bnd[2] = _matrix([[1]])
     with pytest.raises(ValueError):
         Z2ChainComplex(tuple(bnd))
+
+
+def test_touched_check_refuses_a_bad_map():
+    # d = 1 out of every even degree, 0 out of every odd one: d.d = 0
+    good = [_matrix([[1]]) if p % 2 == 0 else GF2Matrix.zero(1, 1) for p in range(8)]
+    Z2ChainComplex(tuple(good))
+    for u in range(1, 8, 2):
+        bad = list(good)
+        bad[u] = _matrix([[1]])  # now boundary[u-1] boundary[u] != 0
+        with pytest.raises(ValueError) as full:
+            Z2ChainComplex(tuple(bad))
+        for touched in ((u,), (u, (u + 1) % 8), ((u - 1) % 8, u, (u + 1) % 8)):
+            with pytest.raises(ValueError, match=f"d. d != 0 at degree {u}$") as part:
+                Z2ChainComplex._after_move(tuple(bad), touched)
+            assert str(part.value) == str(full.value)
+        bad[u] = GF2Matrix.zero(2, 1)  # rows must match dims[u-1] = 1
+        with pytest.raises(ValueError, match=f"boundary\\[{u}\\] has 2 rows"):
+            Z2ChainComplex._after_move(tuple(bad), (u,))
 
 
 def test_dims_are_read_off_the_maps():
@@ -166,7 +186,9 @@ def test_move_fuzz():
         corr = floer_correction(cc)
         for _ in range(rng.randint(3, 6)):
             mv = random_move(rng, cc)
-            cc = apply_move(cc, mv)  # constructor re-checks d.d = 0
+            cc = apply_move(cc, mv)  # re-checks d.d = 0 on the products the move touched
+            assert Z2ChainComplex(cc.boundary) == cc  # the full check passes too
+            assert cc.ranks == tuple(M.rank() for M in cc.boundary)
             new_corr = floer_correction(cc)
             if mv.kind in ("isotopy", "handle_slide"):
                 assert new_corr == corr, mv

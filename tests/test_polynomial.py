@@ -3,6 +3,7 @@ tests of RationalPoly and fit_and_verify, including fits of Lambda and C."""
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from casson3.assembly import reference_Lambda
 from casson3.dedekind import c_correction
 from casson3.errors import DegreeExceeded
-from casson3.polynomial import RationalPoly, fit_and_verify
+from casson3.polynomial import MAX_FIT_DEGREE, RationalPoly, fit_and_verify
 from casson3.seifert import from_surgery
 
 _PROPERTY = settings(max_examples=30, deadline=None)
@@ -127,6 +128,27 @@ def test_needs_enough_samples():
     for values in ({}, {1: 1}):
         with pytest.raises(ValueError):
             fit_and_verify(values)
+
+
+def test_fit_stops_at_max_degree():
+    # a polynomial of degree MAX_FIT_DEGREE still fits; one degree more is
+    # refused although enough samples would check it
+    top = RationalPoly((3,) + (0,) * (MAX_FIT_DEGREE - 1) + (1,))
+    assert fit_and_verify({x: top(x) for x in range(MAX_FIT_DEGREE + 4)}) == top
+    over = top * RationalPoly((0, 1))
+    with pytest.raises(DegreeExceeded, match=f"degree at most {MAX_FIT_DEGREE}"):
+        fit_and_verify({x: over(x) for x in range(MAX_FIT_DEGREE + 4)})
+
+
+def test_fit_refuses_random_samples_quickly():
+    # samples on no low-degree polynomial cost MAX_FIT_DEGREE + 1 levels, not
+    # one level per sample
+    rng = random.Random(1000)
+    values = {x: rng.randint(-1000, 1000) for x in range(1000)}
+    t0 = time.perf_counter()
+    with pytest.raises(DegreeExceeded, match="MAX_FIT_DEGREE"):
+        fit_and_verify(values)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_fit_lambda_q3():
