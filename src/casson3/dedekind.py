@@ -35,16 +35,19 @@ equals the integer one (ConventionMismatch otherwise).
                 N(s) = sum_r p_r p_{(-A r - e s) mod n} and
                 p = [n-1, 1, 3, ..., 2n-3].
 
-The integer kernel never forms that convolution.  Expanding the residue
-(-A r - e s) mod n through a floor leaves a polynomial part in closed form,
-two boundary terms and one weighted floor sum sum_r (2r-1) floor((-A r -
-e s)/n), i.e. a weighted count of lattice points under a line.
-`floor_sums` evaluates it with a Euclid-like recursion, the reciprocity
-step behind Dedekind sums (Rademacher 1964; Knuth, TAOCP vol. 2, 3.3.3),
-so `cot_sum_numerator` returns M in O(log n) integer operations.
-``cot_sum_exact`` (M as the rational S) and ``cot_sum_lattice`` (the same
-floor sum counted term by term in O(n)) are reference wrappers for the
-tests; no computation calls them.
+The integer kernel never forms that convolution per residue.  Every residue
+of a fiber (A, n) draws on one G(t) = sum_r p_r p_{(t - A r) mod n}, since
+N(s) = G(-e s), so `_numerator_table` fills M for all n residues in O(n)
+from the exact differences of G, and `cot_sum_numerator` is an O(1)
+lookup.  ``cot_sum_exact`` (M as the rational S) and
+``cot_sum_lattice`` are independent references for the tests; no
+computation calls them.  Both expand the residue (-A r - e s) mod n through
+a floor, which leaves a polynomial part in closed form, two boundary terms
+and one weighted floor sum sum_r (2r-1) floor((-A r - e s)/n), i.e. a
+weighted count of lattice points under a line.  ``cot_sum_exact`` evaluates
+it in O(log n) with the Euclid-like recursion of `floor_sums`, the
+reciprocity step behind Dedekind sums (Rademacher 1964; Knuth, TAOCP vol. 2,
+3.3.3); ``cot_sum_lattice`` counts it term by term in O(n).
 
 The exact arithmetic stays in integers until one Fraction per connection.
 With a = a1*a2*a3 and M_i the numerator of fiber i,
@@ -58,22 +61,24 @@ one Fraction per sphere.  The float cross-check compares exact and float in
 integers from `float.as_integer_ratio`.
 
 Each fiber's kernel call is made on the residues (a/a_i mod a_i, e mod a_i,
-a_i), and both the integer and the float kernel are memoised on them in
-bounded caches (`_kernels.CACHE_SIZE` entries): the invariant e is unique
-per connection, but its residue mod a_3 repeats, so most calls of a sweep
-are cache hits.  A float miss evaluates no trig function: it gathers from
-per-modulus cot and sin tables, which a smaller bounded cache keeps for the
-few moduli a_i of recent spheres (`_kernels.TABLE_CACHE_SIZE`).
+a_i).  The invariant e is unique per connection, but every residue of a
+fiber draws on the same data, so both kernels build it once per fiber and
+keep the last `_kernels.TABLE_CACHE_SIZE` fibers: the integer table of M,
+and the float kernel's sines and cotangent weights.  A float value is also
+memoised on its residues (`_kernels.CACHE_SIZE` entries).
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from . import _kernels
-from .errors import ConventionMismatch, SnapFailure
+from .errors import ConventionMismatch, SnapFailure, TooManyConnections
 from .flat_moduli import FlatConnection, check_kernel_work, enumerate_connections
 from .seifert import BrieskornSphere, from_surgery
 
@@ -170,33 +175,47 @@ def _cot_sum_numerator(A: int, e: int, n: int, weighted_floor_sum) -> int:
     return 2 * N(0) - N(1) - N(-1)
 
 
-@lru_cache(maxsize=_kernels.CACHE_SIZE)
-def cot_sum_numerator(A: int, e: int, n: int) -> int:
-    """The integer M = -4n * S(A, e, n), in O(log n) integer operations.
+@lru_cache(maxsize=_kernels.TABLE_CACHE_SIZE)
+def _numerator_table(A: int, n: int) -> array:
+    """M(e) = -4n * S(A, e, n) for every residue 0 <= e < n, in O(n).
 
-    The weighted floor sum inside N(s) is evaluated by the Euclid-like
-    recursion of `floor_sums`; the rest of N(s) is closed form.  Requires
-    gcd(A, n) = 1, which every caller meets because the multiplicities of a
-    Brieskorn sphere are pairwise coprime.  Memoised on its arguments, which
-    callers pass as the residues (A mod n, e mod n, n).
+    M(e) = 2 G(0) - G(e) - G(-e) needs only D(t) = G(t) - G(0), and since
+    p_{k+1} - p_k = 2 except at k = 0 and k = n - 1, G(t+1) - G(t) =
+    2n(n-1) - n (p_{t/A} + p_{(t+1)/A}), indices mod n.  |D|, |M| <= 8n^3 <
+    2^63 for n < 2^20 (the connection budget allows a3 <= 600 001), so the
+    int64 steps are exact; a larger n is refused.
     """
-    return _cot_sum_numerator(A, e, n, _weighted_floor_sum_euclid)
+    if n >= 2 ** 20:
+        raise TooManyConnections(f"modulus {n} is past the int64 range of the numerator table")
+    p = np.arange(-1, 2 * n - 2, 2, dtype=np.int64)
+    p[0] = n - 1
+    r = np.arange(n, dtype=np.int64)
+    hit = p[r * pow(A, -1, n) % n]  # p_{t/A} for t = 0..n-1
+    D = np.cumsum(np.r_[0, 2 * n * (n - 1) - n * (hit[:-1] + hit[1:])])
+    return array("q", (-D - D[-r % n]).tobytes())
+
+
+def cot_sum_numerator(A: int, e: int, n: int) -> int:
+    """The integer M = -4n * S(A, e, n), read off the table of the fiber
+    (A mod n, n) as a Python int, so the caller's products never overflow.
+    Requires gcd(A, n) = 1, which every caller meets because the
+    multiplicities of a Brieskorn sphere are pairwise coprime."""
+    return _numerator_table(A % n, n)[e % n]
 
 
 @lru_cache(maxsize=_kernels.CACHE_SIZE)
 def cot_sum_exact(A: int, e: int, n: int) -> Fraction:
-    """S(A, e, n) = -M / (4n) as a rational: a reference wrapper for the tests
-    and the kernel benchmark, which no computation calls.  It evaluates M
-    afresh, so clearing its cache times the whole kernel."""
+    """S(A, e, n) = -M / (4n) as a rational, M from the floor-sum recursion: a
+    reference for the tests and the kernel benchmark, which no computation
+    calls.  It evaluates M afresh, so clearing its cache times the whole kernel."""
     return Fraction(-_cot_sum_numerator(A, e, n, _weighted_floor_sum_euclid), 4 * n)
 
 
 @lru_cache(maxsize=_kernels.CACHE_SIZE)
 def cot_sum_lattice(A: int, e: int, n: int) -> Fraction:
     """S(A, e, n) with the weighted floor sum counted term by term in O(n): a
-    reference wrapper that checks the floor-sum recursion of
-    `cot_sum_numerator`, with which it shares every other step.  Requires
-    gcd(A, n) = 1."""
+    reference wrapper that checks the floor-sum recursion of `cot_sum_exact`,
+    with which it shares every other step.  Requires gcd(A, n) = 1."""
     return Fraction(-_cot_sum_numerator(A, e, n, _weighted_floor_sum_loop), 4 * n)
 
 

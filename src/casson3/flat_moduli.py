@@ -21,17 +21,20 @@ MAX_CONNECTIONS and MAX_KERNEL_WORK.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import TooManyConnections
 from .seifert import BrieskornSphere, check_surgery, from_surgery
 
-# About 54 MB of connections at some 270 bytes each.
+# About 54 MB of connections at some 270 bytes each; the memo of
+# `enumerate_connections` keeps one such enumeration.
 MAX_CONNECTIONS = 200_000
 
-# About a minute: a connection's float kernel sums a3 - 1 terms whose residues
-# barely repeat, and on a 2-core x86 VM C took 23-39 ns a unit up to
-# (3, +-4000), 1.9e8 units, and 60 s at (3, 9128), 1.0e9 units.
+# Under a minute: a connection's float kernel sums a3 - 1 terms whose residues
+# barely repeat, and on a 2-core x86 VM C took 9-10 ns a unit at (3, +-4000),
+# 1.9e8 units, 18 ns at (3, 8000), and 41 s at (3, 9128), 1.0e9 units, where
+# more than 2^14 residues make the float memo miss twice per connection.
 MAX_KERNEL_WORK = 10 ** 9
 
 
@@ -58,12 +61,21 @@ def is_admissible(X: BrieskornSphere, L2: int, L3: int) -> bool:
     return twice_bound_num < 2 * a2 * L3 < 2 * a2 * a3 - twice_bound_num
 
 
-def enumerate_connections(X: BrieskornSphere) -> list[FlatConnection]:
+def enumerate_connections(X: BrieskornSphere) -> tuple[FlatConnection, ...]:
     """All admissible triples, sorted by (L2, L3), with t ranking L3 within L2.
 
     Raises TooManyConnections when there would be more than MAX_CONNECTIONS.
+    The last sphere's enumeration is memoised, so the aggregates of C and the
+    Floer gradings share one; the budget is checked on every call.
     """
     check_connection_budget([(X.q, X.K)])
+    return _enumerate(X, is_admissible)
+
+
+@lru_cache(maxsize=1)
+def _enumerate(X: BrieskornSphere, admissible) -> tuple[FlatConnection, ...]:
+    """Keyed on the admissibility test too, so a rebound `is_admissible` is
+    never answered from the memo of another."""
     k, m = abs(X.K), (X.q - 1) // 2
     a1, a2, a3 = X.a
     a = X.fiber_product
@@ -73,12 +85,12 @@ def enumerate_connections(X: BrieskornSphere) -> list[FlatConnection]:
             continue
         t = 0
         for L3 in range(2 - k % 2, a3, 2):  # L3 = k (mod 2)
-            if not is_admissible(X, L2, L3):
+            if not admissible(X, L2, L3):
                 continue
             t += 1
             e = (a // a1) + L2 * (a // a2) + L3 * (a // a3)
             out.append(FlatConnection(L=(1, L2, L3), t_index=t, e=e, host=X))
-    return out
+    return tuple(out)
 
 
 def check_connection_budget(cells: Sequence[tuple[int, int]]) -> None:

@@ -25,8 +25,14 @@ from casson3.dedekind import (
     snap_rho,
     verify_convention,
 )
-from casson3.errors import ConventionMismatch, SnapFailure, TooManyConnections
+from casson3.errors import (
+    ConventionMismatch,
+    GradingFormulaUnavailable,
+    SnapFailure,
+    TooManyConnections,
+)
 from casson3.flat_moduli import enumerate_connections
+from casson3.floer import r_invariant
 from casson3.seifert import from_surgery, reverse_orientation
 
 
@@ -78,6 +84,25 @@ def _coprime_args(draw, max_n):
     return A, e, n
 
 
+def _assert_table_matches_references(A, n, lattice_residues):
+    """The O(n) table, the O(log n) floor-sum recursion and the O(n) floor
+    loop are three derivations of M = -4n S(A, e, n)."""
+    table = dedekind._numerator_table.__wrapped__(A % n, n)
+    assert len(table) == n
+    for e in range(n):
+        M = cot_sum_numerator(A, e, n)
+        assert type(M) is int
+        assert M == table[e] == -4 * n * cot_sum_exact.__wrapped__(A, e, n), (A, e, n)
+    for e in lattice_residues:
+        assert table[e % n] == -4 * n * cot_sum_lattice.__wrapped__(A, e, n), (A, e, n)
+
+
+def _units(n, count, seed):
+    rng = random.Random(seed)
+    units = [A for A in range(1, n) if math.gcd(A, n) == 1]
+    return rng.sample(units, min(count, len(units)))
+
+
 _PROPERTY = settings(deadline=None, max_examples=60)
 
 
@@ -100,10 +125,10 @@ def test_exact_kernel_matches_convolution_and_lattice(args):
 @_PROPERTY
 @given(_coprime_args(3000))
 def test_integer_kernel_is_minus_4n_times_the_reference_wrappers(args):
-    n = args[2]
-    M = cot_sum_numerator(*args)
-    assert isinstance(M, int)
-    assert M == -4 * n * cot_sum_exact(*args) == -4 * n * cot_sum_lattice(*args)
+    # every residue of the drawn fiber against the recursion, the drawn one
+    # against the loop too
+    A, e, n = args
+    _assert_table_matches_references(A, n, [e])
 
 
 @settings(deadline=None, max_examples=25)
@@ -138,24 +163,77 @@ def test_table_kernel_is_bit_identical_to_trig_at_fixed_moduli(n):
 
 
 def test_kernel_caches_stay_bounded():
-    # distinct raw keys at n = 7 are cheap to evaluate; overfill each cache
-    caches = (cot_sum_numerator, cot_sum_exact, cot_sum_lattice, _kernels.cot_sum)
+    # the per-residue memos: distinct raw keys at n = 7 are cheap to evaluate
+    memos = (cot_sum_exact, cot_sum_lattice, _kernels.cot_sum)
+    # the per-fiber tables, integer and float: one entry per distinct (A, n)
+    tables = (dedekind._numerator_table, _kernels._fiber)
     try:
-        for cache in caches:
+        for memo in memos:
             for e in range(_kernels.CACHE_SIZE + 100):
-                cache(3, e, 7)
-            info = cache.cache_info()
+                memo(3, e, 7)
+            info = memo.cache_info()
             assert info.maxsize == _kernels.CACHE_SIZE
             assert info.currsize <= info.maxsize
-        # the per-modulus trig tables: one entry per distinct n
         for n in range(2, _kernels.TABLE_CACHE_SIZE + 12):
-            _kernels.cot_sum_numpy(1, 1, n)
-        info = _kernels._tables.cache_info()
-        assert info.maxsize == _kernels.TABLE_CACHE_SIZE
-        assert info.currsize <= info.maxsize
+            for A in (1, n - 1):
+                cot_sum_numerator(A, 1, n)
+                _kernels.cot_sum_numpy(A, 1, n)
+        for table in tables:
+            info = table.cache_info()
+            assert info.maxsize == _kernels.TABLE_CACHE_SIZE
+            assert info.currsize <= info.maxsize
+            assert info.misses > _kernels.TABLE_CACHE_SIZE
     finally:
-        for cache in (*caches, _kernels._tables):
+        for cache in (*memos, *tables):
             cache.cache_clear()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 9, 1009, 1399])
+def test_numerator_table_on_every_residue(n):
+    # every residue against the recursion; against the loop, every residue of
+    # the small moduli and a spread of the large ones
+    rng = random.Random(n)
+    for A in _units(n, 3, n):
+        loop = range(n) if n < 10 else [0, 1, n - 1, n // 2] + rng.sample(range(n), 16)
+        _assert_table_matches_references(A, n, loop)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [1009, 1399])
+def test_numerator_table_matches_the_loop_on_every_residue(n):
+    _assert_table_matches_references(_units(n, 1, n)[0], n, range(n))
+
+
+def test_numerator_table_refuses_a_modulus_past_int64():
+    # 8 n^3 reaches 2^63 at n = 2^20; the largest modulus below is still exact
+    n = 2 ** 20 - 1
+    assert cot_sum_numerator(2, n // 2, n) == -4 * n * cot_sum_exact.__wrapped__(2, n // 2, n)
+    dedekind._numerator_table.cache_clear()
+    with pytest.raises(TooManyConnections, match="int64"):
+        cot_sum_numerator(1, 5, 2 ** 20)
+
+
+def test_a_corrupt_numerator_table_is_refused():
+    # one wrong entry of the integer table moves rho by 1/n^2, far past the
+    # float cross-check's bound, and leaves 2 a^2 mu off by (a/n)^2, which
+    # 2 a^2 cannot divide
+    X = from_surgery(5, -2)
+    prod = X.fiber_product
+    try:
+        for c in enumerate_connections(X)[:4]:
+            for n in X.a:
+                table = dedekind._numerator_table((prod // n) % n, n)
+                table[c.e % n] += 1
+                try:
+                    with pytest.raises(ConventionMismatch):
+                        rho_adjoint(c)
+                    with pytest.raises(GradingFormulaUnavailable):
+                        r_invariant(X.a, c.e)
+                finally:
+                    table[c.e % n] -= 1
+    finally:
+        dedekind._numerator_table.cache_clear()
+    assert rho_adjoint(c).exact == dedekind._rho_exact(X, c.e)
 
 
 def test_kernel_paths_agree_randomized():

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from casson3 import flat_moduli
+from casson3.dedekind import c_correction
 from casson3.errors import InvalidSurgery, TooManyConnections
 from casson3.flat_moduli import (
     check_connection_budget,
@@ -11,6 +12,7 @@ from casson3.flat_moduli import (
     enumerate_connections,
     is_admissible,
 )
+from casson3.floer import build_floer_complex
 from casson3.seifert import from_surgery, reverse_orientation
 
 from tabledata import expected_rows
@@ -140,3 +142,31 @@ def test_count_connections_validation():
         count_connections(4, 1)
     with pytest.raises(InvalidSurgery):
         count_connections(3, 0)
+
+
+def test_enumeration_memo_serves_the_last_sphere(monkeypatch):
+    for X in (from_surgery(7, 3), reverse_orientation(from_surgery(7, 3))):
+        fresh = flat_moduli._enumerate.__wrapped__(X, is_admissible)
+        memo = enumerate_connections(X)
+        assert type(memo) is tuple and type(fresh) is tuple
+        assert memo == fresh and all(c.host == X for c in memo)
+        assert enumerate_connections(X) is memo
+    # the budget is checked before the memo is read
+    monkeypatch.setattr(flat_moduli, "MAX_CONNECTIONS", len(memo) - 1)
+    with pytest.raises(TooManyConnections):
+        enumerate_connections(X)
+    monkeypatch.undo()
+    # a rebound admissibility test is never answered from the memo
+    monkeypatch.setattr(flat_moduli, "is_admissible", lambda X, L2, L3: False)
+    assert enumerate_connections(X) == ()
+    monkeypatch.undo()
+    assert enumerate_connections(X) == memo
+
+
+def test_one_enumeration_serves_c_and_the_gradings():
+    X = from_surgery(9, -5)
+    flat_moduli._enumerate.cache_clear()
+    c_correction(X)
+    build_floer_complex(X)
+    info = flat_moduli._enumerate.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
