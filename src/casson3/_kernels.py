@@ -20,13 +20,13 @@ import numpy as np
 
 EPS = float(np.finfo(np.float64).eps)
 
-# maxsize of every per-residue cotangent-sum memo; one pass of the 96-cell
-# q <= 9, |K| <= 12 table fills 3141 entries of the float kernel's memo, the
-# four table-deep cells about 2000, and the |K| <= 40 table needs about 32 800
-# distinct residues, so it evicts (each is still computed once).  Each entry
-# is a few small ints or floats; the per-fiber tables sit in their own, much
-# smaller caches.
-CACHE_SIZE = 2 ** 14
+# maxsize of every per-residue cotangent-sum memo.  A sphere's fibers have
+# moduli 2, q and a3, so its connections reach at most 2 + q + min(connections,
+# a3) residues, at most 30 000 (at (9, -1666)) within both budgets of
+# `flat_moduli`: both aggregates of one C share every float value.  The 96-cell
+# q <= 9, |K| <= 12 table fills 3141 entries.  Each entry is a few small ints
+# or floats; the per-fiber tables sit in their own, much smaller caches.
+CACHE_SIZE = 2 ** 15
 
 # maxsize of each per-fiber table cache (this float one and the integer one
 # of `dedekind`).  A cell uses three fibers, and the one of modulus 2 repeats

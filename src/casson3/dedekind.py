@@ -7,11 +7,15 @@ connection with invariant e, the rho invariant of the adjoint coupling is
 
     S(A, e, n) = sum_{m=1}^{n-1} cot(pi*A*m/n) cot(pi*m/n) sin^2(pi*e*m/n).
 
-The prefactor (2/a_i), the sine argument, and the single global sign were
-calibrated once against the q = 3, K = +-1 aggregate anchors (17/12 and
--41/84) and are frozen here; every other (q, K) value is a prediction of this
-formula.  A connection on an oriented sphere X has rho_X = orientation *
-rho_nat, and the aggregate correction is
+The prefactor (2/a_i), the sine argument and the sign are forced, not
+fitted: they make the grading 2 e^2/a + sum_i (2/a_i) S(a/a_i, e, a_i) of
+`floer` an integer on every connection, with the classical {1, 5} on
+Sigma(2,3,5); a flipped sign, a prefactor 1/a_i or 4/a_i, or a sine argument
+2e or e/2 does not.  The q = 3, K = +-1 anchors (17/12 and -41/84) check the
+constant -3 and the factor -2 of rho_nat; every other (q, K) value is a
+prediction.
+A connection on an oriented sphere X has rho_X = orientation * rho_nat, and
+the aggregate correction is
 
     C(X) = (-eps/8) * sum_j rho_X(A_j),   eps = orientation sign of X,
 
@@ -87,7 +91,7 @@ PATHS = ("float", "exact")
 SNAP_DENOMINATOR_FACTOR = 4  # every rho lies on (1/D)Z, D = 4*a1*a2*a3
 MAX_SNAP_ERROR = 1e-6  # snapping is refused above this accumulated error
 
-# frozen calibration anchors: aggregate corrections for q = 3, K = +-1
+# aggregate C for q = 3, K = +-1: they check rho_nat's constant -3 and factor -2
 _ANCHORS = ((3, 1, Fraction(17, 12)), (3, -1, Fraction(-41, 84)))
 
 
@@ -341,7 +345,7 @@ def _aggregate(X: BrieskornSphere, path: str) -> Fraction:
 
 @lru_cache(maxsize=1)
 def verify_convention() -> bool:
-    """Check the frozen conventions against the q = 3, K = +-1 anchors."""
+    """Check rho_nat's normalisation against the q = 3, K = +-1 anchors."""
     for q, K, want in _ANCHORS:
         got = _aggregate(from_surgery(q, K), "exact")
         if got != want:

@@ -31,10 +31,10 @@ from .seifert import BrieskornSphere, check_surgery, from_surgery
 # `enumerate_connections` keeps one such enumeration.
 MAX_CONNECTIONS = 200_000
 
-# Under a minute: a connection's float kernel sums a3 - 1 terms whose residues
-# barely repeat, and on a 2-core x86 VM C took 9-10 ns a unit at (3, +-4000),
-# 1.9e8 units, 18 ns at (3, 8000), and 41 s at (3, 9128), 1.0e9 units, where
-# more than 2^14 residues make the float memo miss twice per connection.
+# Under half a minute: a connection's float kernel sums a3 - 1 terms whose
+# residues barely repeat; on a 2-core x86 VM C took about 10 ns a unit at
+# (3, +-4000), 1.9e8 units, and 21 s at (3, 9128), 1.0e9 units, where the
+# float memo (`_kernels.CACHE_SIZE`) still holds every residue of the sphere.
 MAX_KERNEL_WORK = 10 ** 9
 
 

@@ -7,9 +7,10 @@ degrees (p, p+1), and by -(-1)^p at the matching death.
 
 A complex is frozen, so it computes the ranks of its 8 boundary maps once
 (`Z2ChainComplex.ranks`) and the correction term and the homology ranks both
-read them.  The constructor checks d.d = 0 on all 8 products; a move starts
-from a checked complex and changes 2 or 3 consecutive maps, so it re-checks
-only the 3 or 4 products those maps enter.
+read them.  Every complex goes through the constructor, which checks the row
+counts and d.d = 0.  A move replaces 2 or 3 consecutive maps, keeps the other
+map objects, and passes the complex it started from as `parent`, so only the
+3 or 4 products that the new maps enter are multiplied again.
 
 Gradings:  mu_nat(e) = 2 e^2/a + sum_i (2/a_i) S(a/a_i, e, a_i) is an exact
 integer for a flat connection with invariant e on the naturally oriented
@@ -31,7 +32,7 @@ parity, so every boundary map vanishes and the correction term is zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from random import Random
 from typing import Iterable, Optional
@@ -152,40 +153,34 @@ def nullspace(M: GF2Matrix) -> list[int]:
 @dataclass(frozen=True)
 class Z2ChainComplex:
     """boundary[p]: C_p -> C_{p-1} for the 8 degrees mod 8.  dims[p], the
-    number of generators in degree p, is derived: boundary[p].ncols."""
+    number of generators in degree p, is derived: boundary[p].ncols.  Given a
+    `parent`, only the row counts and d.d products that involve a map not
+    shared (as an object) with it are checked: the parent passed the rest."""
 
     boundary: tuple[GF2Matrix, ...]
+    parent: InitVar[Optional[Z2ChainComplex]] = None
     dims: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self):
-        if len(self.boundary) != 8:
+    def __post_init__(self, parent):
+        bnd = self.boundary
+        if len(bnd) != 8:
             raise ValueError("need exactly 8 boundary maps")
-        object.__setattr__(self, "dims", tuple(M.ncols for M in self.boundary))
-        self._check(range(8))
-
-    @classmethod
-    def _after_move(cls, boundary: tuple[GF2Matrix, ...],
-                    touched: tuple[int, ...]) -> "Z2ChainComplex":
-        """The complex a move makes from a checked one by changing only the
-        maps in `touched`: every other d.d product is one already checked."""
-        cc = object.__new__(cls)
-        object.__setattr__(cc, "boundary", boundary)
-        object.__setattr__(cc, "dims", tuple(M.ncols for M in boundary))
-        cc._check(touched)
-        return cc
-
-    def _check(self, maps: Iterable[int]) -> None:
-        """Row counts of the given maps, then d.d = 0 on every product
-        boundary[k] boundary[k+1] that one of them enters."""
-        bnd, dims = self.boundary, self.dims
-        products = set()
-        for p in maps:
-            if bnd[p].nrows != dims[p - 1]:
+        object.__setattr__(self, "dims", dims := tuple(M.ncols for M in bnd))
+        if parent is None:
+            new = (True,) * 8
+        elif isinstance(parent, Z2ChainComplex):
+            new = [M is not N for M, N in zip(bnd, parent.boundary)]
+        else:
+            raise TypeError(f"parent must be a Z2ChainComplex, not {type(parent).__name__}")
+        # map p's rows must match map p-1's columns, and d.d at degree k+1 is
+        # the product of maps k and k+1: each is checked if a new map is in it
+        for p in range(8):
+            if (new[p] or new[p - 1]) and bnd[p].nrows != dims[p - 1]:
                 raise ValueError(f"boundary[{p}] has {bnd[p].nrows} rows, want {dims[p - 1]}")
-            products.update(((p - 1) % 8, p))
-        for k in sorted(products):
-            if not bnd[k].mul(bnd[(k + 1) % 8]).is_zero():
-                raise ValueError(f"d. d != 0 at degree {(k + 1) % 8}")
+        for k in range(8):
+            up = (k + 1) % 8
+            if (new[k] or new[up]) and not bnd[k].mul(bnd[up]).is_zero():
+                raise ValueError(f"d. d != 0 at degree {up}")
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
@@ -267,7 +262,7 @@ def apply_move(cc: Z2ChainComplex, mv: MorseMove) -> Z2ChainComplex:
         new_rows = list(N.rows)
         new_rows[t] ^= new_rows[s]  # row t += row s
         bnd[up] = GF2Matrix(tuple(new_rows), N.ncols)
-        return Z2ChainComplex._after_move(tuple(bnd), (p, up))
+        return Z2ChainComplex(tuple(bnd), cc)
 
     if mv.kind == "birth":
         up, up2 = (p + 1) % 8, (p + 2) % 8
@@ -276,7 +271,7 @@ def apply_move(cc: Z2ChainComplex, mv: MorseMove) -> Z2ChainComplex:
         bnd[up] = GF2Matrix(new_rows, M.ncols + 1)
         bnd[p] = GF2Matrix(bnd[p].rows, bnd[p].ncols + 1)  # df = 0
         bnd[up2] = GF2Matrix(bnd[up2].rows + (0,), bnd[up2].ncols)  # nothing else hits e
-        return Z2ChainComplex._after_move(tuple(bnd), (p, up, up2))
+        return Z2ChainComplex(tuple(bnd), cc)
 
     # death
     up, up2 = (p + 1) % 8, (p + 2) % 8
@@ -291,7 +286,7 @@ def apply_move(cc: Z2ChainComplex, mv: MorseMove) -> Z2ChainComplex:
     bnd[up] = M2
     bnd[p] = _delete_col(bnd[p], f)
     bnd[up2] = _delete_row(bnd[up2], e)
-    return Z2ChainComplex._after_move(tuple(bnd), (p, up, up2))
+    return Z2ChainComplex(tuple(bnd), cc)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from casson3.errors import (
     SnapFailure,
     TooManyConnections,
 )
-from casson3.flat_moduli import enumerate_connections
+from casson3.flat_moduli import count_connections, enumerate_connections
 from casson3.floer import r_invariant
 from casson3.seifert import from_surgery, reverse_orientation
 
@@ -188,6 +188,29 @@ def test_kernel_caches_stay_bounded():
             cache.cache_clear()
 
 
+def test_float_memo_holds_every_residue_of_an_admitted_sphere():
+    # a sphere's fibers have moduli 2, q and a3, so its connections reach at
+    # most 2 + q + min(connections, a3) distinct float kernel residues; if the
+    # memo held fewer, c_correction's second aggregate would recompute them
+    most = 0
+    for q in itertools.count(3, 2):
+        k = 1
+        while True:
+            fits = []
+            for K in (k, -k):
+                connections, a3 = count_connections(q, K), from_surgery(q, K).a[2]
+                if (connections <= flat_moduli.MAX_CONNECTIONS
+                        and connections * a3 <= flat_moduli.MAX_KERNEL_WORK):
+                    fits.append(2 + q + min(connections, a3))
+            if not fits:
+                break
+            most = max(most, *fits)
+            k += 1
+        if k == 1:  # neither K = 1 nor K = -1 fits, nor will any larger q
+            break
+    assert most <= _kernels.CACHE_SIZE
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 7, 9, 1009, 1399])
 def test_numerator_table_on_every_residue(n):
     # every residue against the recursion; against the loop, every residue of
@@ -278,6 +301,40 @@ def test_c_correction_anchors():
     assert c_correction(from_surgery(3, 1)) == Fraction(17, 12)
     assert c_correction(from_surgery(3, -1)) == Fraction(-41, 84)
     assert c_correction(from_surgery(7, 2)) == Fraction(6611, 189)
+
+
+# (sign, prefactor numerator, sine-argument factor) of the cotangent total in
+# the grading mu = 2 e^2/a + sign * sum_i (pref/a_i) S(a/a_i, arg * e, a_i)
+_RHO_CONVENTIONS = {
+    "frozen": (1, 2, 1),
+    "sign flipped": (-1, 2, 1),
+    "prefactor 1/a_i": (1, 1, 1),
+    "prefactor 4/a_i": (1, 4, 1),
+    "sine argument 2e": (1, 2, 2),
+    "sine argument e/2": (1, 2, 0.5),
+}
+
+
+def test_grading_integrality_forces_the_rho_convention():
+    # every connection of seven small cells and a seeded sample of wider ones:
+    # the frozen convention makes each grading an integer (the one
+    # r_invariant computes), and each declared alternative makes none of them
+    rng = random.Random(1010)
+    cells = [(3, 1), (3, -1), (3, 2), (5, -2), (5, 3), (7, 1), (9, -2)]
+    sample = [c for q, K in cells for c in enumerate_connections(from_surgery(q, K))]
+    wide = [(q, K) for q in range(3, 16, 2) for K in range(-5, 6) if K]
+    extra = [c for q, K in rng.sample(wide, 6) for c in enumerate_connections(from_surgery(q, K))]
+    sample += rng.sample(extra, 60)
+    for c in sample:
+        a = c.host.a
+        prod = a[0] * a[1] * a[2]
+        for name, (sign, pref, arg) in _RHO_CONVENTIONS.items():
+            mu = 2 * c.e * c.e / prod + sign * sum(
+                pref / ai * _cot_sum_direct(prod // ai, arg * c.e, ai) for ai in a)
+            integral = abs(mu - round(mu)) < 1e-6
+            assert integral == (name == "frozen"), (name, c.L, a, mu)
+            if integral:
+                assert round(mu) == r_invariant(a, c.e)
 
 
 def test_convention_verification_passes():

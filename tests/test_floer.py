@@ -109,20 +109,60 @@ def test_d_squared_validation():
 
 def test_touched_check_refuses_a_bad_map():
     # d = 1 out of every even degree, 0 out of every odd one: d.d = 0
-    good = [_matrix([[1]]) if p % 2 == 0 else GF2Matrix.zero(1, 1) for p in range(8)]
-    Z2ChainComplex(tuple(good))
+    good = Z2ChainComplex(tuple(_matrix([[1]]) if p % 2 == 0 else GF2Matrix.zero(1, 1)
+                                for p in range(8)))
     for u in range(1, 8, 2):
-        bad = list(good)
+        bad = list(good.boundary)
         bad[u] = _matrix([[1]])  # now boundary[u-1] boundary[u] != 0
         with pytest.raises(ValueError) as full:
             Z2ChainComplex(tuple(bad))
-        for touched in ((u,), (u, (u + 1) % 8), ((u - 1) % 8, u, (u + 1) % 8)):
-            with pytest.raises(ValueError, match=f"d. d != 0 at degree {u}$") as part:
-                Z2ChainComplex._after_move(tuple(bad), touched)
-            assert str(part.value) == str(full.value)
+        with pytest.raises(ValueError, match=f"d. d != 0 at degree {u}$") as part:
+            Z2ChainComplex(tuple(bad), parent=good)
+        assert str(part.value) == str(full.value)
         bad[u] = GF2Matrix.zero(2, 1)  # rows must match dims[u-1] = 1
-        with pytest.raises(ValueError, match=f"boundary\\[{u}\\] has 2 rows"):
-            Z2ChainComplex._after_move(tuple(bad), (u,))
+        for parent in (None, good):
+            with pytest.raises(ValueError, match=f"boundary\\[{u}\\] has 2 rows"):
+                Z2ChainComplex(tuple(bad), parent=parent)
+        # two columns make dims[u] = 2, which the next map's one row no longer matches
+        bad[u] = GF2Matrix.zero(1, 2)
+        for parent in (None, good):
+            with pytest.raises(ValueError, match=f"boundary\\[{(u + 1) % 8}\\] has 1 rows, want 2"):
+                Z2ChainComplex(tuple(bad), parent=parent)
+
+
+def test_parent_check_agrees_with_the_full_check():
+    # replacing 1-3 maps of a checked complex by random GF(2) matrices: the
+    # check against the parent refuses exactly what the full check refuses
+    rng = random.Random(31337)
+    outcomes = set()
+    for _ in range(2000):
+        parent = random_complex(rng, 4)
+        bnd = list(parent.boundary)
+        for p in rng.sample(range(8), rng.randint(1, 3)):
+            kind = rng.randrange(3)
+            if kind == 0:  # random shape
+                nrows, ncols = rng.randint(0, 4), rng.randint(0, 4)
+            else:  # the parent's shape, zero or random
+                nrows, ncols = bnd[p].nrows, bnd[p].ncols
+            bits = 0 if kind == 1 else ncols
+            bnd[p] = GF2Matrix(tuple(rng.getrandbits(bits) for _ in range(nrows)), ncols)
+        results = []
+        for parent_arg in (None, parent):
+            try:
+                results.append(Z2ChainComplex(tuple(bnd), parent_arg))
+            except ValueError as err:
+                results.append(str(err))
+        assert results[0] == results[1], (parent, bnd)
+        outcomes.add(type(results[0]).__name__)
+    assert outcomes == {"Z2ChainComplex", "str"}
+
+
+def test_parent_must_be_a_complex():
+    cc = zero_complex((1, 0, 2, 0, 0, 1, 0, 0))
+    assert Z2ChainComplex(cc.boundary, cc) == cc
+    for parent in (cc.boundary, [], 0):
+        with pytest.raises(TypeError, match="parent must be a Z2ChainComplex"):
+            Z2ChainComplex(cc.boundary, parent)
 
 
 def test_dims_are_read_off_the_maps():

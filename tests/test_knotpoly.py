@@ -6,7 +6,7 @@ from casson3.errors import NotCoprime
 from casson3.flat_moduli import count_connections, enumerate_connections
 from casson3.knotpoly import alexander_torus, check_conjecture, second_derivative_at_one
 from casson3.polynomial import RationalPoly, fit_and_verify
-from casson3.assembly import reference_Lambda
+from casson3.assembly import reference_B, reference_C, reference_Lambda
 from casson3.seifert import from_surgery
 
 ONE = RationalPoly((1,))
@@ -91,6 +91,27 @@ def test_difference_formula_via_fits():
         fit_plus, fit_minus = _fits(q)
         n_q = (q * q - 1) // 4
         assert fit_plus - fit_minus == RationalPoly((0, Fraction(n_q, 4)))
+
+
+def test_lambda_quadratic_coefficient():
+    # law (b): Lambda's K^2 coefficient is (q^2 - 1)(q^2 - 4)/16 on both signs
+    for q in (3, 5, 7, 9):
+        for sign in (1, -1):
+            fit = fit_and_verify({sign * k: reference_Lambda(q, sign * k) for k in range(1, 41)})
+            assert fit.degree == 2 and fit[2] == Fraction((q * q - 1) * (q * q - 4), 16), (q, sign)
+
+
+def test_b_plus_c_is_quadratic():
+    # law (c): B + C is a quadratic with K^2 coefficient -N/4 on both signs,
+    # and its K coefficients differ by N/4
+    for q in (3, 5, 7, 9):
+        n_q = Fraction(q * q - 1, 4)
+        fits = {}
+        for sign in (1, -1):
+            fits[sign] = fit_and_verify({sign * k: reference_B(q, sign * k) + reference_C(q, sign * k)
+                                         for k in range(1, 41)})
+            assert fits[sign].degree == 2 and fits[sign][2] == -n_q / 4, (q, sign)
+        assert fits[1][1] - fits[-1][1] == n_q / 4, q
 
 
 def test_rep_count_is_enumerated():
