@@ -6,7 +6,7 @@ its handler, formats, summary and flags.  The parser is built from the two;
 flag of its subcommand sets.  Output is deterministic for a fixed configuration:
 rationals are serialized as exact "p/q" strings, JSON objects carry the
 schema tag "casson3/1", and rows are emitted in sorted (q, K) order.  `fit`
-takes no --degree: it reports the least degree that fits its samples.
+reports the least degree that fits its samples.
 
 Work bounds: `run` sums the work of the request's spheres (`_cells`) and
 checks it once before the handler starts (exit 1): `reps` against

@@ -25,7 +25,7 @@ C has one evaluation contract: every rho is evaluated by two independent
 kernels, and `c_correction` returns the snapped float aggregate only if it
 equals the integer one (ConventionMismatch otherwise).
 
-* snapped     - the numpy kernel's double sum, rounded onto the lattice
+* snapped     - the float kernel's double, rounded onto the lattice
                 (1/D)Z, D = 4*a1*a2*a3, which holds every rho.  The nearest
                 point p/d (lowest terms) is taken only if it lies within the
                 error bound err and 3*err*d*D < 1: any other rational with
@@ -66,10 +66,10 @@ integers from `float.as_integer_ratio`.
 
 Each fiber's kernel call is made on the residues (a/a_i mod a_i, e mod a_i,
 a_i).  The invariant e is unique per connection, but every residue of a
-fiber draws on the same data, so both kernels build it once per fiber and
-keep the last `_kernels.TABLE_CACHE_SIZE` fibers: the integer table of M,
-and the float kernel's sines and cotangent weights.  A float value is also
-memoised on its residues (`_kernels.CACHE_SIZE` entries).
+fiber draws on the same data, so both kernels fill a table of all n residues
+once per fiber and keep the last `_kernels.TABLE_CACHE_SIZE` fibers: the
+integer table of M, and the float table of S from one FFT.  A call of either
+is a lookup.
 """
 from __future__ import annotations
 

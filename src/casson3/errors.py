@@ -38,7 +38,7 @@ class MissingClosedForm(Casson3Error):
 
 
 class DegreeExceeded(Casson3Error):
-    """A check point deviates from the fitted polynomial."""
+    """No fit of degree <= MAX_FIT_DEGREE passes the samples, or no sample is left to check it."""
 
 
 class NotCoprime(Casson3Error):

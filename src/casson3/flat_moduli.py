@@ -13,8 +13,8 @@ m = (q-1)/2 and k = |K|.  The bound is the exact transcription of
 depends only on the multiplicities, never on the orientation.
 
 Both work budgets of a request live here.  A sphere has (q^2 - 1)|K|/4
-connections, which one enumeration holds, and rho on all of them costs
-connections x a3 units of kernel work; `check_connection_budget` and
+connections, which one enumeration holds, and rho on all of them is counted
+as connections x a3 units of kernel work; `check_connection_budget` and
 `check_kernel_work` bound the sums over a request's (q, K) cells by
 MAX_CONNECTIONS and MAX_KERNEL_WORK.
 """
@@ -31,10 +31,10 @@ from .seifert import BrieskornSphere, check_surgery, from_surgery
 # `enumerate_connections` keeps one such enumeration.
 MAX_CONNECTIONS = 200_000
 
-# Under half a minute: a connection's float kernel sums a3 - 1 terms whose
-# residues barely repeat; on a 2-core x86 VM C took about 10 ns a unit at
-# (3, +-4000), 1.9e8 units, and 21 s at (3, 9128), 1.0e9 units, where the
-# float memo (`_kernels.CACHE_SIZE`) still holds every residue of the sphere.
+# Under a few seconds: both kernels read rho's values off per-fiber tables, so
+# C costs O(connections + a3 log a3).  On a 2-core x86 VM C took 0.19 s at
+# (3, 4000), 1.9e8 units, and 0.78 s at (9, -1666) and 0.52 s at (3, 9128),
+# both 1.0e9 units.
 MAX_KERNEL_WORK = 10 ** 9
 
 

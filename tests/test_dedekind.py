@@ -31,7 +31,7 @@ from casson3.errors import (
     SnapFailure,
     TooManyConnections,
 )
-from casson3.flat_moduli import count_connections, enumerate_connections
+from casson3.flat_moduli import enumerate_connections
 from casson3.floer import r_invariant
 from casson3.seifert import from_surgery, reverse_orientation
 
@@ -44,21 +44,6 @@ def _cot_sum_direct(A, e, n):
             * (math.cos(math.pi * m / n) / math.sin(math.pi * m / n)) \
             * math.sin(math.pi * e * m / n) ** 2
     return total
-
-
-def _cot_sum_numpy_trig(A, e, n):
-    """Bit-level oracle: the float kernel's expression with every trig value
-    evaluated per call, as the kernel computed it before its tables."""
-    A %= n
-    e %= n
-    m = np.arange(1, n, dtype=np.int64)
-    x1 = np.pi * ((A * m) % n) / n
-    x2 = np.pi * m / n
-    s = np.sin(np.pi * ((e * m) % n) / n)
-    terms = (np.cos(x1) / np.sin(x1)) * (np.cos(x2) / np.sin(x2)) * s * s
-    total = float(np.sum(terms))
-    largest = max(float(np.max(np.abs(terms))), abs(total)) if n > 1 else 0.0
-    return total, (n - 1) * _kernels.EPS * (largest + n)
 
 
 def _cot_sum_convolution(A, e, n):
@@ -138,33 +123,41 @@ def test_exact_kernel_within_float_bound_to_large_n(args):
     assert abs(Fraction(value) - cot_sum_exact.__wrapped__(*args)) <= Fraction(bound)
 
 
-@_PROPERTY
-@given(_coprime_args(3000))
-def test_float_memo_is_bit_identical(args):
-    A, e, n = args
-    assert _kernels.cot_sum(A, e, n) == _kernels.cot_sum_numpy(A % n, e % n, n)
+def _assert_float_within_a_quarter_of_its_bound(A, residues, n):
+    for e in residues:
+        value, bound = _kernels.cot_sum(A, e, n)
+        exact = Fraction(-cot_sum_numerator(A, e, n), 4 * n)
+        assert abs(Fraction(value) - exact) <= Fraction(bound) / 4, (A, e, n)
 
 
-@_PROPERTY
-@given(_coprime_args(3000))
-def test_table_kernel_is_bit_identical_to_trig(args):
-    assert _kernels.cot_sum_numpy(*args) == _cot_sum_numpy_trig(*args)
+def test_float_table_within_a_quarter_of_its_bound():
+    # every residue of every fiber with n <= 60, then seeded residues of large
+    # moduli (primes, a power of two, an a3 near the kernel-work bound), each
+    # against the exact integer table; A = 1 has the largest weights
+    for n in range(2, 61):
+        for A in range(1, n):
+            if math.gcd(A, n) == 1:
+                _assert_float_within_a_quarter_of_its_bound(A, range(n), n)
+    for n in (1009, 1399, 4096, 10007, 54767):
+        rng = random.Random(n)
+        for A in [1, n - 1, *_units(n, 3, n)]:
+            residues = [0, 1, n // 2, n - 1, *rng.sample(range(n), 40)]
+            _assert_float_within_a_quarter_of_its_bound(A, residues, n)
 
 
-@pytest.mark.parametrize("n", [2, 3, 1009, 1399])
-def test_table_kernel_is_bit_identical_to_trig_at_fixed_moduli(n):
-    rng = random.Random(n)
-    for _ in range(20):
-        A = rng.randrange(-3 * n, 3 * n)
-        while math.gcd(A, n) != 1:
-            A = rng.randrange(-3 * n, 3 * n)
-        e = rng.randrange(-3 * n, 3 * n)
-        assert _kernels.cot_sum_numpy(A, e, n) == _cot_sum_numpy_trig(A, e, n)
+def test_float_kernel_refuses_a_fiber_with_a_common_factor():
+    # gcd(A, n) > 1 puts the pole cot(0) into a weight; every residue of the
+    # fiber, not just those that meet the pole, is then no number
+    for A, e, n in [(2, 1, 4), (2, 0, 4), (3, 2, 9), (6, 5, 10)]:
+        value, bound = _kernels.cot_sum(A, e, n)
+        assert math.isnan(value) and math.isnan(bound), (A, e, n)
+        with pytest.raises(ConventionMismatch):
+            FloatEstimate(value, bound)
 
 
 def test_kernel_caches_stay_bounded():
-    # the per-residue memos: distinct raw keys at n = 7 are cheap to evaluate
-    memos = (cot_sum_exact, cot_sum_lattice, _kernels.cot_sum)
+    # the reference memos: distinct raw keys at n = 7 are cheap to evaluate
+    memos = (cot_sum_exact, cot_sum_lattice)
     # the per-fiber tables, integer and float: one entry per distinct (A, n)
     tables = (dedekind._numerator_table, _kernels._fiber)
     try:
@@ -177,7 +170,7 @@ def test_kernel_caches_stay_bounded():
         for n in range(2, _kernels.TABLE_CACHE_SIZE + 12):
             for A in (1, n - 1):
                 cot_sum_numerator(A, 1, n)
-                _kernels.cot_sum_numpy(A, 1, n)
+                _kernels.cot_sum(A, 1, n)
         for table in tables:
             info = table.cache_info()
             assert info.maxsize == _kernels.TABLE_CACHE_SIZE
@@ -186,29 +179,6 @@ def test_kernel_caches_stay_bounded():
     finally:
         for cache in (*memos, *tables):
             cache.cache_clear()
-
-
-def test_float_memo_holds_every_residue_of_an_admitted_sphere():
-    # a sphere's fibers have moduli 2, q and a3, so its connections reach at
-    # most 2 + q + min(connections, a3) distinct float kernel residues; if the
-    # memo held fewer, c_correction's second aggregate would recompute them
-    most = 0
-    for q in itertools.count(3, 2):
-        k = 1
-        while True:
-            fits = []
-            for K in (k, -k):
-                connections, a3 = count_connections(q, K), from_surgery(q, K).a[2]
-                if (connections <= flat_moduli.MAX_CONNECTIONS
-                        and connections * a3 <= flat_moduli.MAX_KERNEL_WORK):
-                    fits.append(2 + q + min(connections, a3))
-            if not fits:
-                break
-            most = max(most, *fits)
-            k += 1
-        if k == 1:  # neither K = 1 nor K = -1 fits, nor will any larger q
-            break
-    assert most <= _kernels.CACHE_SIZE
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7, 9, 1009, 1399])
