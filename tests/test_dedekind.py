@@ -46,6 +46,26 @@ def _cot_sum_direct(A, e, n):
     return total
 
 
+def _cot_sum_numpy_trig(A, e, n):
+    """Bit-level oracle: the float kernel's FFT expression for one residue,
+    with each weight's two cotangents evaluated per call at their own
+    argument pi*k/n, k = min(r, n - r), and signed by which half r lies in,
+    instead of gathered from the fiber's mirrored cotangent table."""
+    A %= n
+    e %= n
+
+    def cot(r):
+        x = np.pi * np.minimum(r, n - r) / n
+        return np.where(r <= n // 2, 1.0, -1.0) * (np.cos(x) / np.sin(x))
+
+    m = np.arange(1, n, dtype=np.int64)
+    w = np.zeros(n)
+    w[1:] = cot(A * m % n) * cot(m)
+    F = np.fft.fft(w).real
+    bound = 8 * _kernels.EPS * (math.log2(n) * math.sqrt(n) * float(np.linalg.norm(w)) + n)
+    return (F[0] - F[e]) / 2, bound
+
+
 def _cot_sum_convolution(A, e, n):
     """Independent exact oracle: the closed convolution form
     S = -(2 N(0) - N(1) - N(-1)) / (4n), N(s) = sum_r p_r p_{(-A r - e s) mod n},
@@ -121,6 +141,31 @@ def test_integer_kernel_is_minus_4n_times_the_reference_wrappers(args):
 def test_exact_kernel_within_float_bound_to_large_n(args):
     value, bound = _kernels.cot_sum_numpy(*args)
     assert abs(Fraction(value) - cot_sum_exact.__wrapped__(*args)) <= Fraction(bound)
+
+
+@_PROPERTY
+@given(_coprime_args(3000))
+def test_float_memo_is_bit_identical(args):
+    # a raw key and its residues read the same entry of the same fiber table
+    A, e, n = args
+    assert _kernels.cot_sum(A, e, n) == _kernels.cot_sum_numpy(A % n, e % n, n)
+
+
+@_PROPERTY
+@given(_coprime_args(3000))
+def test_table_kernel_is_bit_identical_to_trig(args):
+    assert _kernels.cot_sum_numpy(*args) == _cot_sum_numpy_trig(*args)
+
+
+@pytest.mark.parametrize("n", [2, 3, 1009, 1399])
+def test_table_kernel_is_bit_identical_to_trig_at_fixed_moduli(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        A = rng.randrange(-3 * n, 3 * n)
+        while math.gcd(A, n) != 1:
+            A = rng.randrange(-3 * n, 3 * n)
+        e = rng.randrange(-3 * n, 3 * n)
+        assert _kernels.cot_sum_numpy(A, e, n) == _cot_sum_numpy_trig(A, e, n)
 
 
 def _assert_float_within_a_quarter_of_its_bound(A, residues, n):
