@@ -18,6 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import TooManyConnections
+
 EPS = float(np.finfo(np.float64).eps)
 
 # maxsize of each per-fiber table cache (this float one and the integer one
@@ -28,9 +30,21 @@ EPS = float(np.finfo(np.float64).eps)
 # the q <= 9, |K| <= 80 tables take under 12 KB each.
 TABLE_CACHE_SIZE = 8
 
+# Largest modulus either per-fiber table is built for: the integer table's
+# int64 steps are exact below 2^20.  The connection budget keeps every sphere's
+# a3 = 2q|K| +- 1 <= 600 001, so only a hand-built connection can reach it.
+MAX_MODULUS = 2 ** 20 - 1
+
 # maxsize of the two reference memos of `dedekind` (`cot_sum_exact`,
 # `cot_sum_lattice`), keyed on residues; no computation calls them.
 CACHE_SIZE = 2 ** 14
+
+
+def check_modulus(n: int) -> None:
+    """Raise TooManyConnections for a fiber modulus over MAX_MODULUS."""
+    if n > MAX_MODULUS:
+        raise TooManyConnections(f"modulus {n} is past the int64 range of the per-fiber "
+                                 f"tables, whose largest modulus is {MAX_MODULUS}")
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -50,6 +64,7 @@ def _fiber(A: int, n: int) -> tuple[array, float]:
     error stayed under 0.06 of it on every unit A for n <= 400 and on sampled
     fibers up to n = 600 001.
     """
+    check_modulus(n)
     x = np.pi * np.arange(1, n // 2 + 1) / n
     half = np.cos(x) / np.sin(x)
     cot = np.concatenate(([np.nan], half, -half[:(n - 1) // 2][::-1]))

@@ -8,14 +8,13 @@ rationals are serialized as exact "p/q" strings, JSON objects carry the
 schema tag "casson3/1", and rows are emitted in sorted (q, K) order.  `fit`
 reports the least degree that fits its samples.
 
-Work bounds: `run` sums the work of the request's spheres (`_cells`) and
-checks it once before the handler starts (exit 1): `reps` against
-MAX_CONNECTIONS; `rho` against MAX_KERNEL_WORK, and MAX_CONNECTIONS too with
---per-connection; `invariants`, `table`, `conjecture` and `fit` of Lambda or C
-against MAX_KERNEL_WORK (both in `flat_moduli`).  `floer-sim` is bounded by
-MAX_DIM and MAX_MOVES.  A |K| of --K or --K-range, or a --samples, over
-MAX_CONNECTIONS // 2 is a usage error, refused before anything is built; that
-rule alone bounds `fit` of A or B, which reads stored forms and evaluates no rho.
+Work bound: one rule for every subcommand.  `run` sums the flat connections
+of the request's spheres (`_cells`) and checks the sum against
+MAX_CONNECTIONS (`flat_moduli`) once, before the handler starts (exit 1).
+`floer-sim` has no cells and is bounded by MAX_DIM and MAX_MOVES.  A |K| of
+--K or --K-range, or a --samples, over MAX_CONNECTIONS // 2 is a usage error,
+refused before anything is built; that rule alone bounds `fit` of A or B,
+which reads stored forms and enumerates no connection.
 
 Exit codes: 0 success, 1 computation error, 2 usage error, 3 when `table`
 finds a MISMATCH row.
@@ -43,7 +42,7 @@ from .assembly import (
 from .dedekind import c_correction, rho_adjoint
 from .errors import Casson3Error
 from .flat_moduli import (MAX_CONNECTIONS, FlatConnection, check_connection_budget,
-                          check_kernel_work, enumerate_connections)
+                          enumerate_connections)
 from .floer import (MAX_DIM, MAX_MOVES, apply_move, floer_correction, random_complex,
                     random_move)
 from .knotpoly import check_conjecture
@@ -145,7 +144,7 @@ def _parse_k_range(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"K {text!r} is not an integer or a..b") from None
     # checked before the range is built: every subcommand that takes K enumerates
     # its spheres, and (q^2 - 1)|K|/4 >= 2|K| connections is over the budget at
-    # every q >= 3.  A C-only work bound (ROADMAP item 2) will revisit this limit.
+    # every q >= 3.
     if max(abs(lo), abs(hi)) > MAX_CONNECTIONS // 2:
         raise argparse.ArgumentTypeError(f"K {text!r} has |K| > {MAX_CONNECTIONS // 2}, over "
                                          f"{MAX_CONNECTIONS} flat connections at every q")
@@ -348,13 +347,10 @@ _SUBCOMMANDS = {
 
 
 def run(config: RunConfig, out=None) -> int:
-    """Check the request's work bounds, then run it; returns the exit status."""
-    cells = _cells(config)
-    if config.subcommand == "reps" or config.per_connection:
-        check_connection_budget(cells)
-    # floer-sim has no cells; only `fit` sets a target, and A or B evaluates no rho
-    if config.subcommand != "reps" and config.target not in ("A", "B"):
-        check_kernel_work(cells)
+    """Check the request's connection budget, then run it; returns the exit status."""
+    # only `fit` sets a target, and A or B reads stored forms
+    if config.target not in ("A", "B"):
+        check_connection_budget(_cells(config))
     return _SUBCOMMANDS[config.subcommand][0](config, out or sys.stdout)
 
 

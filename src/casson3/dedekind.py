@@ -82,8 +82,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .errors import ConventionMismatch, SnapFailure, TooManyConnections
-from .flat_moduli import FlatConnection, check_kernel_work, enumerate_connections
+from .errors import ConventionMismatch, SnapFailure
+from .flat_moduli import FlatConnection, enumerate_connections
 from .seifert import BrieskornSphere, from_surgery
 
 PATHS = ("float", "exact")
@@ -186,11 +186,10 @@ def _numerator_table(A: int, n: int) -> array:
     M(e) = 2 G(0) - G(e) - G(-e) needs only D(t) = G(t) - G(0), and since
     p_{k+1} - p_k = 2 except at k = 0 and k = n - 1, G(t+1) - G(t) =
     2n(n-1) - n (p_{t/A} + p_{(t+1)/A}), indices mod n.  |D|, |M| <= 8n^3 <
-    2^63 for n < 2^20 (the connection budget allows a3 <= 600 001), so the
-    int64 steps are exact; a larger n is refused.
+    2^63 for n <= `_kernels.MAX_MODULUS` < 2^20, so the int64 steps are
+    exact; a larger n is refused before anything is built.
     """
-    if n >= 2 ** 20:
-        raise TooManyConnections(f"modulus {n} is past the int64 range of the numerator table")
+    _kernels.check_modulus(n)
     p = np.arange(-1, 2 * n - 2, 2, dtype=np.int64)
     p[0] = n - 1
     r = np.arange(n, dtype=np.int64)
@@ -360,10 +359,10 @@ def c_correction(X: BrieskornSphere) -> Fraction:
 
     eps is the orientation sign, so the value is orientation-invariant.  The
     snapped float aggregate is returned only if it equals the integer one;
-    ConventionMismatch otherwise.  A sphere over MAX_KERNEL_WORK (`flat_moduli`)
-    is refused with TooManyConnections before any connection is enumerated.
+    ConventionMismatch otherwise.  A sphere over MAX_CONNECTIONS (`flat_moduli`)
+    is refused with TooManyConnections by `enumerate_connections`, before any
+    connection or kernel table is built.
     """
-    check_kernel_work([(X.q, X.K)])
     value = _aggregate(X, "float")
     exact_value = _aggregate(X, "exact")
     if value != exact_value:

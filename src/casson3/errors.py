@@ -16,9 +16,8 @@ class SnapFailure(Casson3Error):
 
 
 class TooManyConnections(Casson3Error):
-    """A sphere has more flat connections than one run may enumerate, or its
-    rho invariants need more kernel work (connections x a3) than one run may
-    spend."""
+    """A request's spheres have more flat connections together than one run
+    may enumerate, or a fiber's modulus is past the per-fiber kernel tables."""
 
 
 class ConventionMismatch(Casson3Error):

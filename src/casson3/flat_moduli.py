@@ -12,11 +12,11 @@ m = (q-1)/2 and k = |K|.  The bound is the exact transcription of
 |cos(pi*L3/a3)| < sin(pi*L2/a2), valid on both sides of a2/2.  Enumeration
 depends only on the multiplicities, never on the orientation.
 
-Both work budgets of a request live here.  A sphere has (q^2 - 1)|K|/4
-connections, which one enumeration holds, and rho on all of them is counted
-as connections x a3 units of kernel work; `check_connection_budget` and
-`check_kernel_work` bound the sums over a request's (q, K) cells by
-MAX_CONNECTIONS and MAX_KERNEL_WORK.
+A request's one work budget lives here.  A sphere has (q^2 - 1)|K|/4
+connections, which one enumeration holds, and every computation on it costs
+O(connections + a3 log a3), since both kernels read rho's values off per-fiber
+tables; `check_connection_budget` bounds the connections summed over a
+request's (q, K) cells by MAX_CONNECTIONS.
 """
 from __future__ import annotations
 
@@ -25,17 +25,13 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import TooManyConnections
-from .seifert import BrieskornSphere, check_surgery, from_surgery
+from .seifert import BrieskornSphere, check_surgery
 
-# About 54 MB of connections at some 270 bytes each; the memo of
-# `enumerate_connections` keeps one such enumeration.
+# The memo of `enumerate_connections` keeps one enumeration, some 270 bytes a
+# connection.  On a 2-core x86 VM a request at the budget took about 5-8 s,
+# and up to about 190 MB peak RSS at (3, +-100 000), where the per-fiber
+# tables of a3 = 600 001 add to the enumeration.
 MAX_CONNECTIONS = 200_000
-
-# Under a few seconds: both kernels read rho's values off per-fiber tables, so
-# C costs O(connections + a3 log a3).  On a 2-core x86 VM C took 0.19 s at
-# (3, 4000), 1.9e8 units, and 0.78 s at (9, -1666) and 0.52 s at (3, 9128),
-# both 1.0e9 units.
-MAX_KERNEL_WORK = 10 ** 9
 
 
 @dataclass(frozen=True)
@@ -96,22 +92,12 @@ def _enumerate(X: BrieskornSphere, admissible) -> tuple[FlatConnection, ...]:
 def check_connection_budget(cells: Sequence[tuple[int, int]]) -> None:
     """Raise TooManyConnections if the spheres of the (q, K) cells together
     have more than MAX_CONNECTIONS flat connections."""
-    _check_sum(cells, count_connections, "flat connections", MAX_CONNECTIONS)
-
-
-def check_kernel_work(cells: Sequence[tuple[int, int]]) -> None:
-    """Raise TooManyConnections if rho on every connection of the (q, K) cells
-    takes more than MAX_KERNEL_WORK units of connections x a3."""
-    _check_sum(cells, lambda q, K: count_connections(q, K) * from_surgery(q, K).a[2],
-               "units of kernel work (connections x a3)", MAX_KERNEL_WORK)
-
-
-def _check_sum(cells: Sequence[tuple[int, int]], size, unit: str, budget: int) -> None:
-    total = sum(size(q, K) for q, K in cells)
-    if total > budget:
+    total = sum(count_connections(q, K) for q, K in cells)
+    if total > MAX_CONNECTIONS:
         what = (f"q={cells[0][0]}, |K|={abs(cells[0][1])} has" if len(cells) == 1
                 else f"the {len(cells)} requested spheres have")
-        raise TooManyConnections(f"{what} {total} {unit}; the budget is {budget}")
+        raise TooManyConnections(
+            f"{what} {total} flat connections; the budget is {MAX_CONNECTIONS}")
 
 
 def count_connections(q: int, K: int) -> int:

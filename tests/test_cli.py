@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ import pytest
 
 import casson3
 from casson3 import cli, dedekind, flat_moduli
-from casson3.assembly import _TABLE
+from casson3.assembly import _TABLE, reference_C
 from casson3.cli import RunConfig, main, run
 from casson3.errors import ConventionMismatch
 from casson3.floer import MAX_DIM, MAX_MOVES, random_complex
@@ -43,6 +44,14 @@ def run_traced(args):
         return code, out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def run_subprocess(args):
+    """`python -m casson3.cli *args` in a child process, with this casson3 on its path."""
+    src = os.path.dirname(os.path.dirname(casson3.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "casson3.cli", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def test_reps_csv_q3():
@@ -337,12 +346,16 @@ def test_connection_budget_exit_1(capsys):
     code, out = run_cli(["reps", "--q", "101", "--K", "100000"])
     assert (code, out) == (1, "")
     assert "budget" in capsys.readouterr().err
-    # 200 000 connections fit the budget, but 1.2e11 units of kernel work do not
+    # 600 000 connections in one sphere, with and without the per-connection rows
     for flags in ([], ["--per-connection"]):
         t0 = time.perf_counter()
-        assert run_cli(["rho", "--q", "3", "--K", "-100000", *flags]) == (1, ""), flags
+        assert run_cli(["rho", "--q", "5", "--K", "-100000", *flags]) == (1, ""), flags
         assert time.perf_counter() - t0 < 1.0, flags
-        assert "kernel work" in capsys.readouterr().err
+        assert "600000 flat connections" in capsys.readouterr().err
+    # 18 258 connections on a3 = 54 773: C reads them off per-fiber tables
+    # in about 0.5 s, so the sphere is admitted
+    C = reference_C(3, 9129)
+    assert run_cli(["rho", "--q", "3", "--K", "9129"]) == (0, f"q,K,C\n3,9129,{C}\n")
 
 
 def test_request_budget_exit_1(capsys, monkeypatch):
@@ -350,41 +363,68 @@ def test_request_budget_exit_1(capsys, monkeypatch):
     code, out = run_cli(["reps", "--q", "101", "--K", "1..13"])
     assert (code, out) == (1, "")
     assert "232050 flat connections" in capsys.readouterr().err
-    monkeypatch.setattr(flat_moduli, "MAX_CONNECTIONS", 10)
-    for args in (["reps", "--q", "3", "--K", "-2..3"],
-                 ["rho", "--q", "3", "--K", "-2..3", "--per-connection"]):
-        assert run_cli(args) == (1, "")
-        assert "budget is 10" in capsys.readouterr().err
-    assert run_cli(["reps", "--q", "3", "--K", "-1..2"])[0] == 0  # 8 connections
-    monkeypatch.undo()
-    # every sphere is under the kernel-work bound, but not their sum: refused
-    # whole, before the first C is computed
-    monkeypatch.setattr(dedekind, "enumerate_connections", None)  # a call raises TypeError
-    for args in (["rho", "--q", "3", "--K", "8990..9000"],  # 1.1e10 units
-                 ["table", "--q", "3", "--K-range", "1..9000"],
-                 ["conjecture", "--q-list", "9", "--samples", "2000"],
-                 ["fit", "--q", "3", "--sign", "+", "--target", "C", "--samples", "9000"]):
+    # every sphere is under the budget, but not their sum: refused whole,
+    # before the first connection is enumerated
+    monkeypatch.setattr(flat_moduli, "_enumerate", None)  # a call raises TypeError
+    for args, total in ((["rho", "--q", "3", "--K", "1..500"], 250500),
+                        (["table", "--q", "3", "--K-range", "1..500"], 250500),
+                        (["conjecture", "--q-list", "9", "--samples", "100"], 202000),
+                        (["fit", "--q", "3", "--sign", "+", "--target", "C",
+                          "--samples", "500"], 250500)):
         t0 = time.perf_counter()
         code, out, peak = run_traced(args)
         assert (code, out) == (1, ""), args
         assert time.perf_counter() - t0 < 1.0, args
         assert peak < 5_000_000, args
-        assert "kernel work" in capsys.readouterr().err, args
-    # A reads its stored form and evaluates no rho, so 4.0e9 units of kernel
-    # work at 1000 samples do not stop it
-    assert run_cli(["fit", "--q", "3", "--sign", "+", "--target", "A",
-                    "--samples", "1000"])[0] == 0
+        assert f"{total} flat connections" in capsys.readouterr().err, args
+    # A and B read their stored forms and enumerate no connection, so 1 001 000
+    # connections at 1000 samples do not stop them
+    for target in ("A", "B"):
+        assert run_cli(["fit", "--q", "3", "--sign", "+", "--target", target,
+                        "--samples", "1000"])[0] == 0, target
     monkeypatch.undo()
-    # 20 000 connections: the connection budget alone bounds reps
+    # 20 000 connections: within the budget
     assert run_cli(["reps", "--q", "3", "--K", "10000"])[0] == 0
 
 
+@pytest.mark.parametrize("args", [
+    ["reps", "--q", "3", "--K", "-2..3"],
+    ["rho", "--q", "3", "--K", "-2..3"],
+    ["rho", "--q", "3", "--K", "-2..3", "--per-connection"],
+    ["invariants", "--q", "3", "--K-range", "-2..3"],
+    ["table", "--q", "3", "--K-range", "-2..3"],
+    ["conjecture", "--q-list", "3", "--samples", "3"],
+    ["fit", "--q", "3", "--sign", "+", "--target", "C", "--samples", "4"],
+    ["fit", "--q", "3", "--sign", "+", "--target", "Lambda", "--samples", "4"],
+], ids=" ".join)
+def test_every_cell_subcommand_is_refused_by_one_rule(args, capsys, monkeypatch):
+    # each sphere has at most 10 connections, the request more than 10 in all
+    monkeypatch.setattr(flat_moduli, "MAX_CONNECTIONS", 10)
+    monkeypatch.setattr(flat_moduli, "_enumerate", None)  # a call raises TypeError
+    assert run_cli(args) == (1, "")
+    err = capsys.readouterr().err
+    assert "requested spheres have" in err and "flat connections; the budget is 10" in err
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("args", [
+    ["rho", "--q", "3", "--K", "-100000"],  # 200 000 connections, a3 = 600 001
+    ["rho", "--q", "893", "--K", "1"],  # 199 362 connections
+    ["invariants", "--q", "9", "--K-range", "10000..10000"],  # 200 000 connections
+], ids=" ".join)
+def test_requests_at_the_budget_stay_bounded(args):
+    # each took 5-8 s and at most 190 MB peak RSS on a 2-core x86 VM
+    t0 = time.perf_counter()
+    proc = run_subprocess(args)
+    assert time.perf_counter() - t0 < 60.0
+    # the largest child so far; none of the others comes near this
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 400 * 1024
+    assert proc.returncode == 0, proc.stderr
+    q, K = int(args[2]), int(args[4].partition("..")[0])
+    assert f",{reference_C(q, K)}," in proc.stdout.replace("\n", ",")
+
+
 def test_console_entry_point():
-    src = os.path.dirname(os.path.dirname(casson3.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "casson3.cli", "reps", "--q", "3", "--K", "-1"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_subprocess(["reps", "--q", "3", "--K", "-1"])
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "q,K,L1,L2,L3,t,e"

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from casson3.errors import (
     SnapFailure,
     TooManyConnections,
 )
-from casson3.flat_moduli import enumerate_connections
+from casson3.flat_moduli import FlatConnection, enumerate_connections
 from casson3.floer import r_invariant
 from casson3.seifert import from_surgery, reverse_orientation
 
@@ -394,11 +395,29 @@ def test_snap_denominators_divide_4a():
                 assert bound % dedekind._rho_exact(X, c.e).denominator == 0, (q, K, c.L)
 
 
-def test_kernel_work_is_refused_before_enumeration(monkeypatch):
-    monkeypatch.setattr(flat_moduli, "MAX_KERNEL_WORK", 10)
-    monkeypatch.setattr(dedekind, "enumerate_connections", None)  # a call raises TypeError
-    with pytest.raises(TooManyConnections, match="44 units"):  # 4 connections, a3 = 11
+def test_c_is_refused_before_enumeration(monkeypatch):
+    monkeypatch.setattr(flat_moduli, "MAX_CONNECTIONS", 3)
+    # a call of any of these raises TypeError: no connection and no kernel table is built
+    for module, name in ((flat_moduli, "_enumerate"), (dedekind, "_numerator_table"),
+                         (_kernels, "_fiber")):
+        monkeypatch.setattr(module, name, None)
+    with pytest.raises(TooManyConnections, match="4 flat connections"):
         c_correction(from_surgery(3, 2))
+
+
+def test_a_modulus_past_the_tables_is_refused_before_any_fft():
+    # a hand-built connection skips the connection budget; its a3 = 5 999 999
+    # would take a 6 M-point FFT and about 1 GB before the integer table refused it
+    X = from_surgery(3, 10 ** 6)
+    c = FlatConnection(L=(1, 1, 1), t_index=1, e=0, host=X)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyConnections, match="5999999"):
+            rho_adjoint(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert X.a[2] == 5_999_999 and peak < 1_000_000
 
 
 def test_orientation_antisymmetry():

@@ -7,7 +7,6 @@ from casson3.dedekind import c_correction
 from casson3.errors import InvalidSurgery, TooManyConnections
 from casson3.flat_moduli import (
     check_connection_budget,
-    check_kernel_work,
     count_connections,
     enumerate_connections,
     is_admissible,
@@ -44,16 +43,13 @@ def test_enumeration_budget(monkeypatch):
 
 def test_request_budget_sums_the_cells(monkeypatch):
     cells = [(3, 1), (3, -2), (3, 2)]
-    # 2 + 4 + 4 connections, (3, -1) has 2 more; in units of connections x a3,
-    # 2*5 + 4*13 + 4*11 = 106 and 2*7 more
-    for check, budget, bound, total in (
-            (check_connection_budget, "MAX_CONNECTIONS", 10, "12 flat connections"),
-            (check_kernel_work, "MAX_KERNEL_WORK", 106, "120 units of kernel work")):
-        monkeypatch.setattr(flat_moduli, budget, bound)
-        check(cells)
-        with pytest.raises(TooManyConnections) as exc:
-            check(cells + [(3, -1)])
-        assert f"the 4 requested spheres have {total}" in str(exc.value)
+    # 2 + 4 + 4 connections, (3, -1) has 2 more
+    monkeypatch.setattr(flat_moduli, "MAX_CONNECTIONS", 10)
+    check_connection_budget(cells)
+    check_connection_budget([])
+    with pytest.raises(TooManyConnections) as exc:
+        check_connection_budget(cells + [(3, -1)])
+    assert "the 4 requested spheres have 12 flat connections" in str(exc.value)
 
 
 def test_counts_formula():
