@@ -24,7 +24,6 @@ from .errors import (
     InapplicableMove,
     InvalidSurgery,
     MissingClosedForm,
-    NotCoprime,
     SnapFailure,
     TooManyConnections,
 )

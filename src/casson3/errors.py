@@ -39,6 +39,3 @@ class MissingClosedForm(Casson3Error):
 class DegreeExceeded(Casson3Error):
     """No fit of degree <= MAX_FIT_DEGREE passes the samples, or no sample is left to check it."""
 
-
-class NotCoprime(Casson3Error):
-    """Torus knot parameters must be coprime."""

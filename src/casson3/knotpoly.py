@@ -1,39 +1,32 @@
-"""Normalized torus-knot Alexander polynomials and the quadratic-difference
-report for the surgery-family invariants."""
+"""The (2,q) torus knot's Alexander polynomial and the quadratic-difference
+report for the surgery-family invariants.
+
+The symmetric Delta(t) = Delta(1/t) has negative powers, so it is held
+centred: as the palindromic ordinary polynomial P(t) = t^(deg P/2) Delta(t).
+"""
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .errors import NotCoprime
 from .flat_moduli import count_connections, enumerate_connections
 from .polynomial import RationalPoly
-from .seifert import from_surgery
+from .seifert import check_surgery, from_surgery
 
 
-def alexander_torus(p: int, q: int) -> RationalPoly:
-    """Normalized Alexander polynomial of the (p,q) torus knot: the symmetric
-    Laurent form of (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)), satisfying
-    D(t) = D(1/t) and D(1) = 1.
-
-    The sum of t^s over the semigroup <p, q> is (1 - t^{pq}) / ((1 - t^p)(1 - t^q)),
-    so the quotient is (1 - t) times it, which is 1 - (1 - t) * sum of t^g over
-    the (p-1)(q-1)/2 gaps g of the semigroup.
-    """
-    if p < 1 or q < 1:
-        raise ValueError("p, q must be positive")
-    if math.gcd(p, q) != 1:
-        raise NotCoprime(f"gcd({p},{q}) != 1")
-    conductor = (p - 1) * (q - 1)  # every n >= conductor lies in <p, q>
-    semigroup = {a * p + b * q for a in range(q) for b in range(p)}
-    gaps = RationalPoly(tuple(int(g not in semigroup) for g in range(conductor)))
-    quotient = RationalPoly((1,)) - RationalPoly((1, -1)) * gaps
-    return quotient.shift(-(conductor // 2))
+def alexander_torus(q: int) -> RationalPoly:
+    """P(t) = t^g Delta(t) for the (2,q) torus knot, g = (q - 1)/2: the
+    palindromic sum_{i<q} (-t)^i = (t^q + 1)/(t + 1)
+    = (t^{2q} - 1)(t - 1) / ((t^2 - 1)(t^q - 1)), with P(1) = Delta(1) = 1.
+    Raises InvalidSurgery unless q is odd and >= 3."""
+    check_surgery(q, 1)
+    return RationalPoly(tuple((-1) ** i for i in range(q)))
 
 
 def second_derivative_at_one(P: RationalPoly) -> Fraction:
-    """d^2/dt^2 at t = 1: sum_n n (n - 1) coeff(n)."""
-    return sum((n * (n - 1) * c for n, c in P.terms()), Fraction(0))
+    """d^2/dt^2 at t = 1 of the centred t^(-deg P/2) P(t):
+    sum_n m (m - 1) coeff(n) with m = n - deg P/2."""
+    centre = Fraction(P.degree, 2)
+    return sum(((n - centre) * (n - centre - 1) * c for n, c in P.terms()), Fraction(0))
 
 
 def check_conjecture(q: int, fit_plus: RationalPoly, fit_minus: RationalPoly) -> dict:
@@ -49,7 +42,7 @@ def check_conjecture(q: int, fit_plus: RationalPoly, fit_minus: RationalPoly) ->
     n_q = count_connections(q, 1)
     diff = fit_plus - fit_minus
     expected = RationalPoly((0, Fraction(n_q, 4)))
-    d2 = second_derivative_at_one(alexander_torus(2, q))
+    d2 = second_derivative_at_one(alexander_torus(q))
     stated = RationalPoly((0, -d2))  # P+ - P- per the stated form
     factor = stated[1] / diff[1] if diff.degree == 1 else None
     rep_count = len(enumerate_connections(from_surgery(q, 1)))

@@ -1,6 +1,6 @@
-"""Laurent polynomials with exact rational coefficients, stored lowest power
-first, and exact polynomial fits of least degree, checked at every sample
-beyond the ones they interpolate.
+"""Polynomials with exact rational coefficients, stored lowest power first,
+and exact polynomial fits of least degree, checked at every sample beyond
+the ones they interpolate.
 
 Exact arithmetic makes "fits exactly or not" decidable, so there is no
 least-squares notion here: the degree is the least one whose fit passes
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterator, Mapping, Union
 
 from .errors import DegreeExceeded
@@ -25,27 +26,18 @@ MAX_FIT_DEGREE = 8
 
 @dataclass(frozen=True)
 class RationalPoly:
-    """Laurent polynomial sum_i coeffs[i] * x^(low + i).
+    """Polynomial sum_i coeffs[i] * x^i.
 
-    Canonical form: no trailing zero coefficients, and low = min(0, lowest
-    power with a nonzero coefficient), so an ordinary polynomial has low == 0
-    and coeffs[i] is its x^i coefficient.  The zero polynomial is ((), 0).
-    """
+    Canonical form: no trailing zero coefficients, so the zero polynomial is ()."""
 
     coeffs: tuple[Fraction, ...]
-    low: int = 0
 
     def __post_init__(self):
-        coeffs = (Fraction(0),) * max(self.low, 0) + tuple(Fraction(c) for c in self.coeffs)
-        low = min(self.low, 0)
+        coeffs = tuple(Fraction(c) for c in self.coeffs)
         end = len(coeffs)
         while end and coeffs[end - 1] == 0:
             end -= 1
-        start = 0
-        while start < min(end, -low) and coeffs[start] == 0:
-            start += 1
-        object.__setattr__(self, "coeffs", coeffs[start:end])
-        object.__setattr__(self, "low", low + start if start < end else 0)
+        object.__setattr__(self, "coeffs", coeffs[:end])
 
     @classmethod
     def zero(cls) -> "RationalPoly":
@@ -53,57 +45,41 @@ class RationalPoly:
 
     @property
     def degree(self) -> int:
-        """Highest power present; -1 for the zero polynomial (and for x^-1)."""
-        return self.low + len(self.coeffs) - 1
+        """Highest power present; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
 
     def __getitem__(self, n: int) -> Fraction:
         """Coefficient of x^n."""
-        i = n - self.low
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return self.coeffs[n] if 0 <= n < len(self.coeffs) else Fraction(0)
 
     def terms(self) -> Iterator[tuple[int, Fraction]]:
         """(power, coefficient) of each nonzero term, highest power first."""
-        for i in reversed(range(len(self.coeffs))):
-            if self.coeffs[i]:
-                yield self.low + i, self.coeffs[i]
-
-    def shift(self, k: int) -> "RationalPoly":
-        """Multiply by x^k."""
-        return RationalPoly(self.coeffs, self.low + k)
+        for n in reversed(range(len(self.coeffs))):
+            if self.coeffs[n]:
+                yield n, self.coeffs[n]
 
     def __call__(self, x: Scalar) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc * Fraction(x) ** self.low if self.low else acc
+        return acc
 
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        low = min(self.low, other.low)
-        out = [Fraction(0)] * (max(self.degree, other.degree) + 1 - low)
-        for p in (self, other):
-            for i, c in enumerate(p.coeffs, p.low - low):
-                out[i] += c
-        return RationalPoly(tuple(out), low)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return RationalPoly(tuple(a + b for a, b in pairs))
 
     def __neg__(self) -> "RationalPoly":
-        return RationalPoly(tuple(-c for c in self.coeffs), self.low)
+        return RationalPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "RationalPoly") -> "RationalPoly":
         return self + (-other)
 
-    def __mul__(self, other: Union["RationalPoly", Scalar]) -> "RationalPoly":
-        if isinstance(other, (int, Fraction)):
-            return RationalPoly(tuple(c * other for c in self.coeffs), self.low)
+    def __mul__(self, other: "RationalPoly") -> "RationalPoly":
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return RationalPoly(tuple(out), self.low + other.low)
-
-    __rmul__ = __mul__
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return RationalPoly(tuple(out))
 
     def format(self, var: str = "K") -> str:
         """Human-readable form, highest power first, e.g. '5/2*K^2 - 9/4*K';

@@ -277,6 +277,15 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit):
         run_cli(["rho", "--q", ",", "--K", "1"])
     assert "argument --q" in capsys.readouterr().err
+    # a K or q text that is not integers is refused by the option's own type
+    for args, message in (
+        (["rho", "--q", "3", "--K", "1..x"], "K '1..x' is not an integer or a..b"),
+        (["rho", "--q", "3,x", "--K", "1"], "q list '3,x' is not integers"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2, args
+        assert message in capsys.readouterr().err, args
     # a RunConfig refusal is reported under the subcommand's usage line
     with pytest.raises(SystemExit) as exc:
         run_cli(["reps", "--q", "3"])
@@ -331,7 +340,11 @@ def test_config_in_code_matches_command_line():
                                ("bogus", {}),
                                # a field no flag of the subcommand sets
                                ("reps", {"q_list": (3,), "k_list": (1,), "seed": 5}),
-                               ("table", {"per_connection": True})):
+                               ("table", {"per_connection": True}),
+                               # a format the subcommand does not print
+                               ("fit", {"q_list": (5,), "sign": "+", "fmt": "csv"}),
+                               # a K of 0, which the --K parser leaves out
+                               ("rho", {"q_list": (3,), "k_list": (0, 1)})):
         with pytest.raises(ValueError):
             RunConfig(subcommand, **fields)
 

@@ -357,12 +357,24 @@ def test_convention_verification_passes():
     assert verify_convention() is True
 
 
+def test_a_wrong_anchor_is_refused(monkeypatch):
+    monkeypatch.setattr(dedekind, "_ANCHORS", ((3, 1, Fraction(17, 13)),))
+    verify_convention.cache_clear()
+    with pytest.raises(ConventionMismatch, match=r"anchor C\(3,1\) = 17/13 but computed 17/12"):
+        verify_convention()
+    monkeypatch.undo()
+    # later tests see the cached True of the real anchors
+    assert verify_convention() is True
+
+
 def test_paths_identical_on_sample():
     for q, K in [(3, 1), (5, -1), (7, 2), (9, -3)]:
         X = from_surgery(q, K)
         for c in enumerate_connections(X):
             ref = rho_adjoint(c).exact
             assert rho_adjoint(c, path="float").exact == ref
+    with pytest.raises(ValueError, match="path must be one of"):
+        rho_adjoint(c, path="fast")
 
 
 def test_float_within_error_bound_full_range():

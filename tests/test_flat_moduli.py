@@ -111,6 +111,9 @@ def test_exhaustive_complement_small_spheres():
                     parity_ok = (L2 - m) % 2 == 0 and (L3 - k) % 2 == 0
                     trans = abs(math.cos(math.pi * L3 / a3)) < math.sin(math.pi * L2 / a2)
                     assert admissible == (parity_ok and trans), (q, K, L2, L3)
+            # a pair outside 0 < L2 < a2, 0 < L3 < a3 is never admissible
+            for L2, L3 in ((0, k), (a2, k), (-a2 + m, k), (m, 0), (m, a3), (m, a3 + 2), (m, -k)):
+                assert not is_admissible(X, L2, L3), (q, K, L2, L3)
 
 
 def test_orientation_independence():

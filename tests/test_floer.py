@@ -46,6 +46,12 @@ def test_gf2_matrix_basics():
     assert _entries(M.mul(N)) == [[1], [1]]
     assert GF2Matrix.zero(2, 3).is_zero()
     assert _matrix([[1, 1], [1, 1]]).rank() == 1
+    with pytest.raises(ValueError, match="row has bits beyond ncols"):
+        GF2Matrix((0b100,), 2)
+    # a product needs M.ncols == N.nrows, whether N has fewer rows or more
+    for rows in ([[1], [0]], [[1], [0], [1], [1]]):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            M.mul(_matrix(rows))
 
 
 def test_rank_against_row_space_oracle():
@@ -210,11 +216,18 @@ def test_handle_slide_preserves_correction():
     assert homology_ranks(slid) == homology_ranks(cc)
     # elementary over GF(2) is an involution
     assert apply_move(slid, MorseMove("handle_slide", p=2, pair=(0, 1))) == cc
+    # a slide needs two distinct generators of the degree
+    for pair in (None, (0, 0), (1, 1), (0, 2), (-1, 0)):
+        with pytest.raises(InapplicableMove, match="cannot slide generator"):
+            apply_move(cc, MorseMove("handle_slide", p=2, pair=pair))
 
 
 def test_isotopy_is_identity():
     cc = random_complex(random.Random(5), 4)
     assert apply_move(cc, MorseMove("isotopy")) == cc
+    # the four kinds above are the only moves
+    with pytest.raises(ValueError, match="unknown move kind 'isotropy'"):
+        MorseMove("isotropy")
 
 
 def test_move_fuzz():

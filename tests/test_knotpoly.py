@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from casson3.errors import NotCoprime
+from casson3.errors import InvalidSurgery
 from casson3.flat_moduli import count_connections, enumerate_connections
 from casson3.knotpoly import alexander_torus, check_conjecture, second_derivative_at_one
 from casson3.polynomial import RationalPoly, fit_and_verify
@@ -10,53 +10,52 @@ from casson3.assembly import reference_B, reference_C, reference_Lambda
 from casson3.seifert import from_surgery
 
 ONE = RationalPoly((1,))
+ODD_Q = range(3, 62, 2)
 
 
 def t_to(n):
-    return ONE.shift(n)
+    return RationalPoly((0,) * n + (1,))
 
 
 def test_alexander_trefoil():
-    assert alexander_torus(2, 3) == RationalPoly((1, -1, 1), -1)
+    assert alexander_torus(3) == RationalPoly((1, -1, 1))
 
 
 def test_alexander_2_5():
-    assert alexander_torus(2, 5) == RationalPoly((1, -1, 1, -1, 1), -2)
-
-
-def test_alexander_unknot_convention():
-    assert alexander_torus(1, 5) == ONE
+    assert alexander_torus(5) == RationalPoly((1, -1, 1, -1, 1))
 
 
 def test_alexander_normalization_and_symmetry():
-    for p, q in [(2, 3), (2, 5), (2, 7), (2, 9), (3, 4), (3, 5), (4, 5)]:
-        d = alexander_torus(p, q)
+    for q in ODD_Q:
+        d = alexander_torus(q)
         assert d(1) == 1
-        assert d.low == -d.degree and d.coeffs == d.coeffs[::-1]
+        assert d.degree == q - 1 and d.coeffs == d.coeffs[::-1], q
 
 
 def test_alexander_defining_identity():
-    # D(t) * (t^p - 1)(t^q - 1) == t^{-(p-1)(q-1)/2} (t^{pq} - 1)(t - 1)
-    for p, q in [(2, 3), (2, 5), (2, 7), (2, 9), (2, 11), (3, 4), (3, 5),
-                 (5, 7), (7, 11), (2, 21), (5, 2)]:
-        d = alexander_torus(p, q)
-        den = (t_to(p) - ONE) * (t_to(q) - ONE)
-        num = (t_to(p * q) - ONE) * (t_to(1) - ONE)
-        shift = (p - 1) * (q - 1) // 2
-        assert d * den == num.shift(-shift)
+    # P(t) * (t^2 - 1)(t^q - 1) == (t^{2q} - 1)(t - 1)
+    for q in ODD_Q:
+        den = (t_to(2) - ONE) * (t_to(q) - ONE)
+        num = (t_to(2 * q) - ONE) * (t_to(1) - ONE)
+        assert alexander_torus(q) * den == num, q
 
 
-def test_not_coprime():
-    with pytest.raises(NotCoprime):
-        alexander_torus(2, 4)
+def test_alexander_refuses_an_invalid_q():
+    for q in (-3, 0, 1, 2, 4, 10):
+        with pytest.raises(InvalidSurgery, match=f"q must be odd and >= 3, got {q}"):
+            alexander_torus(q)
 
 
 def test_second_derivative_values():
-    assert second_derivative_at_one(alexander_torus(2, 3)) == 2
-    assert second_derivative_at_one(alexander_torus(2, 5)) == 6
+    assert second_derivative_at_one(alexander_torus(3)) == 2
+    assert second_derivative_at_one(alexander_torus(5)) == 6
     assert second_derivative_at_one(ONE) == 0
-    for q in (3, 5, 7, 9, 11):
-        assert second_derivative_at_one(alexander_torus(2, q)) == (q * q - 1) // 4
+    # an odd degree centres at a half-integer: t^(-1/2) + t^(1/2)
+    assert second_derivative_at_one(RationalPoly((1, 1))) == Fraction(1, 2)
+    # the N = |D''(1)| law that check_conjecture reports
+    for q in ODD_Q:
+        d2 = second_derivative_at_one(alexander_torus(q))
+        assert d2 == (q * q - 1) // 4 == count_connections(q, 1), q
 
 
 def _fits(q):
