@@ -27,7 +27,8 @@ EPS = float(np.finfo(np.float64).eps)
 # across cells, so 8 keeps a sweep's tables warm.  An entry holds 8*n bytes,
 # float or integer.  The connection budget bounds each sphere, so
 # a3 = 2q|K| +- 1 <= 600 001 (q = 3) and one entry is at most about 4.8 MB;
-# the q <= 9, |K| <= 80 tables take under 12 KB each.
+# the q <= 9, |K| <= 80 tables take under 12 KB each.  The same maxsize bounds
+# `dedekind.fiber_plan`, whose entry is a few numbers per sphere.
 TABLE_CACHE_SIZE = 8
 
 # Largest modulus either per-fiber table is built for: the integer table's

@@ -64,12 +64,14 @@ divides (snapped values lie on (1/4a)Z, exact ones on (1/a^2)Z), and builds
 one Fraction per sphere.  The float cross-check compares exact and float in
 integers from `float.as_integer_ratio`.
 
-Each fiber's kernel call is made on the residues (a/a_i mod a_i, e mod a_i,
-a_i).  The invariant e is unique per connection, but every residue of a
-fiber draws on the same data, so both kernels fill a table of all n residues
-once per fiber and keep the last `_kernels.TABLE_CACHE_SIZE` fibers: the
-integer table of M, and the float table of S from one FFT.  A call of either
-is a lookup.
+Every connection of a sphere shares its fiber constants, so `fiber_plan`
+computes them once per multiplicity triple: per fiber (a/a_i mod a_i, a_i,
+(a/a_i)^2, 2.0/a_i), then a and a^2.  Each fiber's kernel call is made on
+(a/a_i mod a_i, e, a_i).  The invariant e is unique per connection, but every
+residue of a fiber draws on the same data, so both kernels fill a table of
+all n residues once per fiber: the integer table of M, and the float table of
+S from one FFT.  A call of either is a lookup.  The plan and both tables keep
+their last `_kernels.TABLE_CACHE_SIZE` entries.
 """
 from __future__ import annotations
 
@@ -222,34 +224,34 @@ def cot_sum_lattice(A: int, e: int, n: int) -> Fraction:
     return Fraction(-_cot_sum_numerator(A, e, n, _weighted_floor_sum_loop), 4 * n)
 
 
-def _fiber_arguments(a: tuple[int, int, int], e: int) -> list[tuple[int, int, int]]:
-    """The kernel arguments (a/a_i mod a_i, e mod a_i, a_i) of each fiber."""
+@lru_cache(maxsize=_kernels.TABLE_CACHE_SIZE)
+def fiber_plan(a: tuple[int, int, int]) -> tuple[tuple, int, int]:
+    """The constants every connection of the sphere shares: per fiber
+    (a/a_i mod a_i, a_i, (a/a_i)^2, 2.0/a_i), then a = a1*a2*a3 and a^2."""
     prod = a[0] * a[1] * a[2]
-    return [((prod // ai) % ai, e % ai, ai) for ai in a]
+    return tuple(((prod // n) % n, n, (prod // n) ** 2, 2.0 / n) for n in a), prod, prod * prod
 
 
 def cotangent_numerator(a: tuple[int, int, int], e: int) -> int:
     """N = sum_i M_i * (a/a_i)^2, so that the cotangent total
     sum_i (2/a_i) S(a/a_i, e, a_i) is -N / (2 a^2), a = a1*a2*a3."""
-    prod = a[0] * a[1] * a[2]
     total = 0
-    for A, r, n in _fiber_arguments(a, e):
-        cofactor = prod // n
-        total += cot_sum_numerator(A, r, n) * cofactor * cofactor
+    for A, n, cofactor_squared, _ in fiber_plan(a)[0]:
+        total += cot_sum_numerator(A, e, n) * cofactor_squared
     return total
 
 
-def rho_natural_float(a: tuple[int, int, int], e: int) -> FloatEstimate:
-    """rho of the naturally oriented sphere, -3 - 2 * sum_i (2/a_i) S(a/a_i, e,
-    a_i), from the float kernel; the bound adds the kernels' bounds to the
-    rounding of the few operations here."""
+def rho_natural_float(a: tuple[int, int, int], e: int, sign: int = 1) -> FloatEstimate:
+    """sign * rho of the naturally oriented sphere, -3 - 2 * sum_i (2/a_i)
+    S(a/a_i, e, a_i), from the float kernel; the bound adds the kernels'
+    bounds to the rounding of the few operations here."""
     total = total_err = 0.0
-    for A, r, n in _fiber_arguments(a, e):
-        v, b = _kernels.cot_sum(A, r, n)
-        total += (2.0 / n) * v
-        total_err += (2.0 / n) * b
+    for A, n, _, w in fiber_plan(a)[0]:
+        v, b = _kernels.cot_sum(A, e, n)
+        total += w * v
+        total_err += w * b
     err = 2.0 * total_err + 8 * _kernels.EPS * (3.0 + 2.0 * abs(total))
-    return FloatEstimate(-3.0 - 2.0 * total, err)
+    return FloatEstimate(sign * (-3.0 - 2.0 * total), err)
 
 
 @dataclass(frozen=True)
@@ -282,7 +284,7 @@ def snap_rho(estimate: FloatEstimate, X: BrieskornSphere) -> Fraction:
     x, err = estimate.value, estimate.error_bound
     if err > MAX_SNAP_ERROR:
         raise SnapFailure(f"error bound {err!r} exceeds {MAX_SNAP_ERROR}")
-    D = SNAP_DENOMINATOR_FACTOR * X.fiber_product
+    D = SNAP_DENOMINATOR_FACTOR * fiber_plan(X.a)[1]
     num, den = x.as_integer_ratio()
     err_num, err_den = err.as_integer_ratio()
     p = (2 * num * D + den) // (2 * den)  # round(x * D)
@@ -306,9 +308,7 @@ def rho_adjoint(c: FlatConnection, path: str = "exact") -> RhoValue:
     if path not in PATHS:
         raise ValueError(f"path must be one of {PATHS}, got {path!r}")
     X = c.host
-    sign = X.orientation
-    nat_float = rho_natural_float(X.a, c.e)
-    est = FloatEstimate(sign * nat_float.value, nat_float.error_bound)
+    est = rho_natural_float(X.a, c.e, X.orientation)
     if path == "float":
         try:
             exact = snap_rho(est, X)
@@ -322,7 +322,7 @@ def rho_adjoint(c: FlatConnection, path: str = "exact") -> RhoValue:
 def _rho_exact(X: BrieskornSphere, e: int) -> Fraction:
     """rho_X = orientation * (-3 + N / a^2), one Fraction built from the
     integer N of `cotangent_numerator`."""
-    square = X.fiber_product ** 2
+    square = fiber_plan(X.a)[2]
     return Fraction(X.orientation * (cotangent_numerator(X.a, e) - 3 * square), square)
 
 

@@ -48,8 +48,6 @@ class FlatConnection:
 def is_admissible(X: BrieskornSphere, L2: int, L3: int) -> bool:
     """Parity and trace-reachability test for a candidate (1, L2, L3)."""
     _, a2, a3 = X.a
-    if not (0 < L2 < a2 and 0 < L3 < a3):
-        return False
     if (L2 - (X.q - 1) // 2) % 2 != 0 or (L3 - abs(X.K)) % 2 != 0:
         return False
     # compare via integers: bound = |a3/2 - a3*L2/a2| = |a2*a3 - 2*a3*L2| / (2*a2)
@@ -75,17 +73,18 @@ def _enumerate(X: BrieskornSphere, admissible) -> tuple[FlatConnection, ...]:
     k, m = abs(X.K), (X.q - 1) // 2
     a1, a2, a3 = X.a
     a = X.fiber_product
+    c1, c2, c3 = a // a1, a // a2, a // a3
     out: list[FlatConnection] = []
     for L2 in range(1, a2):
         if (L2 - m) % 2 != 0:
             continue
+        base = c1 + L2 * c2
         t = 0
         for L3 in range(2 - k % 2, a3, 2):  # L3 = k (mod 2)
             if not admissible(X, L2, L3):
                 continue
             t += 1
-            e = (a // a1) + L2 * (a // a2) + L3 * (a // a3)
-            out.append(FlatConnection(L=(1, L2, L3), t_index=t, e=e, host=X))
+            out.append(FlatConnection(L=(1, L2, L3), t_index=t, e=base + L3 * c3, host=X))
     return tuple(out)
 
 

@@ -37,7 +37,7 @@ from functools import cached_property
 from random import Random
 from typing import Iterable, Optional
 
-from .dedekind import cotangent_numerator
+from .dedekind import cotangent_numerator, fiber_plan
 from .errors import GradingFormulaUnavailable, InapplicableMove
 from .flat_moduli import FlatConnection, enumerate_connections
 from .seifert import BrieskornSphere
@@ -358,8 +358,8 @@ def r_invariant(a: tuple[int, int, int], e: int) -> int:
     """2 e^2 / a + cotangent total: an exact integer for every admissible e,
     computed as (4 a e^2 - N) / (2 a^2) from the integer N of
     `cotangent_numerator`."""
-    prod = a[0] * a[1] * a[2]
-    mu, rest = divmod(4 * prod * e * e - cotangent_numerator(a, e), 2 * prod * prod)
+    _, prod, square = fiber_plan(a)
+    mu, rest = divmod(4 * prod * e * e - cotangent_numerator(a, e), 2 * square)
     if rest:
         raise GradingFormulaUnavailable(f"grading for a={a}, e={e} is not an integer")
     return mu

@@ -484,6 +484,48 @@ def test_float_estimate_total_tracks_components():
         assert abs(Fraction(est.value) - reference) <= Fraction(est.error_bound)
 
 
+def _sampled_connections(seed, spheres=16, per_sphere=16):
+    """Seeded admissible connections on spheres of both orientations with
+    a3 = 2q|K| +- 1 up to about 10^4, drawn without enumerating the sphere."""
+    rng = random.Random(seed)
+    for _ in range(spheres):
+        q = rng.randrange(3, 62, 2)
+        K = rng.choice((1, -1)) * rng.randint(1, 10 ** 4 // (2 * q))
+        X0 = from_surgery(q, K)
+        _, a2, a3 = X0.a
+        prod = X0.fiber_product
+        for X in (X0, reverse_orientation(X0)):
+            drawn = 0
+            while drawn < per_sphere:
+                L2, L3 = rng.randrange(1, a2), rng.randrange(1, a3)
+                if flat_moduli.is_admissible(X, L2, L3):
+                    drawn += 1
+                    e = prod // 2 + L2 * (prod // a2) + L3 * (prod // a3)
+                    yield FlatConnection(L=(1, L2, L3), t_index=0, e=e, host=X)
+
+
+def test_fiber_plan_matches_the_sums_it_replaces():
+    # the plan's readers against the fiber sums restated without it: the
+    # integer N, and the float estimate bit for bit, orientation sign applied
+    for c in _sampled_connections(26):
+        X, e = c.host, c.e
+        prod = X.fiber_product
+        want = sum(-4 * ai * cot_sum_exact(prod // ai, e, ai) * (prod // ai) ** 2 for ai in X.a)
+        assert cotangent_numerator(X.a, e) == want, (X, c.L)
+        total = total_err = 0.0
+        for ai in X.a:
+            v, b = _kernels.cot_sum(prod // ai, e, ai)
+            total += (2.0 / ai) * v
+            total_err += (2.0 / ai) * b
+        value = X.orientation * (-3.0 - 2.0 * total)
+        bound = 2.0 * total_err + 8 * _kernels.EPS * (3.0 + 2.0 * abs(total))
+        for est in (rho_natural_float(X.a, e, X.orientation), rho_adjoint(c).float_check):
+            assert (est.value.hex(), est.error_bound.hex()) == (value.hex(), bound.hex()), (X, c.L)
+    info = dedekind.fiber_plan.cache_info()
+    assert info.maxsize == _kernels.TABLE_CACHE_SIZE
+    assert info.currsize <= info.maxsize
+
+
 def test_exact_rho_is_cross_checked_against_the_float_kernel(monkeypatch):
     # an integer kernel off by one moves every rho by sum_i 1/a_i^2, far
     # beyond the float bound, so the cross-check must refuse it

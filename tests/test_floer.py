@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from casson3 import dedekind, floer
+from casson3.assembly import lambda_su2
 from casson3.dedekind import cot_sum_exact
 from casson3.errors import GradingFormulaUnavailable, InapplicableMove
 from casson3.flat_moduli import enumerate_connections
@@ -302,13 +303,39 @@ def test_grading_refuses_a_non_integer(monkeypatch):
             r_invariant(X.a, c.e)
 
 
+def _grading_cells(seed):
+    """Every q <= 9, |K| <= 2 cell, a seeded sample of the odd q <= 25,
+    |K| <= 6 grid and seeded cells with q <= 61, |K| <= 8."""
+    rng = random.Random(seed)
+    small = [(q, K) for q in (3, 5, 7, 9) for K in (1, 2, -1, -2)]
+    grid = [(q, K) for q in range(11, 26, 2) for K in range(-6, 7) if K]
+    wide = [(rng.randrange(27, 62, 2), rng.choice((1, -1)) * rng.randint(1, 8))
+            for _ in range(6)]
+    return small + rng.sample(grid, 24) + wide
+
+
+_GRADING_CELLS = _grading_cells(26)
+
+
 def test_grading_parity_by_surgery_sign():
-    for q in (3, 5, 7, 9):
-        for K in (1, 2, -1, -2):
-            X = from_surgery(q, K)
-            for c in enumerate_connections(X):
-                g = floer_grading(c)
-                assert g % 2 == (1 if K > 0 else 0), (q, K, c.L, g)
+    for q, K in _GRADING_CELLS:
+        X = from_surgery(q, K)
+        for c in enumerate_connections(X):
+            g = floer_grading(c)
+            assert g % 2 == (1 if K > 0 else 0), (q, K, c.L, g)
+
+
+def test_graded_dims_repeat_with_period_four_and_sum_to_casson():
+    # two laws of the degree histogram: dims[p] = dims[p + 4] (observed, not
+    # proved), and the Euler characteristic chi = 2 lambda (Taubes 1990), which
+    # in this normalisation reads -lambda_su2 on the surgery orientation
+    for q, K in _GRADING_CELLS:
+        X = from_surgery(q, K)
+        for Y, sign in ((X, -1), (reverse_orientation(X), 1)):
+            dims = build_floer_complex(Y).dims
+            assert all(dims[p] == dims[p + 4] for p in range(4)), (q, K, Y.orientation, dims)
+            euler = sum((-1) ** p * d for p, d in enumerate(dims))
+            assert euler == sign * lambda_su2(q, K), (q, K, Y.orientation, dims)
 
 
 def test_grading_all_twenty_q9():
