@@ -22,13 +22,13 @@ from .errors import TooManyConnections
 
 EPS = float(np.finfo(np.float64).eps)
 
-# maxsize of each per-fiber table cache (this float one and the integer one
-# of `dedekind`).  A cell uses three fibers, and the one of modulus 2 repeats
-# across cells, so 8 keeps a sweep's tables warm.  An entry holds 8*n bytes,
-# float or integer.  The connection budget bounds each sphere, so
-# a3 = 2q|K| +- 1 <= 600 001 (q = 3) and one entry is at most about 4.8 MB;
-# the q <= 9, |K| <= 80 tables take under 12 KB each.  The same maxsize bounds
-# `dedekind.fiber_plan`, whose entry is a few numbers per sphere.
+# maxsize of each per-fiber table cache (this float one and the integer one of
+# `dedekind`) and of `dedekind.fiber_plan`, whose entry keeps up to 3 integer
+# tables alive, its sphere's.  A cell uses three fibers, and the one of modulus
+# 2 repeats across cells, so 8 keeps a sweep's tables warm.  An entry holds 8*n
+# bytes, float or integer.  The connection budget bounds the a3 = 2q|K| +- 1
+# summed over a request's spheres by about 600 001 (q = 3), so one table is at
+# most about 4.8 MB; the q <= 9, |K| <= 80 tables take under 12 KB each.
 TABLE_CACHE_SIZE = 8
 
 # Largest modulus either per-fiber table is built for: the integer table's

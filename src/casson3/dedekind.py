@@ -25,13 +25,10 @@ C has one evaluation contract: every rho is evaluated by two independent
 kernels, and `c_correction` returns the snapped float aggregate only if it
 equals the integer one (ConventionMismatch otherwise).
 
-* snapped     - the float kernel's double, rounded onto the lattice
-                (1/D)Z, D = 4*a1*a2*a3, which holds every rho.  The nearest
-                point p/d (lowest terms) is taken only if it lies within the
-                error bound err and 3*err*d*D < 1: any other rational with
-                denominator <= D is then at least 1/(d*D) from p/d, so more
-                than 2*err from the estimate.  Otherwise the value escalates
-                to the integer kernel.
+* snapped     - the float kernel's double, rounded by `snap_rho` onto the
+                lattice (1/D)Z, D = 4*a1*a2*a3, which holds every rho, if
+                its error bound singles out one point; otherwise the value
+                escalates to the integer kernel.
 * integer     - closed form over the integers: writing cot(pi j/n) =
                 (i/n)(x+1)U(x) at x = exp(2 pi i j/n) with U(x) = sum r x^r
                 and expanding, S(A,e,n) = -M / (4n) with the integer
@@ -42,9 +39,8 @@ equals the integer one (ConventionMismatch otherwise).
 The integer kernel never forms that convolution per residue.  Every residue
 of a fiber (A, n) draws on one G(t) = sum_r p_r p_{(t - A r) mod n}, since
 N(s) = G(-e s), so `_numerator_table` fills M for all n residues in O(n)
-from the exact differences of G, and `cot_sum_numerator` is an O(1)
-lookup.  ``cot_sum_exact`` (M as the rational S) and
-``cot_sum_lattice`` are independent references for the tests; no
+from the exact differences of G.  ``cot_sum_exact`` (M as the rational S)
+and ``cot_sum_lattice`` are independent references for the tests; no
 computation calls them.  Both expand the residue (-A r - e s) mod n through
 a floor, which leaves a polynomial part in closed form, two boundary terms
 and one weighted floor sum sum_r (2r-1) floor((-A r - e s)/n), i.e. a
@@ -53,31 +49,33 @@ it in O(log n) with the Euclid-like recursion of `floor_sums`, the
 reciprocity step behind Dedekind sums (Rademacher 1964; Knuth, TAOCP vol. 2,
 3.3.3); ``cot_sum_lattice`` counts it term by term in O(n).
 
-The exact arithmetic stays in integers until one Fraction per connection.
+The exact arithmetic stays in integers until one Fraction per sphere.
 With a = a1*a2*a3 and M_i the numerator of fiber i,
 
     N = sum_i M_i (a/a_i)^2,   rho_nat(e) = (N - 3 a^2) / a^2,
 
-and the same N gives the Floer grading (see `floer`).  The aggregate adds
-the numerators of the rho values over L = 4 a^2, which every denominator
-divides (snapped values lie on (1/4a)Z, exact ones on (1/a^2)Z), and builds
-one Fraction per sphere.  The float cross-check compares exact and float in
-integers from `float.as_integer_ratio`.
+and the same N gives the Floer grading (see `floer`).  A `RhoValue` holds
+rho as an integer numerator over a fixed denominator, 4a if snapped and a^2
+if exact, with the float estimate it was cross-checked against in integers
+(each `FloatEstimate` converts itself to integer ratios once).  The
+aggregate adds the numerators over L = 4 a^2, which both denominators
+divide, and builds one Fraction per sphere.
 
 Every connection of a sphere shares its fiber constants, so `fiber_plan`
 computes them once per multiplicity triple: per fiber (a/a_i mod a_i, a_i,
-(a/a_i)^2, 2.0/a_i), then a and a^2.  Each fiber's kernel call is made on
-(a/a_i mod a_i, e, a_i).  The invariant e is unique per connection, but every
-residue of a fiber draws on the same data, so both kernels fill a table of
-all n residues once per fiber: the integer table of M, and the float table of
-S from one FFT.  A call of either is a lookup.  The plan and both tables keep
-their last `_kernels.TABLE_CACHE_SIZE` entries.
+(a/a_i)^2, 2.0/a_i, the fiber's integer table of M), then a and a^2.  Each
+fiber's kernel call is made on (a/a_i mod a_i, e, a_i).  Every residue of a
+fiber draws on the same data, so both kernels fill a table of all n residues
+once per fiber: the integer table of M, which the plan takes from the cache
+of `_numerator_table` (so fibers of modulus 2 and q share one across
+spheres), and the float table of S from one FFT.  The plan and both table
+caches keep their last `_kernels.TABLE_CACHE_SIZE` entries.
 """
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -104,11 +102,15 @@ class FloatEstimate:
 
     value: float
     error_bound: float
+    # (value, error_bound) as two integer ratios, converted once for every exact test
+    ratios: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.value) and 0.0 <= self.error_bound < math.inf):
             raise ConventionMismatch(f"float estimate needs a finite value and a finite "
                                      f"bound >= 0, got {self.value!r} +- {self.error_bound!r}")
+        object.__setattr__(self, "ratios", (*self.value.as_integer_ratio(),
+                                            *self.error_bound.as_integer_ratio()))
 
 
 def floor_sums(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
@@ -200,14 +202,6 @@ def _numerator_table(A: int, n: int) -> array:
     return array("q", (-D - D[-r % n]).tobytes())
 
 
-def cot_sum_numerator(A: int, e: int, n: int) -> int:
-    """The integer M = -4n * S(A, e, n), read off the table of the fiber
-    (A mod n, n) as a Python int, so the caller's products never overflow.
-    Requires gcd(A, n) = 1, which every caller meets because the
-    multiplicities of a Brieskorn sphere are pairwise coprime."""
-    return _numerator_table(A % n, n)[e % n]
-
-
 @lru_cache(maxsize=_kernels.CACHE_SIZE)
 def cot_sum_exact(A: int, e: int, n: int) -> Fraction:
     """S(A, e, n) = -M / (4n) as a rational, M from the floor-sum recursion: a
@@ -227,66 +221,74 @@ def cot_sum_lattice(A: int, e: int, n: int) -> Fraction:
 @lru_cache(maxsize=_kernels.TABLE_CACHE_SIZE)
 def fiber_plan(a: tuple[int, int, int]) -> tuple[tuple, int, int]:
     """The constants every connection of the sphere shares: per fiber
-    (a/a_i mod a_i, a_i, (a/a_i)^2, 2.0/a_i), then a = a1*a2*a3 and a^2."""
+    (a/a_i mod a_i, a_i, (a/a_i)^2, 2.0/a_i, the integer table M of that
+    fiber from `_numerator_table`), then a = a1*a2*a3 and a^2."""
     prod = a[0] * a[1] * a[2]
-    return tuple(((prod // n) % n, n, (prod // n) ** 2, 2.0 / n) for n in a), prod, prod * prod
+    fibers = tuple(((prod // n) % n, n, (prod // n) ** 2, 2.0 / n) for n in a)
+    return tuple((*f, _numerator_table(f[0], f[1])) for f in fibers), prod, prod * prod
 
 
 def cotangent_numerator(a: tuple[int, int, int], e: int) -> int:
     """N = sum_i M_i * (a/a_i)^2, so that the cotangent total
-    sum_i (2/a_i) S(a/a_i, e, a_i) is -N / (2 a^2), a = a1*a2*a3."""
-    total = 0
-    for A, n, cofactor_squared, _ in fiber_plan(a)[0]:
-        total += cot_sum_numerator(A, e, n) * cofactor_squared
-    return total
+    sum_i (2/a_i) S(a/a_i, e, a_i) is -N / (2 a^2), a = a1*a2*a3.  Each M_i
+    is read off its fiber's table as a Python int, so no product overflows."""
+    (_, n1, c1, _, M1), (_, n2, c2, _, M2), (_, n3, c3, _, M3) = fiber_plan(a)[0]
+    return M1[e % n1] * c1 + M2[e % n2] * c2 + M3[e % n3] * c3
 
 
 def rho_natural_float(a: tuple[int, int, int], e: int, sign: int = 1) -> FloatEstimate:
     """sign * rho of the naturally oriented sphere, -3 - 2 * sum_i (2/a_i)
     S(a/a_i, e, a_i), from the float kernel; the bound adds the kernels'
     bounds to the rounding of the few operations here."""
-    total = total_err = 0.0
-    for A, n, _, w in fiber_plan(a)[0]:
-        v, b = _kernels.cot_sum(A, e, n)
-        total += w * v
-        total_err += w * b
-    err = 2.0 * total_err + 8 * _kernels.EPS * (3.0 + 2.0 * abs(total))
+    (A1, n1, _, w1, _), (A2, n2, _, w2, _), (A3, n3, _, w3, _) = fiber_plan(a)[0]
+    v1, b1 = _kernels.cot_sum(A1, e, n1)
+    v2, b2 = _kernels.cot_sum(A2, e, n2)
+    v3, b3 = _kernels.cot_sum(A3, e, n3)
+    total = w1 * v1 + w2 * v2 + w3 * v3
+    err = 2.0 * (w1 * b1 + w2 * b2 + w3 * b3) + 8 * _kernels.EPS * (3.0 + 2.0 * abs(total))
     return FloatEstimate(sign * (-3.0 - 2.0 * total), err)
 
 
 @dataclass(frozen=True)
 class RhoValue:
-    exact: Fraction
+    """rho = numerator / denominator, not reduced: the denominator is 4a for
+    a snapped value and a^2 for an exact one, a = a1*a2*a3.  float_check is
+    the float estimate it is cross-checked against when built."""
+
+    numerator: int
+    denominator: int
     float_check: FloatEstimate
 
+    @property
+    def exact(self) -> Fraction:
+        return Fraction(self.numerator, self.denominator)
+
     def __post_init__(self):
-        x, err = self.float_check.value, self.float_check.error_bound
-        # |exact - x| <= err, cleared of denominators
-        p, q = self.exact.numerator, self.exact.denominator
-        num, den = x.as_integer_ratio()
-        err_num, err_den = err.as_integer_ratio()
+        est = self.float_check
+        num, den, err_num, err_den = est.ratios
+        # |p/q - x| <= err, cleared of denominators
+        p, q = self.numerator, self.denominator
         if abs(p * den - num * q) * err_den > err_num * q * den:
-            raise ConventionMismatch(
-                f"float cross-check {x!r} disagrees with exact "
-                f"{self.exact} beyond its error bound {err!r}"
-            )
+            raise ConventionMismatch(f"float cross-check {est.value!r} disagrees with exact "
+                                     f"{self.exact} beyond its error bound {est.error_bound!r}")
 
 
-def snap_rho(estimate: FloatEstimate, X: BrieskornSphere) -> Fraction:
-    """The point p/d of (1/D)Z, D = 4*a1*a2*a3, nearest the estimate x.
+def snap_rho(estimate: FloatEstimate, X: BrieskornSphere) -> int:
+    """The numerator p of the point p/D of (1/D)Z, D = 4*a1*a2*a3, nearest
+    the estimate x; p/D need not be in lowest terms.
 
     Accepted only if its error bound err is at most MAX_SNAP_ERROR,
-    |x - p/d| <= err and 3*err*d*D < 1, all tested in exact integers.  Two distinct rationals with denominators d and v <= D are at
-    least 1/(d*D) apart, so every other candidate then lies more than 2*err
-    from x and p/d is the only rational of denominator <= D the estimate can
-    mean.  Raises SnapFailure otherwise.
+    |x - p/D| <= err and 3*err*d*D < 1, where d is the reduced denominator
+    of p/D, all tested in exact integers.  Two distinct rationals with
+    denominators d and v <= D are at least 1/(d*D) apart, so every other
+    candidate then lies more than 2*err from x and p/D is the only rational
+    of denominator <= D the estimate can mean.  Raises SnapFailure otherwise.
     """
     x, err = estimate.value, estimate.error_bound
     if err > MAX_SNAP_ERROR:
         raise SnapFailure(f"error bound {err!r} exceeds {MAX_SNAP_ERROR}")
     D = SNAP_DENOMINATOR_FACTOR * fiber_plan(X.a)[1]
-    num, den = x.as_integer_ratio()
-    err_num, err_den = err.as_integer_ratio()
+    num, den, err_num, err_den = estimate.ratios
     p = (2 * num * D + den) // (2 * den)  # round(x * D)
     d = D // math.gcd(p, D)
     # |x - p/D| <= err, cleared of denominators
@@ -294,7 +296,7 @@ def snap_rho(estimate: FloatEstimate, X: BrieskornSphere) -> Fraction:
         raise SnapFailure(f"no point of (1/{D})Z within {err!r} of {x!r}")
     if 3 * err_num * d * D >= err_den:
         raise SnapFailure(f"error bound {err!r} too wide to single out {p}/{D} near {x!r}")
-    return Fraction(p, D)
+    return p
 
 
 def rho_adjoint(c: FlatConnection, path: str = "exact") -> RhoValue:
@@ -309,21 +311,19 @@ def rho_adjoint(c: FlatConnection, path: str = "exact") -> RhoValue:
         raise ValueError(f"path must be one of {PATHS}, got {path!r}")
     X = c.host
     est = rho_natural_float(X.a, c.e, X.orientation)
+    _, prod, square = fiber_plan(X.a)
     if path == "float":
         try:
-            exact = snap_rho(est, X)
+            return RhoValue(snap_rho(est, X), SNAP_DENOMINATOR_FACTOR * prod, est)
         except SnapFailure:
-            exact = _rho_exact(X, c.e)
-    else:
-        exact = _rho_exact(X, c.e)
-    return RhoValue(exact=exact, float_check=est)
+            pass
+    return RhoValue(_rho_exact(X, c.e), square, est)
 
 
-def _rho_exact(X: BrieskornSphere, e: int) -> Fraction:
-    """rho_X = orientation * (-3 + N / a^2), one Fraction built from the
-    integer N of `cotangent_numerator`."""
-    square = fiber_plan(X.a)[2]
-    return Fraction(X.orientation * (cotangent_numerator(X.a, e) - 3 * square), square)
+def _rho_exact(X: BrieskornSphere, e: int) -> int:
+    """The numerator orientation * (N - 3 a^2) of rho_X over the denominator
+    a^2, N the integer of `cotangent_numerator`."""
+    return X.orientation * (cotangent_numerator(X.a, e) - 3 * fiber_plan(X.a)[2])
 
 
 def _aggregate(X: BrieskornSphere, path: str) -> Fraction:
@@ -333,10 +333,10 @@ def _aggregate(X: BrieskornSphere, path: str) -> Fraction:
     L = 4 * X.fiber_product ** 2
     total = 0
     for c in enumerate_connections(X):
-        rho = rho_adjoint(c, path=path).exact
+        rho = rho_adjoint(c, path=path)
         scale, rest = divmod(L, rho.denominator)
         if rest:
-            raise ConventionMismatch(f"rho {rho} of {c.L} on {X} has a denominator "
+            raise ConventionMismatch(f"rho {rho.exact} of {c.L} on {X} has a denominator "
                                      f"that does not divide {L}")
         total += rho.numerator * scale
     return Fraction(-X.orientation * total, 8 * L)

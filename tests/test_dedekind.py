@@ -18,7 +18,6 @@ from casson3.dedekind import (
     c_correction,
     cot_sum_exact,
     cot_sum_lattice,
-    cot_sum_numerator,
     cotangent_numerator,
     floor_sums,
     rho_adjoint,
@@ -96,11 +95,23 @@ def _assert_table_matches_references(A, n, lattice_residues):
     table = dedekind._numerator_table.__wrapped__(A % n, n)
     assert len(table) == n
     for e in range(n):
-        M = cot_sum_numerator(A, e, n)
+        M = _numerator(A, e, n)
         assert type(M) is int
         assert M == table[e] == -4 * n * cot_sum_exact.__wrapped__(A, e, n), (A, e, n)
     for e in lattice_residues:
         assert table[e % n] == -4 * n * cot_sum_lattice.__wrapped__(A, e, n), (A, e, n)
+
+
+def _numerator(A, e, n):
+    """M = -4n * S(A, e, n), read off the cached integer table of the fiber."""
+    return dedekind._numerator_table(A % n, n)[e % n]
+
+
+def _clear_integer_tables():
+    """Drop every cached plan and integer table, so a corrupted table is
+    never read again."""
+    dedekind.fiber_plan.cache_clear()
+    dedekind._numerator_table.cache_clear()
 
 
 def _units(n, count, seed):
@@ -172,7 +183,7 @@ def test_table_kernel_is_bit_identical_to_trig_at_fixed_moduli(n):
 def _assert_float_within_a_quarter_of_its_bound(A, residues, n):
     for e in residues:
         value, bound = _kernels.cot_sum(A, e, n)
-        exact = Fraction(-cot_sum_numerator(A, e, n), 4 * n)
+        exact = Fraction(-_numerator(A, e, n), 4 * n)
         assert abs(Fraction(value) - exact) <= Fraction(bound) / 4, (A, e, n)
 
 
@@ -215,7 +226,7 @@ def test_kernel_caches_stay_bounded():
             assert info.currsize <= info.maxsize
         for n in range(2, _kernels.TABLE_CACHE_SIZE + 12):
             for A in (1, n - 1):
-                cot_sum_numerator(A, 1, n)
+                dedekind._numerator_table(A, n)
                 _kernels.cot_sum(A, 1, n)
         for table in tables:
             info = table.cache_info()
@@ -246,10 +257,10 @@ def test_numerator_table_matches_the_loop_on_every_residue(n):
 def test_numerator_table_refuses_a_modulus_past_int64():
     # 8 n^3 reaches 2^63 at n = 2^20; the largest modulus below is still exact
     n = 2 ** 20 - 1
-    assert cot_sum_numerator(2, n // 2, n) == -4 * n * cot_sum_exact.__wrapped__(2, n // 2, n)
+    assert _numerator(2, n // 2, n) == -4 * n * cot_sum_exact.__wrapped__(2, n // 2, n)
     dedekind._numerator_table.cache_clear()
     with pytest.raises(TooManyConnections, match="int64"):
-        cot_sum_numerator(1, 5, 2 ** 20)
+        dedekind._numerator_table(1, 2 ** 20)
 
 
 def test_a_corrupt_numerator_table_is_refused():
@@ -257,11 +268,9 @@ def test_a_corrupt_numerator_table_is_refused():
     # float cross-check's bound, and leaves 2 a^2 mu off by (a/n)^2, which
     # 2 a^2 cannot divide
     X = from_surgery(5, -2)
-    prod = X.fiber_product
     try:
         for c in enumerate_connections(X)[:4]:
-            for n in X.a:
-                table = dedekind._numerator_table((prod // n) % n, n)
+            for _, n, _, _, table in dedekind.fiber_plan(X.a)[0]:
                 table[c.e % n] += 1
                 try:
                     with pytest.raises(ConventionMismatch):
@@ -271,8 +280,32 @@ def test_a_corrupt_numerator_table_is_refused():
                 finally:
                     table[c.e % n] -= 1
     finally:
-        dedekind._numerator_table.cache_clear()
-    assert rho_adjoint(c).exact == dedekind._rho_exact(X, c.e)
+        _clear_integer_tables()
+    assert rho_adjoint(c).exact == Fraction(dedekind._rho_exact(X, c.e), X.fiber_product ** 2)
+
+
+def test_the_plan_reads_the_shared_integer_tables():
+    # spheres (5, 1) and (5, 6) share their fibers of modulus 2 and 5, so
+    # both plans read one table object per shared fiber, the one the table
+    # cache returns; a corrupted entry reaches rho until both caches are
+    # cleared, and never after
+    X, Y = from_surgery(5, 1), from_surgery(5, 6)
+    c = enumerate_connections(X)[0]
+    want = rho_adjoint(c).exact
+    _clear_integer_tables()
+    try:
+        plan_x, plan_y = dedekind.fiber_plan(X.a)[0], dedekind.fiber_plan(Y.a)[0]
+        for A, n, _, _, table in plan_x + plan_y:
+            assert table is dedekind._numerator_table(A, n), n
+        assert plan_x[0][4] is plan_y[0][4] and plan_x[1][4] is plan_y[1][4]
+        _, n, _, _, table = plan_x[2]
+        table[c.e % n] += 1
+        with pytest.raises(ConventionMismatch):
+            rho_adjoint(c)
+        _clear_integer_tables()
+        assert rho_adjoint(c).exact == want
+    finally:
+        _clear_integer_tables()
 
 
 def test_kernel_paths_agree_randomized():
@@ -298,7 +331,8 @@ def test_vanishing_sine_factors():
     assert cotangent_numerator(a, e) == 0
     natural = reverse_orientation(from_surgery(3, 1))  # Sigma(2,3,5), orientation +1
     assert natural.a == a and natural.orientation == 1
-    assert dedekind._rho_exact(natural, e) == -3  # -2 * (3/2), global sign frozen
+    # -2 * (3/2) over a^2, global sign frozen
+    assert dedekind._rho_exact(natural, e) == -3 * natural.fiber_product ** 2
 
 
 def test_rho_aggregate_q3():
@@ -404,7 +438,8 @@ def test_snap_denominators_divide_4a():
             X = from_surgery(q, K)
             bound = 4 * X.fiber_product
             for c in enumerate_connections(X):
-                assert bound % dedekind._rho_exact(X, c.e).denominator == 0, (q, K, c.L)
+                rho = Fraction(dedekind._rho_exact(X, c.e), X.fiber_product ** 2)
+                assert bound % rho.denominator == 0, (q, K, c.L)
 
 
 def test_c_is_refused_before_enumeration(monkeypatch):
@@ -456,7 +491,7 @@ def test_snap_rho_returns_real_rho_values():
     for q, K in [(3, 1), (3, -1), (7, 2), (9, -12)]:
         for c in enumerate_connections(from_surgery(q, K)):
             rv = rho_adjoint(c)
-            assert snap_rho(rv.float_check, c.host) == rv.exact
+            assert snap_rho(rv.float_check, c.host) == rv.exact * 4 * c.host.fiber_product
 
 
 def test_snap_rho_refuses_a_window_that_reaches_a_neighbour():
@@ -467,10 +502,10 @@ def test_snap_rho_refuses_a_window_that_reaches_a_neighbour():
     assert D == 103_608
     r = Fraction(5 * D + 1, D)
     assert r.denominator == D
-    assert snap_rho(FloatEstimate(float(r), 1e-11), X) == r
+    assert snap_rho(FloatEstimate(float(r), 1e-11), X) == r * D
     with pytest.raises(SnapFailure):
         snap_rho(FloatEstimate(float(r), 1e-6), X)
-    assert snap_rho(FloatEstimate(2.0, 1e-6), X) == 2
+    assert snap_rho(FloatEstimate(2.0, 1e-6), X) == 2 * D
 
 
 def test_float_estimate_total_tracks_components():
@@ -506,12 +541,24 @@ def _sampled_connections(seed, spheres=16, per_sphere=16):
 
 def test_fiber_plan_matches_the_sums_it_replaces():
     # the plan's readers against the fiber sums restated without it: the
-    # integer N, and the float estimate bit for bit, orientation sign applied
+    # integer N, the exact rho as orientation * (N - 3 a^2) over a^2, the
+    # snapped rho over 4a, and the float estimate bit for bit, orientation
+    # sign applied
+    snapped = 0
     for c in _sampled_connections(26):
         X, e = c.host, c.e
         prod = X.fiber_product
         want = sum(-4 * ai * cot_sum_exact(prod // ai, e, ai) * (prod // ai) ** 2 for ai in X.a)
         assert cotangent_numerator(X.a, e) == want, (X, c.L)
+        rho = X.orientation * (want - 3 * prod ** 2)
+        exact = rho_adjoint(c, path="exact")
+        assert (exact.numerator, exact.denominator) == (rho, prod ** 2), (X, c.L)
+        float_path = rho_adjoint(c, path="float")
+        assert float_path.exact == Fraction(rho, prod ** 2), (X, c.L)
+        if float_path.denominator == 4 * prod:  # else escalated to the exact numerator
+            snapped += 1
+        else:
+            assert float_path.numerator == rho, (X, c.L)
         total = total_err = 0.0
         for ai in X.a:
             v, b = _kernels.cot_sum(prod // ai, e, ai)
@@ -519,37 +566,44 @@ def test_fiber_plan_matches_the_sums_it_replaces():
             total_err += (2.0 / ai) * b
         value = X.orientation * (-3.0 - 2.0 * total)
         bound = 2.0 * total_err + 8 * _kernels.EPS * (3.0 + 2.0 * abs(total))
-        for est in (rho_natural_float(X.a, e, X.orientation), rho_adjoint(c).float_check):
+        for est in (rho_natural_float(X.a, e, X.orientation), exact.float_check,
+                    float_path.float_check):
             assert (est.value.hex(), est.error_bound.hex()) == (value.hex(), bound.hex()), (X, c.L)
+    assert snapped > 0
     info = dedekind.fiber_plan.cache_info()
     assert info.maxsize == _kernels.TABLE_CACHE_SIZE
     assert info.currsize <= info.maxsize
 
 
-def test_exact_rho_is_cross_checked_against_the_float_kernel(monkeypatch):
+def test_exact_rho_is_cross_checked_against_the_float_kernel():
     # an integer kernel off by one moves every rho by sum_i 1/a_i^2, far
     # beyond the float bound, so the cross-check must refuse it
-    true_numerator = dedekind.cot_sum_numerator
-    monkeypatch.setattr(dedekind, "cot_sum_numerator",
-                        lambda A, e, n: true_numerator(A, e, n) + 1)
-    for c in enumerate_connections(from_surgery(5, -2)):
-        with pytest.raises(ConventionMismatch):
-            rho_adjoint(c)
+    X = from_surgery(5, -2)
+    try:
+        for *_, table in dedekind.fiber_plan(X.a)[0]:
+            for r in range(len(table)):
+                table[r] += 1
+        for c in enumerate_connections(X):
+            with pytest.raises(ConventionMismatch):
+                rho_adjoint(c)
+    finally:
+        _clear_integer_tables()
 
 
 def test_rho_value_cross_check_is_inclusive_at_the_bound():
     gap = 2.0 ** -20
     for x in (0.25 + gap, 0.25 - gap):  # |1/4 - x| is exactly the double gap
-        RhoValue(Fraction(1, 4), FloatEstimate(x, gap))
-        with pytest.raises(ConventionMismatch):
-            RhoValue(Fraction(1, 4), FloatEstimate(x, math.nextafter(gap, 0.0)))
+        for p, q in ((1, 4), (3, 12)):  # unreduced or not, the same test
+            RhoValue(p, q, FloatEstimate(x, gap))
+            with pytest.raises(ConventionMismatch):
+                RhoValue(p, q, FloatEstimate(x, math.nextafter(gap, 0.0)))
 
 
 def test_rho_value_refuses_a_non_finite_cross_check():
     # refused when the estimate is built, before the RhoValue exists
     for value, bound in ((math.nan, 1e-9), (math.inf, 1e-9), (0.25, math.inf)):
         with pytest.raises(ConventionMismatch):
-            RhoValue(Fraction(1, 4), FloatEstimate(value, bound))
+            RhoValue(1, 4, FloatEstimate(value, bound))
 
 
 def test_integer_aggregate_matches_the_fraction_sum():
@@ -565,7 +619,7 @@ def test_integer_aggregate_refuses_a_foreign_denominator(monkeypatch):
     X = from_surgery(3, 1)
     assert (4 * X.fiber_product ** 2) % 7 != 0
     monkeypatch.setattr(dedekind, "rho_adjoint",
-                        lambda c, path: RhoValue(Fraction(1, 7), FloatEstimate(1 / 7, 1e-15)))
+                        lambda c, path: RhoValue(1, 7, FloatEstimate(1 / 7, 1e-15)))
     with pytest.raises(ConventionMismatch):
         dedekind._aggregate(X, "exact")
 

@@ -1,5 +1,5 @@
 """Exact values from floats: `snap_rho` rounding onto the (1/D)Z lattice,
-D = 4*a1*a2*a3."""
+D = 4*a1*a2*a3, and returning the numerator over D."""
 import math
 import random
 from fractions import Fraction
@@ -13,8 +13,8 @@ from casson3.seifert import from_surgery
 
 def test_snap_exact_representable():
     X = from_surgery(3, 1)  # Sigma(2,3,5), D = 120
-    assert snap_rho(FloatEstimate(0.25, 1e-12), X) == Fraction(1, 4)
-    assert snap_rho(FloatEstimate(-17 / 12, 1e-12), X) == Fraction(-17, 12)
+    assert snap_rho(FloatEstimate(0.25, 1e-12), X) == Fraction(1, 4) * 120
+    assert snap_rho(FloatEstimate(-17 / 12, 1e-12), X) == Fraction(-17, 12) * 120
 
 
 def test_snap_no_candidate():
@@ -50,4 +50,4 @@ def test_snap_roundtrip_random():
         D = 4 * X.fiber_product
         for _ in range(200):
             r = Fraction(rng.randint(-40 * D, 40 * D), D)
-            assert snap_rho(FloatEstimate(float(r), 1e-13), X) == r
+            assert snap_rho(FloatEstimate(float(r), 1e-13), X) == r * D

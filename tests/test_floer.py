@@ -291,16 +291,20 @@ def test_integer_grading_matches_the_fraction_formula():
                 assert r_invariant(X.a, c.e) == _r_invariant_fractions(X.a, c.e), (q, K, c.L)
 
 
-def test_grading_refuses_a_non_integer(monkeypatch):
+def test_grading_refuses_a_non_integer():
     # an integer kernel off by one leaves 2 a^2 mu off by sum_i (a/a_i)^2,
     # which 2 a^2 cannot divide
-    true_numerator = dedekind.cot_sum_numerator
-    monkeypatch.setattr(dedekind, "cot_sum_numerator",
-                        lambda A, e, n: true_numerator(A, e, n) + 1)
     X = from_surgery(7, -2)
-    for c in enumerate_connections(X):
-        with pytest.raises(GradingFormulaUnavailable):
-            r_invariant(X.a, c.e)
+    try:
+        for *_, table in dedekind.fiber_plan(X.a)[0]:
+            for r in range(len(table)):
+                table[r] += 1
+        for c in enumerate_connections(X):
+            with pytest.raises(GradingFormulaUnavailable):
+                r_invariant(X.a, c.e)
+    finally:
+        dedekind.fiber_plan.cache_clear()
+        dedekind._numerator_table.cache_clear()
 
 
 def _grading_cells(seed):
