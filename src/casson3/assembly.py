@@ -99,7 +99,8 @@ def reference_C(q: int, K: int) -> Fraction:
 
     Fitted by exact interpolation (each K-coefficient of the cleared
     numerator as a polynomial in q, on q = 3..17) and checked against the
-    computed C, not derived.
+    computed C, not derived; `tests/test_assembly.py::
+    test_reference_c_fit_is_rederived_from_the_computation` repeats the fit.
     """
     check_surgery(q, K)
     sigma = 1 if K > 0 else -1

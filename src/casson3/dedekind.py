@@ -69,7 +69,9 @@ fiber draws on the same data, so both kernels fill a table of all n residues
 once per fiber: the integer table of M, which the plan takes from the cache
 of `_numerator_table` (so fibers of modulus 2 and q share one across
 spheres), and the float table of S from one FFT.  The plan and both table
-caches keep their last `_kernels.TABLE_CACHE_SIZE` entries.
+caches keep their last `_kernels.TABLE_CACHE_SIZE` entries.  `rho_adjoint`
+and `floer.r_invariant` read the plan once per connection and pass it down
+to `rho_natural_float` and `cotangent_numerator`, which read no cache.
 """
 from __future__ import annotations
 
@@ -228,19 +230,19 @@ def fiber_plan(a: tuple[int, int, int]) -> tuple[tuple, int, int]:
     return tuple((*f, _numerator_table(f[0], f[1])) for f in fibers), prod, prod * prod
 
 
-def cotangent_numerator(a: tuple[int, int, int], e: int) -> int:
-    """N = sum_i M_i * (a/a_i)^2, so that the cotangent total
-    sum_i (2/a_i) S(a/a_i, e, a_i) is -N / (2 a^2), a = a1*a2*a3.  Each M_i
-    is read off its fiber's table as a Python int, so no product overflows."""
-    (_, n1, c1, _, M1), (_, n2, c2, _, M2), (_, n3, c3, _, M3) = fiber_plan(a)[0]
+def cotangent_numerator(plan: tuple, e: int) -> int:
+    """N = sum_i M_i * (a/a_i)^2 on the sphere of `plan`, so that the cotangent
+    total sum_i (2/a_i) S(a/a_i, e, a_i) is -N / (2 a^2), a = a1*a2*a3.  Each
+    M_i is read off its fiber's table as a Python int: no product overflows."""
+    (_, n1, c1, _, M1), (_, n2, c2, _, M2), (_, n3, c3, _, M3) = plan[0]
     return M1[e % n1] * c1 + M2[e % n2] * c2 + M3[e % n3] * c3
 
 
-def rho_natural_float(a: tuple[int, int, int], e: int, sign: int = 1) -> FloatEstimate:
-    """sign * rho of the naturally oriented sphere, -3 - 2 * sum_i (2/a_i)
-    S(a/a_i, e, a_i), from the float kernel; the bound adds the kernels'
-    bounds to the rounding of the few operations here."""
-    (A1, n1, _, w1, _), (A2, n2, _, w2, _), (A3, n3, _, w3, _) = fiber_plan(a)[0]
+def rho_natural_float(plan: tuple, e: int, sign: int) -> FloatEstimate:
+    """sign * rho of the naturally oriented sphere of `plan`, -3 - 2 * sum_i
+    (2/a_i) S(a/a_i, e, a_i), from the float kernel; the bound adds the
+    kernels' bounds to the rounding of the few operations here."""
+    (A1, n1, _, w1, _), (A2, n2, _, w2, _), (A3, n3, _, w3, _) = plan[0]
     v1, b1 = _kernels.cot_sum(A1, e, n1)
     v2, b2 = _kernels.cot_sum(A2, e, n2)
     v3, b3 = _kernels.cot_sum(A3, e, n3)
@@ -273,9 +275,9 @@ class RhoValue:
                                      f"{self.exact} beyond its error bound {est.error_bound!r}")
 
 
-def snap_rho(estimate: FloatEstimate, X: BrieskornSphere) -> int:
-    """The numerator p of the point p/D of (1/D)Z, D = 4*a1*a2*a3, nearest
-    the estimate x; p/D need not be in lowest terms.
+def snap_rho(estimate: FloatEstimate, D: int) -> int:
+    """The numerator p of the point p/D of (1/D)Z nearest the estimate x, for
+    a D the caller supplies (4*a1*a2*a3 for a rho); p/D need not be reduced.
 
     Accepted only if its error bound err is at most MAX_SNAP_ERROR,
     |x - p/D| <= err and 3*err*d*D < 1, where d is the reduced denominator
@@ -287,7 +289,6 @@ def snap_rho(estimate: FloatEstimate, X: BrieskornSphere) -> int:
     x, err = estimate.value, estimate.error_bound
     if err > MAX_SNAP_ERROR:
         raise SnapFailure(f"error bound {err!r} exceeds {MAX_SNAP_ERROR}")
-    D = SNAP_DENOMINATOR_FACTOR * fiber_plan(X.a)[1]
     num, den, err_num, err_den = estimate.ratios
     p = (2 * num * D + den) // (2 * den)  # round(x * D)
     d = D // math.gcd(p, D)
@@ -302,28 +303,24 @@ def snap_rho(estimate: FloatEstimate, X: BrieskornSphere) -> int:
 def rho_adjoint(c: FlatConnection, path: str = "exact") -> RhoValue:
     """Adjoint rho invariant of one connection on its oriented host sphere.
 
-    path 'exact' is pure integer arithmetic; 'float', the first aggregate of
-    `c_correction`, rounds the double sum onto the lattice of `snap_rho` and
-    escalates to the integer kernel on a SnapFailure.  The float cross-check
-    is always attached.
+    path 'exact' is orientation * (N - 3 a^2) over a^2 in integers, N from
+    `cotangent_numerator`; 'float', the first aggregate of `c_correction`,
+    snaps the double sum onto (1/4a)Z and escalates to the integer kernel on
+    a SnapFailure.  The float cross-check is always attached.
     """
     if path not in PATHS:
         raise ValueError(f"path must be one of {PATHS}, got {path!r}")
     X = c.host
-    est = rho_natural_float(X.a, c.e, X.orientation)
-    _, prod, square = fiber_plan(X.a)
+    plan = fiber_plan(X.a)
+    est = rho_natural_float(plan, c.e, X.orientation)
+    _, prod, square = plan
     if path == "float":
+        D = SNAP_DENOMINATOR_FACTOR * prod
         try:
-            return RhoValue(snap_rho(est, X), SNAP_DENOMINATOR_FACTOR * prod, est)
+            return RhoValue(snap_rho(est, D), D, est)
         except SnapFailure:
             pass
-    return RhoValue(_rho_exact(X, c.e), square, est)
-
-
-def _rho_exact(X: BrieskornSphere, e: int) -> int:
-    """The numerator orientation * (N - 3 a^2) of rho_X over the denominator
-    a^2, N the integer of `cotangent_numerator`."""
-    return X.orientation * (cotangent_numerator(X.a, e) - 3 * fiber_plan(X.a)[2])
+    return RhoValue(X.orientation * (cotangent_numerator(plan, c.e) - 3 * square), square, est)
 
 
 def _aggregate(X: BrieskornSphere, path: str) -> Fraction:

@@ -99,50 +99,42 @@ class GF2Matrix:
         return GF2Matrix(tuple(cols), self.nrows)
 
     def rank(self) -> int:
-        """Size of an echelon basis of the rows; unlike `nullspace`, it
-        needs no back-substitution."""
-        basis: dict[int, int] = {}  # lowest set bit -> echelon row
-        for r in self.rows:
-            while r:
-                low = r & -r
-                pivot = basis.get(low)
-                if pivot is None:
-                    basis[low] = r
-                    break
-                r ^= pivot
-        return len(basis)
+        return len(_echelon(self.rows))
 
 
-def _rref_pivots(rows: Iterable[int]) -> dict[int, int]:
-    """Reduced row echelon form; maps pivot column -> row bitmask."""
-    pivots: dict[int, int] = {}
+def _echelon(rows: Iterable[int]) -> dict[int, int]:
+    """An echelon basis of the row space: maps each basis row's lowest set
+    bit, as a one-bit mask, to the row.  No two rows share a lowest bit, so
+    the rank is the size of the dict."""
+    basis: dict[int, int] = {}
     for r in rows:
-        if not r:
-            continue
-        for c, pr in pivots.items():
-            if (r >> c) & 1:
-                r ^= pr
-        if r:
+        while r:
             low = r & -r
-            for c, pr in pivots.items():
-                if pr & low:
-                    pivots[c] = pr ^ r
-            pivots[low.bit_length() - 1] = r
-    return pivots
+            pivot = basis.get(low)
+            if pivot is None:
+                basis[low] = r
+                break
+            r ^= pivot
+    return basis
 
 
 def nullspace(M: GF2Matrix) -> list[int]:
-    """Basis of {x : Mx = 0} as bitmasks over the ncols coordinates."""
-    pivots = _rref_pivots(M.rows)
+    """Basis of {x : Mx = 0} as bitmasks over the ncols coordinates: for each
+    column j with no pivot in `_echelon`, in ascending j, the one solution
+    that is 1 at j and 0 at every other free column.  Back-substitution sets
+    each pivot, highest first, to the parity of its row's other bits.  The
+    solution is unique, so the basis depends on the row space alone."""
+    echelon = _echelon(M.rows)
+    lows = sorted(echelon, reverse=True)
     basis = []
     for j in range(M.ncols):
-        if j in pivots:
-            continue
-        v = 1 << j
-        for c, r in pivots.items():
-            if (r >> j) & 1:
-                v |= 1 << c
-        basis.append(v)
+        bit = 1 << j
+        if bit not in echelon:
+            v = bit
+            for low in lows:
+                if (echelon[low] & v).bit_count() & 1:
+                    v |= low
+            basis.append(v)
     return basis
 
 
@@ -358,8 +350,9 @@ def r_invariant(a: tuple[int, int, int], e: int) -> int:
     """2 e^2 / a + cotangent total: an exact integer for every admissible e,
     computed as (4 a e^2 - N) / (2 a^2) from the integer N of
     `cotangent_numerator`."""
-    _, prod, square = fiber_plan(a)
-    mu, rest = divmod(4 * prod * e * e - cotangent_numerator(a, e), 2 * square)
+    plan = fiber_plan(a)
+    _, prod, square = plan
+    mu, rest = divmod(4 * prod * e * e - cotangent_numerator(plan, e), 2 * square)
     if rest:
         raise GradingFormulaUnavailable(f"grading for a={a}, e={e} is not an integer")
     return mu

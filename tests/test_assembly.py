@@ -11,6 +11,7 @@ from casson3.assembly import (
     InvariantReport,
     assemble,
     assemble_on_sphere,
+    cleared_denominator,
     lambda_su2,
     reference_A,
     reference_B,
@@ -19,6 +20,7 @@ from casson3.assembly import (
 )
 from casson3.dedekind import c_correction
 from casson3.errors import Casson3Error, InvalidSurgery, MissingClosedForm
+from casson3.polynomial import fit_and_verify
 from casson3.seifert import from_surgery, reverse_orientation
 
 GRID_K = tuple(k for k in range(-6, 7) if k)
@@ -78,6 +80,26 @@ def test_reference_c_is_lambda_minus_a_minus_b():
         for K in (k for k in range(-50, 51) if k):
             assert reference_C(q, K) == \
                 reference_Lambda(q, K) - reference_A(q, K) - reference_B(q, K), (q, K)
+
+
+def test_reference_c_fit_is_rederived_from_the_computation():
+    # reference_C made as its docstring says: for each sign and odd q in
+    # 3..17, the cleared numerator of the computed C fitted as a cubic in K
+    # on |K| <= 6; then each K-coefficient fitted as a polynomial in q over
+    # those 8 q.  The result is the closed form on every odd q <= 61,
+    # 0 < |K| <= 8, far beyond the q it was fitted on.
+    fit_q = range(3, 18, 2)
+    for sign in (1, -1):
+        in_k = {q: fit_and_verify({sign * k: cleared_denominator(q, sign * k)
+                                   * c_correction(from_surgery(q, sign * k))
+                                   for k in range(1, 7)}) for q in fit_q}
+        assert all(fit.degree == 3 for fit in in_k.values()), sign
+        in_q = [fit_and_verify({q: in_k[q][n] for q in fit_q}) for n in range(4)]
+        assert [p.degree for p in in_q] == [-1, 4, 5, 4], sign
+        for q in range(3, 62, 2):
+            for K in (sign * k for k in range(1, 9)):
+                numerator = sum(p(q) * K ** n for n, p in enumerate(in_q))
+                assert numerator / cleared_denominator(q, K) == reference_C(q, K), (q, K)
 
 
 @settings(deadline=None, max_examples=20)

@@ -81,7 +81,7 @@ def test_c_refuses_a_float_aggregate_that_disagrees(monkeypatch):
     # a wrong numerator from `snap_rho` stops C, and `table` with it,
     # instead of reaching the output
     with monkeypatch.context() as m:
-        m.setattr(dedekind, "snap_rho", lambda estimate, X: 0)
+        m.setattr(dedekind, "snap_rho", lambda estimate, D: 0)
         with pytest.raises(ConventionMismatch):
             dedekind.c_correction(from_surgery(3, 1))
         assert run_cli(["table", "--q", "3", "--K-range", "1..1"]) == (1, "")
@@ -96,7 +96,7 @@ def test_c_refuses_a_float_aggregate_that_disagrees(monkeypatch):
 
 def test_per_connection_rho_comes_from_the_integer_kernel(monkeypatch):
     # a wrong numerator from snapping never reaches the printed rho
-    monkeypatch.setattr(dedekind, "snap_rho", lambda estimate, X: 0)
+    monkeypatch.setattr(dedekind, "snap_rho", lambda estimate, D: 0)
     code, out = run_cli(["rho", "--q", "3", "--K", "1", "--per-connection"])
     assert code == 0
     assert [line.split(",")[7] for line in out.splitlines()[1:]] == ["73/15", "97/15"]

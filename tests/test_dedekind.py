@@ -281,7 +281,9 @@ def test_a_corrupt_numerator_table_is_refused():
                     table[c.e % n] -= 1
     finally:
         _clear_integer_tables()
-    assert rho_adjoint(c).exact == Fraction(dedekind._rho_exact(X, c.e), X.fiber_product ** 2)
+    square = X.fiber_product ** 2
+    N = cotangent_numerator(dedekind.fiber_plan(X.a), c.e)
+    assert rho_adjoint(c).exact == Fraction(X.orientation * (N - 3 * square), square)
 
 
 def test_the_plan_reads_the_shared_integer_tables():
@@ -308,6 +310,34 @@ def test_the_plan_reads_the_shared_integer_tables():
         _clear_integer_tables()
 
 
+def test_each_call_reads_the_plan_once(monkeypatch):
+    # rho_adjoint on either path, snapped or escalated, and r_invariant each
+    # look the sphere's plan up once and pass it down
+    def reads_during(call):
+        info = dedekind.fiber_plan.cache_info()
+        before = info.hits + info.misses
+        result = call()
+        info = dedekind.fiber_plan.cache_info()
+        return info.hits + info.misses - before, result
+
+    X = from_surgery(7, -3)
+    prod = X.fiber_product
+    for c in enumerate_connections(X)[:3]:
+        assert reads_during(lambda: rho_adjoint(c, path="float"))[0] == 1
+        assert reads_during(lambda: rho_adjoint(c, path="exact"))[0] == 1
+        assert reads_during(lambda: r_invariant(X.a, c.e))[0] == 1
+
+    def escalate(estimate, D):
+        raise SnapFailure("forced")
+
+    snapped = rho_adjoint(c, path="float")
+    assert snapped.denominator == 4 * prod
+    monkeypatch.setattr(dedekind, "snap_rho", escalate)
+    reads, escalated = reads_during(lambda: rho_adjoint(c, path="float"))
+    assert reads == 1 and escalated.denominator == prod ** 2
+    assert escalated.exact == snapped.exact
+
+
 def test_kernel_paths_agree_randomized():
     rng = random.Random(11)
     small = (rng.choice([2, 3, 5, 7, 9, 11, 30, 35, 101, 109, 181]) for _ in range(60))
@@ -328,11 +358,13 @@ def test_vanishing_sine_factors():
     # e = 0 mod every a_i kills each term; only the constant survives
     a = (2, 3, 5)
     e = 2 * 3 * 5
-    assert cotangent_numerator(a, e) == 0
+    assert cotangent_numerator(dedekind.fiber_plan(a), e) == 0
     natural = reverse_orientation(from_surgery(3, 1))  # Sigma(2,3,5), orientation +1
     assert natural.a == a and natural.orientation == 1
     # -2 * (3/2) over a^2, global sign frozen
-    assert dedekind._rho_exact(natural, e) == -3 * natural.fiber_product ** 2
+    rho = rho_adjoint(FlatConnection(L=(1, 1, 1), t_index=0, e=e, host=natural))
+    square = natural.fiber_product ** 2
+    assert (rho.numerator, rho.denominator) == (-3 * square, square)
 
 
 def test_rho_aggregate_q3():
@@ -437,8 +469,11 @@ def test_snap_denominators_divide_4a():
         for K in (1, -1, 3, -4, 7):
             X = from_surgery(q, K)
             bound = 4 * X.fiber_product
+            plan = dedekind.fiber_plan(X.a)
+            square = plan[2]
             for c in enumerate_connections(X):
-                rho = Fraction(dedekind._rho_exact(X, c.e), X.fiber_product ** 2)
+                N = cotangent_numerator(plan, c.e)
+                rho = Fraction(X.orientation * (N - 3 * square), square)
                 assert bound % rho.denominator == 0, (q, K, c.L)
 
 
@@ -478,12 +513,12 @@ def test_orientation_antisymmetry():
 
 
 def test_snap_rho_rejects_wide_window():
-    X = from_surgery(3, 1)
+    D = 4 * from_surgery(3, 1).fiber_product
     with pytest.raises(SnapFailure):
-        snap_rho(FloatEstimate(1.234, 2 * MAX_SNAP_ERROR), X)
+        snap_rho(FloatEstimate(1.234, 2 * MAX_SNAP_ERROR), D)
     with pytest.raises(SnapFailure):
         # tight claimed error but value far from any admissible rational
-        snap_rho(FloatEstimate(math.pi * 1e-3, 1e-12), X)
+        snap_rho(FloatEstimate(math.pi * 1e-3, 1e-12), D)
 
 
 def test_snap_rho_returns_real_rho_values():
@@ -491,7 +526,8 @@ def test_snap_rho_returns_real_rho_values():
     for q, K in [(3, 1), (3, -1), (7, 2), (9, -12)]:
         for c in enumerate_connections(from_surgery(q, K)):
             rv = rho_adjoint(c)
-            assert snap_rho(rv.float_check, c.host) == rv.exact * 4 * c.host.fiber_product
+            D = 4 * c.host.fiber_product
+            assert snap_rho(rv.float_check, D) == rv.exact * D
 
 
 def test_snap_rho_refuses_a_window_that_reaches_a_neighbour():
@@ -502,10 +538,10 @@ def test_snap_rho_refuses_a_window_that_reaches_a_neighbour():
     assert D == 103_608
     r = Fraction(5 * D + 1, D)
     assert r.denominator == D
-    assert snap_rho(FloatEstimate(float(r), 1e-11), X) == r * D
+    assert snap_rho(FloatEstimate(float(r), 1e-11), D) == r * D
     with pytest.raises(SnapFailure):
-        snap_rho(FloatEstimate(float(r), 1e-6), X)
-    assert snap_rho(FloatEstimate(2.0, 1e-6), X) == 2 * D
+        snap_rho(FloatEstimate(float(r), 1e-6), D)
+    assert snap_rho(FloatEstimate(2.0, 1e-6), D) == 2 * D
 
 
 def test_float_estimate_total_tracks_components():
@@ -513,7 +549,7 @@ def test_float_estimate_total_tracks_components():
     X = from_surgery(9, -4)
     prod = X.fiber_product
     for c in enumerate_connections(X)[:5]:
-        est = rho_natural_float(X.a, c.e)
+        est = rho_natural_float(dedekind.fiber_plan(X.a), c.e, 1)
         reference = -3 - 2 * sum(Fraction(2, ai) * cot_sum_exact(prod // ai, c.e, ai)
                                  for ai in X.a)
         assert abs(Fraction(est.value) - reference) <= Fraction(est.error_bound)
@@ -549,7 +585,8 @@ def test_fiber_plan_matches_the_sums_it_replaces():
         X, e = c.host, c.e
         prod = X.fiber_product
         want = sum(-4 * ai * cot_sum_exact(prod // ai, e, ai) * (prod // ai) ** 2 for ai in X.a)
-        assert cotangent_numerator(X.a, e) == want, (X, c.L)
+        plan = dedekind.fiber_plan(X.a)
+        assert cotangent_numerator(plan, e) == want, (X, c.L)
         rho = X.orientation * (want - 3 * prod ** 2)
         exact = rho_adjoint(c, path="exact")
         assert (exact.numerator, exact.denominator) == (rho, prod ** 2), (X, c.L)
@@ -566,7 +603,7 @@ def test_fiber_plan_matches_the_sums_it_replaces():
             total_err += (2.0 / ai) * b
         value = X.orientation * (-3.0 - 2.0 * total)
         bound = 2.0 * total_err + 8 * _kernels.EPS * (3.0 + 2.0 * abs(total))
-        for est in (rho_natural_float(X.a, e, X.orientation), exact.float_check,
+        for est in (rho_natural_float(plan, e, X.orientation), exact.float_check,
                     float_path.float_check):
             assert (est.value.hex(), est.error_bound.hex()) == (value.hex(), bound.hex()), (X, c.L)
     assert snapped > 0

@@ -12,28 +12,26 @@ from casson3.seifert import from_surgery
 
 
 def test_snap_exact_representable():
-    X = from_surgery(3, 1)  # Sigma(2,3,5), D = 120
-    assert snap_rho(FloatEstimate(0.25, 1e-12), X) == Fraction(1, 4) * 120
-    assert snap_rho(FloatEstimate(-17 / 12, 1e-12), X) == Fraction(-17, 12) * 120
+    D = 4 * from_surgery(3, 1).fiber_product  # Sigma(2,3,5)
+    assert D == 120
+    assert snap_rho(FloatEstimate(0.25, 1e-12), D) == Fraction(1, 4) * 120
+    assert snap_rho(FloatEstimate(-17 / 12, 1e-12), D) == Fraction(-17, 12) * 120
 
 
 def test_snap_no_candidate():
-    X = from_surgery(3, 1)
     # 1/3 = 40/120 is on the lattice, but 3.3e-8 away: outside the window
     with pytest.raises(SnapFailure):
-        snap_rho(FloatEstimate(0.3333333, 1e-10), X)
-    X = from_surgery(5, -2)
-    D = 4 * X.fiber_product
+        snap_rho(FloatEstimate(0.3333333, 1e-10), 4 * from_surgery(3, 1).fiber_product)
+    D = 4 * from_surgery(5, -2).fiber_product
     for offset in (Fraction(1, 2), Fraction(3, 10), Fraction(-1, 7)):
         x = float((7 * D + 5 + offset) / D)
         with pytest.raises(SnapFailure):
-            snap_rho(FloatEstimate(x, 1e-13), X)
+            snap_rho(FloatEstimate(x, 1e-13), D)
 
 
 def test_snap_rejects_bad_bound_and_nonfinite():
-    X = from_surgery(5, -2)
     with pytest.raises(SnapFailure):
-        snap_rho(FloatEstimate(0.5, 2 * MAX_SNAP_ERROR), X)
+        snap_rho(FloatEstimate(0.5, 2 * MAX_SNAP_ERROR), 4 * from_surgery(5, -2).fiber_product)
     # a non-finite value or a bound that is not finite and >= 0 never reaches
     # snap_rho: the estimate itself refuses it
     for x, err in ((math.nan, 1e-13), (math.inf, 1e-13), (-math.inf, 1e-13),
@@ -46,8 +44,7 @@ def test_snap_roundtrip_random():
     # seeded random lattice points k/D snap back exactly from their float image
     rng = random.Random(20240211)
     for q, K in [(3, 1), (5, -2), (9, 6), (9, -80)]:
-        X = from_surgery(q, K)
-        D = 4 * X.fiber_product
+        D = 4 * from_surgery(q, K).fiber_product
         for _ in range(200):
             r = Fraction(rng.randint(-40 * D, 40 * D), D)
-            assert snap_rho(FloatEstimate(float(r), 1e-13), X) == r * D
+            assert snap_rho(FloatEstimate(float(r), 1e-13), D) == r * D

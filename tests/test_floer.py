@@ -13,7 +13,6 @@ from casson3.floer import (
     GF2Matrix,
     MorseMove,
     Z2ChainComplex,
-    _rref_pivots,
     apply_move,
     build_floer_complex,
     dual_reflect,
@@ -66,10 +65,28 @@ def test_rank_against_row_space_oracle():
             span |= {v ^ r for v in span}
         assert len(span) == 2 ** rank
         assert M.transpose().rank() == rank
-        assert rank == len(_rref_pivots(M.rows))
+
+
+def test_nullspace_is_the_canonical_basis():
+    # these facts fix the basis and its order, so a change that would alter
+    # the draws of `random_complex` fails here first: each vector is in the
+    # kernel, one per free column in ascending order, 1 at its own free
+    # column and 0 at the others.  Column j is free if no nonzero vector of
+    # the brute-force row space has its lowest set bit at j.
+    rng = random.Random(4096)
+    for _ in range(400):
+        nrows, ncols = rng.randint(0, 9), rng.randint(0, 11)
+        M = GF2Matrix(tuple(rng.getrandbits(ncols) for _ in range(nrows)), ncols)
+        span = {0}
+        for r in M.rows:
+            span |= {v ^ r for v in span}
+        pivots = {v & -v for v in span if v}
+        free = [1 << j for j in range(ncols) if 1 << j not in pivots]
+        free_mask = sum(free)
         basis = nullspace(M)
-        assert rank + len(basis) == ncols
         assert all(bin(r & v).count("1") % 2 == 0 for r in M.rows for v in basis)
+        assert [v & free_mask for v in basis] == free
+        assert len(basis) == ncols - M.rank()
 
 
 def test_nullspace():
