@@ -59,7 +59,10 @@ rho as an integer numerator over a fixed denominator, 4a if snapped and a^2
 if exact, with the float estimate it was cross-checked against in integers
 (each `FloatEstimate` converts itself to integer ratios once).  The
 aggregate adds the numerators over L = 4 a^2, which both denominators
-divide, and builds one Fraction per sphere.
+divide, and builds one Fraction per sphere.  Both records, like
+`flat_moduli.FlatConnection`, are slotted classes rather than frozen
+dataclasses, since they are built once per connection per aggregate: their
+checks run once, at construction, and nothing assigns to them after it.
 
 Every connection of a sphere shares its fiber constants, so `fiber_plan`
 computes them once per multiplicity triple: per fiber (a/a_i mod a_i, a_i,
@@ -77,7 +80,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -97,22 +99,24 @@ MAX_SNAP_ERROR = 1e-6  # snapping is refused above this accumulated error
 _ANCHORS = ((3, 1, Fraction(17, 12)), (3, -1, Fraction(-41, 84)))
 
 
-@dataclass(frozen=True)
 class FloatEstimate:
     """A double plus a conservative bound on its accumulated summation error;
-    ConventionMismatch unless both are finite and the bound is >= 0."""
+    ConventionMismatch unless both are finite and the bound is >= 0.
 
-    value: float
-    error_bound: float
-    # (value, error_bound) as two integer ratios, converted once for every exact test
-    ratios: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    A slotted class, since two are built per connection per aggregate: the
+    check runs once, at construction.  It is not frozen; nothing assigns to
+    it after construction."""
 
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and 0.0 <= self.error_bound < math.inf):
+    __slots__ = ("value", "error_bound", "ratios")
+
+    def __init__(self, value: float, error_bound: float):
+        if not (math.isfinite(value) and 0.0 <= error_bound < math.inf):
             raise ConventionMismatch(f"float estimate needs a finite value and a finite "
-                                     f"bound >= 0, got {self.value!r} +- {self.error_bound!r}")
-        object.__setattr__(self, "ratios", (*self.value.as_integer_ratio(),
-                                            *self.error_bound.as_integer_ratio()))
+                                     f"bound >= 0, got {value!r} +- {error_bound!r}")
+        self.value = value
+        self.error_bound = error_bound
+        # (value, error_bound) as two integer ratios, converted once for every exact test
+        self.ratios = (*value.as_integer_ratio(), *error_bound.as_integer_ratio())
 
 
 def floor_sums(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
@@ -251,28 +255,31 @@ def rho_natural_float(plan: tuple, e: int, sign: int) -> FloatEstimate:
     return FloatEstimate(sign * (-3.0 - 2.0 * total), err)
 
 
-@dataclass(frozen=True)
 class RhoValue:
     """rho = numerator / denominator, not reduced: the denominator is 4a for
     a snapped value and a^2 for an exact one, a = a1*a2*a3.  float_check is
-    the float estimate it is cross-checked against when built."""
+    the float estimate it is cross-checked against when built.
 
-    numerator: int
-    denominator: int
-    float_check: FloatEstimate
+    A slotted class, since two are built per connection per aggregate: the
+    cross-check runs once, at construction.  It is not frozen; nothing
+    assigns to it after construction."""
+
+    __slots__ = ("numerator", "denominator", "float_check")
+
+    def __init__(self, numerator: int, denominator: int, float_check: FloatEstimate):
+        num, den, err_num, err_den = float_check.ratios
+        # |p/q - x| <= err, cleared of denominators
+        if abs(numerator * den - num * denominator) * err_den > err_num * denominator * den:
+            raise ConventionMismatch(f"float cross-check {float_check.value!r} disagrees with "
+                                     f"exact {Fraction(numerator, denominator)} beyond its "
+                                     f"error bound {float_check.error_bound!r}")
+        self.numerator = numerator
+        self.denominator = denominator
+        self.float_check = float_check
 
     @property
     def exact(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
-
-    def __post_init__(self):
-        est = self.float_check
-        num, den, err_num, err_den = est.ratios
-        # |p/q - x| <= err, cleared of denominators
-        p, q = self.numerator, self.denominator
-        if abs(p * den - num * q) * err_den > err_num * q * den:
-            raise ConventionMismatch(f"float cross-check {est.value!r} disagrees with exact "
-                                     f"{self.exact} beyond its error bound {est.error_bound!r}")
 
 
 def snap_rho(estimate: FloatEstimate, D: int) -> int:

@@ -20,29 +20,48 @@ request's (q, K) cells by MAX_CONNECTIONS.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 from .errors import TooManyConnections
 from .seifert import BrieskornSphere, check_surgery
 
-# The memo of `enumerate_connections` keeps one enumeration, some 270 bytes a
-# connection.  On a 2-core x86 VM a request at the budget took about 5-8 s,
-# and up to about 190 MB peak RSS at (3, +-100 000), where the per-fiber
-# tables of a3 = 600 001 add to the enumeration.
+# The memo of `enumerate_connections` keeps one enumeration, some 230 bytes a
+# connection (tracemalloc over the 84 000 of (41, 200)).  On a 2-core x86 VM
+# `rho` at (3, -100 000) and at (893, 1) took about 3.3-4.2 s, and
+# `c_correction` at (3, +-100 000) peaked at about 187 MB RSS, where the
+# per-fiber tables of a3 = 600 001 add to the enumeration.
 MAX_CONNECTIONS = 200_000
 
 
-@dataclass(frozen=True)
 class FlatConnection:
     """Rotation numbers with the enumeration index t (rank of L3 within its L2
-    branch, 1-based) and the integer e = sum_i L_i * (a / a_i)."""
+    branch, 1-based) and the integer e = sum_i L_i * (a / a_i).
 
-    L: tuple[int, int, int]
-    t_index: int
-    e: int
-    host: BrieskornSphere
+    A slotted class, since one is built per connection of every enumeration:
+    a value equal and hash-equal on (L, t_index, e, host).  It is not frozen;
+    nothing assigns to it after construction."""
+
+    __slots__ = ("L", "t_index", "e", "host")
+
+    def __init__(self, L: tuple[int, int, int], t_index: int, e: int, host: BrieskornSphere):
+        self.L = L
+        self.t_index = t_index
+        self.e = e
+        self.host = host
+
+    def __eq__(self, other):
+        if other.__class__ is not FlatConnection:
+            return NotImplemented
+        return (self.L, self.t_index, self.e, self.host) == (other.L, other.t_index,
+                                                             other.e, other.host)
+
+    def __hash__(self):
+        return hash((self.L, self.t_index, self.e, self.host))
+
+    def __repr__(self):
+        return (f"FlatConnection(L={self.L!r}, t_index={self.t_index!r}, e={self.e!r}, "
+                f"host={self.host!r})")
 
 
 def is_admissible(X: BrieskornSphere, L2: int, L3: int) -> bool:

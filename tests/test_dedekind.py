@@ -629,18 +629,51 @@ def test_exact_rho_is_cross_checked_against_the_float_kernel():
 
 def test_rho_value_cross_check_is_inclusive_at_the_bound():
     gap = 2.0 ** -20
+    tight = math.nextafter(gap, 0.0)  # one ulp past the bound
     for x in (0.25 + gap, 0.25 - gap):  # |1/4 - x| is exactly the double gap
         for p, q in ((1, 4), (3, 12)):  # unreduced or not, the same test
             RhoValue(p, q, FloatEstimate(x, gap))
-            with pytest.raises(ConventionMismatch):
-                RhoValue(p, q, FloatEstimate(x, math.nextafter(gap, 0.0)))
+            with pytest.raises(ConventionMismatch) as refused:
+                RhoValue(p, q, FloatEstimate(x, tight))
+            assert str(refused.value) == (f"float cross-check {x!r} disagrees with exact 1/4 "
+                                          f"beyond its error bound {tight!r}")
 
 
 def test_rho_value_refuses_a_non_finite_cross_check():
     # refused when the estimate is built, before the RhoValue exists
-    for value, bound in ((math.nan, 1e-9), (math.inf, 1e-9), (0.25, math.inf)):
-        with pytest.raises(ConventionMismatch):
+    for value, bound in ((math.nan, 1e-9), (math.inf, 1e-9), (-math.inf, 1e-9),
+                         (0.25, math.inf), (0.25, math.nan), (0.25, -1e-9)):
+        with pytest.raises(ConventionMismatch) as refused:
             RhoValue(1, 4, FloatEstimate(value, bound))
+        assert str(refused.value) == (f"float estimate needs a finite value and a finite "
+                                      f"bound >= 0, got {value!r} +- {bound!r}")
+
+
+def test_records_are_slotted_values():
+    X = from_surgery(7, 3)
+    fresh = flat_moduli._enumerate.__wrapped__(X, flat_moduli.is_admissible)
+    memo = enumerate_connections(X)
+    c = memo[0]
+    est = FloatEstimate(0.25, 1e-12)
+    for record in (c, est, RhoValue(1, 4, est), rho_adjoint(c, path="float"),
+                   rho_adjoint(c, path="exact"), rho_adjoint(c).float_check):
+        assert not hasattr(record, "__dict__"), type(record)
+    # a fresh enumeration equals the memo record by record, as values
+    assert len(fresh) == len(memo) > 1
+    for f, m in zip(fresh, memo):
+        assert f is not m and f == m and hash(f) == hash(m)
+    assert set(fresh) == set(memo) and len(set(memo)) == len(memo)
+    # built by keyword or by position, the same value
+    fields = dict(L=c.L, t_index=c.t_index, e=c.e, host=c.host)
+    assert FlatConnection(**fields) == c == FlatConnection(c.L, c.t_index, c.e, c.host)
+    assert repr(FlatConnection(**fields)) == (f"FlatConnection(L={c.L!r}, t_index={c.t_index!r}, "
+                                              f"e={c.e!r}, host={c.host!r})")
+    # unequal when any one field differs
+    for name, other in (("L", (1, c.L[1], c.L[2] + 2)), ("t_index", c.t_index + 1),
+                        ("e", c.e + 1), ("host", reverse_orientation(X))):
+        changed = FlatConnection(**{**fields, name: other})
+        assert changed != c and changed not in set(memo), name
+    assert c != (c.L, c.t_index, c.e, c.host)
 
 
 def test_integer_aggregate_matches_the_fraction_sum():
