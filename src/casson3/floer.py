@@ -5,12 +5,16 @@ The correction term of a complex is sum_p (-1)^p rank(d: C_{p+1} -> C_p); it
 is invariant under isotopy and handle slides, jumps by +(-1)^p at a birth in
 degrees (p, p+1), and by -(-1)^p at the matching death.
 
-A complex is frozen, so it computes the ranks of its 8 boundary maps once
-(`Z2ChainComplex.ranks`) and the correction term and the homology ranks both
-read them.  Every complex goes through the constructor, which checks the row
-counts and d.d = 0.  A move replaces 2 or 3 consecutive maps, keeps the other
-map objects, and passes the complex it started from as `parent`, so only the
-3 or 4 products that the new maps enter are multiplied again.
+Each matrix memoises its rank on its first `rank()` call, and a complex
+reads the ranks of its 8 boundary maps off those memos once
+(`Z2ChainComplex.ranks`); the correction term and the homology ranks both
+read them.  Neither class is frozen: both are slotted, and nothing assigns to
+either after construction, which the memos rely on.  Every complex goes
+through the constructor, which checks the row counts and d.d = 0.  A move
+replaces 2 or 3 consecutive maps, keeps the other map objects, and passes the
+complex it started from as `parent`, so only the 3 or 4 products that the new
+maps enter are multiplied again, and only the new maps' ranks are computed:
+the kept maps carry the ranks their parent read.
 
 Gradings:  mu_nat(e) = 2 e^2/a + sum_i (2/a_i) S(a/a_i, e, a_i) is an exact
 integer for a flat connection with invariant e on the naturally oriented
@@ -32,8 +36,7 @@ parity, so every boundary map vanishes and the correction term is zero.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Optional
 
@@ -47,25 +50,39 @@ from .seifert import BrieskornSphere
 # bit-packed GF(2) matrices
 
 
-@dataclass(frozen=True)
 class GF2Matrix:
-    """Rows are ints; bit j of rows[i] is the (i, j) entry."""
+    """Rows are ints; bit j of rows[i] is the (i, j) entry.  A value, equal
+    and hash-equal on (rows, ncols), that memoises its rank: nothing assigns
+    to it after construction."""
 
-    rows: tuple[int, ...]
-    ncols: int
+    __slots__ = ("rows", "ncols", "nrows", "_rank")
 
-    def __post_init__(self):
-        mask = (1 << self.ncols) - 1
-        for r in self.rows:
-            if r & ~mask:
-                raise ValueError("row has bits beyond ncols")
+    def __init__(self, rows: tuple[int, ...], ncols: int):
+        if ncols < 0:
+            raise ValueError(f"ncols must be >= 0, got {ncols}")
+        # min and max run in C; a row is refused exactly when r & ~mask != 0
+        if rows and (min(rows) < 0 or max(rows) >> ncols):
+            raise ValueError("row has bits beyond ncols")
+        self.rows = rows
+        self.ncols = ncols
+        self.nrows = len(rows)
+        self._rank = None
 
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
+    def __eq__(self, other):
+        if other.__class__ is not GF2Matrix:
+            return NotImplemented
+        return self.ncols == other.ncols and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.rows, self.ncols))
+
+    def __repr__(self):
+        return f"GF2Matrix(rows={self.rows!r}, ncols={self.ncols!r})"
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "GF2Matrix":
+        if nrows < 0:
+            raise ValueError(f"nrows must be >= 0, got {nrows}")
         return cls((0,) * nrows, ncols)
 
     def entry(self, i: int, j: int) -> int:
@@ -77,29 +94,32 @@ class GF2Matrix:
     def mul(self, other: "GF2Matrix") -> "GF2Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
+        orows = other.rows
         out = []
         for r in self.rows:
             acc = 0
-            j = 0
             while r:
-                if r & 1:
-                    acc ^= other.rows[j]
-                r >>= 1
-                j += 1
+                low = r & -r
+                acc ^= orows[low.bit_length() - 1]
+                r ^= low
             out.append(acc)
         return GF2Matrix(tuple(out), other.ncols)
 
     def transpose(self) -> "GF2Matrix":
-        cols = []
-        for j in range(self.ncols):
-            acc = 0
-            for i, r in enumerate(self.rows):
-                acc |= ((r >> j) & 1) << i
-            cols.append(acc)
+        cols = [0] * self.ncols
+        for i, r in enumerate(self.rows):
+            bit = 1 << i
+            while r:
+                low = r & -r
+                cols[low.bit_length() - 1] |= bit
+                r ^= low
         return GF2Matrix(tuple(cols), self.nrows)
 
     def rank(self) -> int:
-        return len(_echelon(self.rows))
+        rank = self._rank
+        if rank is None:
+            rank = self._rank = len(_echelon(self.rows))
+        return rank
 
 
 def _echelon(rows: Iterable[int]) -> dict[int, int]:
@@ -142,22 +162,27 @@ def nullspace(M: GF2Matrix) -> list[int]:
 # graded complexes
 
 
-@dataclass(frozen=True)
 class Z2ChainComplex:
     """boundary[p]: C_p -> C_{p-1} for the 8 degrees mod 8.  dims[p], the
     number of generators in degree p, is derived: boundary[p].ncols.  Given a
     `parent`, only the row counts and d.d products that involve a map not
-    shared (as an object) with it are checked: the parent passed the rest."""
+    shared (as an object) with it are checked: the parent passed the rest.
+    Equal and hash-equal on `boundary`; nothing assigns to it after
+    construction."""
 
-    boundary: tuple[GF2Matrix, ...]
-    parent: InitVar[Optional[Z2ChainComplex]] = None
-    dims: tuple[int, ...] = field(init=False)
+    __slots__ = ("boundary", "dims", "_ranks")
+
+    def __init__(self, boundary: tuple[GF2Matrix, ...],
+                 parent: Optional[Z2ChainComplex] = None):
+        self.boundary = boundary
+        self._ranks = None
+        self.__post_init__(parent)
 
     def __post_init__(self, parent):
         bnd = self.boundary
         if len(bnd) != 8:
             raise ValueError("need exactly 8 boundary maps")
-        object.__setattr__(self, "dims", dims := tuple(M.ncols for M in bnd))
+        self.dims = dims = tuple(M.ncols for M in bnd)
         if parent is None:
             new = (True,) * 8
         elif isinstance(parent, Z2ChainComplex):
@@ -174,10 +199,24 @@ class Z2ChainComplex:
             if (new[k] or new[up]) and not bnd[k].mul(bnd[up]).is_zero():
                 raise ValueError(f"d. d != 0 at degree {up}")
 
-    @cached_property
+    def __eq__(self, other):
+        if other.__class__ is not Z2ChainComplex:
+            return NotImplemented
+        return self.boundary == other.boundary
+
+    def __hash__(self):
+        return hash(self.boundary)
+
+    def __repr__(self):
+        return f"Z2ChainComplex(boundary={self.boundary!r}, dims={self.dims!r})"
+
+    @property
     def ranks(self) -> tuple[int, ...]:
-        """rank(boundary[p]) for p = 0..7, computed once per complex."""
-        return tuple(M.rank() for M in self.boundary)
+        """rank(boundary[p]) for p = 0..7, read off each map's memo."""
+        ranks = self._ranks
+        if ranks is None:
+            ranks = self._ranks = tuple(M.rank() for M in self.boundary)
+        return ranks
 
 
 def zero_complex(dims: tuple[int, ...]) -> Z2ChainComplex:

@@ -46,12 +46,92 @@ def test_gf2_matrix_basics():
     assert _entries(M.mul(N)) == [[1], [1]]
     assert GF2Matrix.zero(2, 3).is_zero()
     assert _matrix([[1, 1], [1, 1]]).rank() == 1
-    with pytest.raises(ValueError, match="row has bits beyond ncols"):
-        GF2Matrix((0b100,), 2)
+    for rows, ncols in (((0b100,), 2), ((-1,), 3), ((0, -4), 3)):
+        with pytest.raises(ValueError, match="^row has bits beyond ncols$"):
+            GF2Matrix(rows, ncols)
+    # a negative shape is refused by name, not by an accident of the row check
+    for rows in ((), (0,)):
+        with pytest.raises(ValueError, match="^ncols must be >= 0, got -1$"):
+            GF2Matrix(rows, -1)
+    with pytest.raises(ValueError, match="^nrows must be >= 0, got -2$"):
+        GF2Matrix.zero(-2, 3)
+    with pytest.raises(ValueError, match="^ncols must be >= 0, got -3$"):
+        GF2Matrix.zero(2, -3)
+    assert GF2Matrix.zero(0, 0) == GF2Matrix((), 0)
     # a product needs M.ncols == N.nrows, whether N has fewer rows or more
     for rows in ([[1], [0]], [[1], [0], [1], [1]]):
         with pytest.raises(ValueError, match="shape mismatch"):
             M.mul(_matrix(rows))
+
+
+def test_mul_and_transpose_against_an_entry_oracle():
+    # the set-bit loops of mul and transpose against entry-by-entry sums
+    rng = random.Random(90210)
+    shapes = [(n, m) for n in range(10) for m in range(10)]
+    for _ in range(3):
+        for n, m in shapes:
+            k = rng.randint(0, 9)
+            A = GF2Matrix(tuple(rng.getrandbits(m) for _ in range(n)), m)
+            B = GF2Matrix(tuple(rng.getrandbits(k) for _ in range(m)), k)
+            AT = A.transpose()
+            assert (AT.nrows, AT.ncols) == (m, n)
+            assert all(AT.entry(j, i) == A.entry(i, j) for i in range(n) for j in range(m))
+            AB = A.mul(B)
+            assert (AB.nrows, AB.ncols) == (n, k)
+            for i in range(n):
+                for j in range(k):
+                    want = sum(A.entry(i, t) * B.entry(t, j) for t in range(m)) % 2
+                    assert AB.entry(i, j) == want, (A, B, i, j)
+            # (AB)^T = B^T A^T
+            assert AB.transpose() == B.transpose().mul(AT)
+
+
+def test_gf2_values_are_slotted(monkeypatch):
+    M = GF2Matrix(rows=(0b101, 0b011), ncols=3)
+    cc = Z2ChainComplex(boundary=zero_complex((1, 0, 2, 0, 0, 1, 0, 0)).boundary)
+    for value in (M, cc):
+        assert not hasattr(value, "__dict__")
+    # a matrix is a value over (rows, ncols), whether or not its rank memo is
+    # filled; each field alone breaks equality
+    assert M.rank() == 2
+    same = GF2Matrix((0b101, 0b011), 3)
+    assert same == M and hash(same) == hash(M) and same is not M
+    assert GF2Matrix((0b101, 0b010), 3) != M
+    assert GF2Matrix((0b101, 0b011), 4) != M
+    assert M != ((0b101, 0b011), 3)
+    assert repr(M) == "GF2Matrix(rows=(5, 3), ncols=3)"
+    # a complex is a value over its boundary maps, each compared by value
+    twin = Z2ChainComplex(tuple(GF2Matrix(N.rows, N.ncols) for N in cc.boundary))
+    assert twin == cc and hash(twin) == hash(cc) and twin is not cc
+    ones = Z2ChainComplex(tuple(_matrix([[1]]) if p % 2 == 0 else GF2Matrix.zero(1, 1)
+                                for p in range(8)))
+    for p in range(0, 8, 2):  # one map zeroed: same dims, another boundary
+        other = list(ones.boundary)
+        other[p] = GF2Matrix.zero(1, 1)
+        assert Z2ChainComplex(tuple(other)) != ones
+    assert cc != cc.boundary
+    # after a move whose parent's ranks were read, only the new maps' ranks
+    # are computed: a kept map reuses the rank the parent read off it
+    calls = []
+    echelon = floer._echelon
+
+    def counting(rows):
+        calls.append(rows)
+        return echelon(rows)
+
+    monkeypatch.setattr(floer, "_echelon", counting)
+    rng = random.Random(44)
+    for _ in range(200):
+        parent = random_complex(rng, 5)
+        parent.ranks
+        mv = random_move(rng, parent)
+        child = apply_move(parent, mv)
+        calls.clear()
+        assert child.ranks == tuple(len(echelon(N.rows)) for N in child.boundary)
+        new = [N for N, old in zip(child.boundary, parent.boundary) if N is not old]
+        assert len(calls) == len(new) == {"isotopy": 0, "handle_slide": 2,
+                                          "birth": 3, "death": 3}[mv.kind], mv
+        assert calls == [N.rows for N in new]
 
 
 def test_rank_against_row_space_oracle():
@@ -259,7 +339,8 @@ def test_move_fuzz():
             mv = random_move(rng, cc)
             cc = apply_move(cc, mv)  # re-checks d.d = 0 on the products the move touched
             assert Z2ChainComplex(cc.boundary) == cc  # the full check passes too
-            assert cc.ranks == tuple(M.rank() for M in cc.boundary)
+            # fresh copies carry no rank memo, so their ranks are computed anew
+            assert cc.ranks == tuple(GF2Matrix(M.rows, M.ncols).rank() for M in cc.boundary)
             new_corr = floer_correction(cc)
             if mv.kind in ("isotopy", "handle_slide"):
                 assert new_corr == corr, mv
