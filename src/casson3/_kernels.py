@@ -24,11 +24,14 @@ EPS = float(np.finfo(np.float64).eps)
 
 # maxsize of each per-fiber table cache (this float one and the integer one of
 # `dedekind`) and of `dedekind.fiber_plan`, whose entry keeps up to 3 integer
-# tables alive, its sphere's.  A cell uses three fibers, and the one of modulus
-# 2 repeats across cells, so 8 keeps a sweep's tables warm.  An entry holds 8*n
-# bytes, float or integer.  The connection budget bounds the a3 = 2q|K| +- 1
-# summed over a request's spheres by about 600 001 (q = 3), so one table is at
-# most about 4.8 MB; the q <= 9, |K| <= 80 tables take under 12 KB each.
+# tables alive, its sphere's.  A cell's fibers have moduli 2 (shared by every
+# cell), q (shared by the cells of one q and sign of K) and a3.  8 keeps the
+# shared tables warm only in a sweep ordered by (q, K): the 105 fibers of the
+# 96 cells q <= 9, |K| <= 12 missed 108 times in that order, and 162 times in
+# the shuffled order of a table-grid pass (seed 5).  An entry holds 8*n bytes,
+# float or integer.  The connection budget bounds the a3 = 2q|K| +- 1 summed
+# over a request's spheres by about 600 001 (q = 3), so one table is at most
+# about 4.8 MB; the q <= 9, |K| <= 80 tables take under 12 KB each.
 TABLE_CACHE_SIZE = 8
 
 # Largest modulus either per-fiber table is built for: the integer table's

@@ -59,10 +59,9 @@ rho as an integer numerator over a fixed denominator, 4a if snapped and a^2
 if exact, with the float estimate it was cross-checked against in integers
 (each `FloatEstimate` converts itself to integer ratios once).  The
 aggregate adds the numerators over L = 4 a^2, which both denominators
-divide, and builds one Fraction per sphere.  Both records, like
-`flat_moduli.FlatConnection`, are slotted classes rather than frozen
-dataclasses, since they are built once per connection per aggregate: their
-checks run once, at construction, and nothing assigns to them after it.
+divide, and builds one Fraction per sphere.  Both records are slotted
+classes whose `__init__` runs its check once, at construction; nothing
+assigns to them after it.
 
 Every connection of a sphere shares its fiber constants, so `fiber_plan`
 computes them once per multiplicity triple: per fiber (a/a_i mod a_i, a_i,

@@ -20,6 +20,7 @@ request's (q, K) cells by MAX_CONNECTIONS.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -34,34 +35,20 @@ from .seifert import BrieskornSphere, check_surgery
 MAX_CONNECTIONS = 200_000
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class FlatConnection:
     """Rotation numbers with the enumeration index t (rank of L3 within its L2
     branch, 1-based) and the integer e = sum_i L_i * (a / a_i).
 
-    A slotted class, since one is built per connection of every enumeration:
-    a value equal and hash-equal on (L, t_index, e, host).  It is not frozen;
-    nothing assigns to it after construction."""
+    A slotted dataclass, equal and hash-equal on its four fields.  One is
+    built per connection of every enumeration, so it is not frozen, which
+    would assign each field through object.__setattr__; nothing assigns to it
+    after construction."""
 
-    __slots__ = ("L", "t_index", "e", "host")
-
-    def __init__(self, L: tuple[int, int, int], t_index: int, e: int, host: BrieskornSphere):
-        self.L = L
-        self.t_index = t_index
-        self.e = e
-        self.host = host
-
-    def __eq__(self, other):
-        if other.__class__ is not FlatConnection:
-            return NotImplemented
-        return (self.L, self.t_index, self.e, self.host) == (other.L, other.t_index,
-                                                             other.e, other.host)
-
-    def __hash__(self):
-        return hash((self.L, self.t_index, self.e, self.host))
-
-    def __repr__(self):
-        return (f"FlatConnection(L={self.L!r}, t_index={self.t_index!r}, e={self.e!r}, "
-                f"host={self.host!r})")
+    L: tuple[int, int, int]
+    t_index: int
+    e: int
+    host: BrieskornSphere
 
 
 def is_admissible(X: BrieskornSphere, L2: int, L3: int) -> bool:

@@ -5,16 +5,16 @@ The correction term of a complex is sum_p (-1)^p rank(d: C_{p+1} -> C_p); it
 is invariant under isotopy and handle slides, jumps by +(-1)^p at a birth in
 degrees (p, p+1), and by -(-1)^p at the matching death.
 
-Each matrix memoises its rank on its first `rank()` call, and a complex
-reads the ranks of its 8 boundary maps off those memos once
+Each matrix memoises its rank on its first `rank()` or `nullspace` call,
+and a complex reads the ranks of its 8 boundary maps off those memos once
 (`Z2ChainComplex.ranks`); the correction term and the homology ranks both
-read them.  Neither class is frozen: both are slotted, and nothing assigns to
-either after construction, which the memos rely on.  Every complex goes
-through the constructor, which checks the row counts and d.d = 0.  A move
-replaces 2 or 3 consecutive maps, keeps the other map objects, and passes the
-complex it started from as `parent`, so only the 3 or 4 products that the new
-maps enter are multiplied again, and only the new maps' ranks are computed:
-the kept maps carry the ranks their parent read.
+read them.  Both classes are slotted dataclasses, not frozen: nothing assigns
+to either after construction, which the memos rely on.  Every complex goes
+through the constructor, whose `__post_init__` checks the row counts and
+d.d = 0.  A move replaces 2 or 3 consecutive maps, keeps the other map
+objects, and passes the complex it started from as `parent`, so only the 3
+or 4 products that the new maps enter are multiplied again, and only the new
+maps' ranks are computed: the kept maps carry the ranks their parent read.
 
 Gradings:  mu_nat(e) = 2 e^2/a + sum_i (2/a_i) S(a/a_i, e, a_i) is an exact
 integer for a flat connection with invariant e on the naturally oriented
@@ -36,7 +36,7 @@ parity, so every boundary map vanishes and the correction term is zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from random import Random
 from typing import Iterable, Optional
 
@@ -50,12 +50,16 @@ from .seifert import BrieskornSphere
 # bit-packed GF(2) matrices
 
 
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class GF2Matrix:
     """Rows are ints; bit j of rows[i] is the (i, j) entry.  A value, equal
     and hash-equal on (rows, ncols), that memoises its rank: nothing assigns
     to it after construction."""
 
-    __slots__ = ("rows", "ncols", "nrows", "_rank")
+    rows: tuple[int, ...]
+    ncols: int
+    nrows: int = field(compare=False, repr=False)
+    _rank: Optional[int] = field(compare=False, repr=False)
 
     def __init__(self, rows: tuple[int, ...], ncols: int):
         if ncols < 0:
@@ -67,17 +71,6 @@ class GF2Matrix:
         self.ncols = ncols
         self.nrows = len(rows)
         self._rank = None
-
-    def __eq__(self, other):
-        if other.__class__ is not GF2Matrix:
-            return NotImplemented
-        return self.ncols == other.ncols and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.rows, self.ncols))
-
-    def __repr__(self):
-        return f"GF2Matrix(rows={self.rows!r}, ncols={self.ncols!r})"
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "GF2Matrix":
@@ -143,8 +136,10 @@ def nullspace(M: GF2Matrix) -> list[int]:
     column j with no pivot in `_echelon`, in ascending j, the one solution
     that is 1 at j and 0 at every other free column.  Back-substitution sets
     each pivot, highest first, to the parity of its row's other bits.  The
-    solution is unique, so the basis depends on the row space alone."""
+    solution is unique, so the basis depends on the row space alone.  Fills
+    M's rank memo, so `random_complex` eliminates each map once."""
     echelon = _echelon(M.rows)
+    M._rank = len(echelon)
     lows = sorted(echelon, reverse=True)
     basis = []
     for j in range(M.ncols):
@@ -162,6 +157,7 @@ def nullspace(M: GF2Matrix) -> list[int]:
 # graded complexes
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Z2ChainComplex:
     """boundary[p]: C_p -> C_{p-1} for the 8 degrees mod 8.  dims[p], the
     number of generators in degree p, is derived: boundary[p].ncols.  Given a
@@ -170,13 +166,10 @@ class Z2ChainComplex:
     Equal and hash-equal on `boundary`; nothing assigns to it after
     construction."""
 
-    __slots__ = ("boundary", "dims", "_ranks")
-
-    def __init__(self, boundary: tuple[GF2Matrix, ...],
-                 parent: Optional[Z2ChainComplex] = None):
-        self.boundary = boundary
-        self._ranks = None
-        self.__post_init__(parent)
+    boundary: tuple[GF2Matrix, ...]
+    dims: tuple[int, ...] = field(init=False, compare=False)
+    _ranks: Optional[tuple[int, ...]] = field(default=None, init=False, compare=False, repr=False)
+    parent: InitVar[Optional[Z2ChainComplex]] = None
 
     def __post_init__(self, parent):
         bnd = self.boundary
@@ -198,17 +191,6 @@ class Z2ChainComplex:
             up = (k + 1) % 8
             if (new[k] or new[up]) and not bnd[k].mul(bnd[up]).is_zero():
                 raise ValueError(f"d. d != 0 at degree {up}")
-
-    def __eq__(self, other):
-        if other.__class__ is not Z2ChainComplex:
-            return NotImplemented
-        return self.boundary == other.boundary
-
-    def __hash__(self):
-        return hash(self.boundary)
-
-    def __repr__(self):
-        return f"Z2ChainComplex(boundary={self.boundary!r}, dims={self.dims!r})"
 
     @property
     def ranks(self) -> tuple[int, ...]:

@@ -166,7 +166,34 @@ def test_nullspace_is_the_canonical_basis():
         basis = nullspace(M)
         assert all(bin(r & v).count("1") % 2 == 0 for r in M.rows for v in basis)
         assert [v & free_mask for v in basis] == free
-        assert len(basis) == ncols - M.rank()
+        # nullspace filled the rank memo: it must be the brute-force rank
+        assert M.rank() == len(pivots) == ncols - len(basis)
+
+
+def test_random_complex_eliminates_each_map_once(monkeypatch):
+    # nullspace fills the memo of the 7 maps it eliminates, so the first ranks
+    # read eliminates only the eighth; rank() is still called once per map
+    calls, rank_calls = [], []
+    echelon, rank = floer._echelon, GF2Matrix.rank
+
+    def counting(rows):
+        calls.append(rows)
+        return echelon(rows)
+
+    def counting_rank(M):
+        rank_calls.append(M)
+        return rank(M)
+
+    monkeypatch.setattr(floer, "_echelon", counting)
+    monkeypatch.setattr(GF2Matrix, "rank", counting_rank)
+    rng = random.Random(31)
+    for _ in range(100):
+        calls.clear()
+        rank_calls.clear()
+        cc = random_complex(rng, 6)
+        ranks = cc.ranks
+        assert len(calls) == 8 and rank_calls == list(cc.boundary)
+        assert ranks == tuple(len(echelon(N.rows)) for N in cc.boundary)
 
 
 def test_nullspace():
@@ -427,17 +454,73 @@ def test_grading_parity_by_surgery_sign():
             assert g % 2 == (1 if K > 0 else 0), (q, K, c.L, g)
 
 
+def _milnor_signature(q, a3):
+    """Signature of the Milnor fibre of x^2 + y^q + z^a3 by Brieskorn's count,
+    #{s < 1} + #{s > 2} - #{1 < s < 2} over s = 1/2 + j2/q + j3/a3 with
+    0 < j2 < q and 0 < j3 < a3.  Times 2 q a3, s < 1 reads
+    2 q j3 < q a3 - 2 a3 j2 and s > 2 reads 2 q j3 > 3 q a3 - 2 a3 j2, so each
+    j2 takes two floor divisions; a3 is odd and prime to q, so s is never 1 or 2."""
+    sigma = 0
+    for j2 in range(1, q):
+        below = max(0, (q * a3 - 2 * a3 * j2 - 1) // (2 * q))
+        above = max(0, a3 - 1 - (3 * q * a3 - 2 * a3 * j2) // (2 * q))
+        sigma += 2 * (below + above) - (a3 - 1)
+    return sigma
+
+
+def _closed_form_dims(X):
+    """build_floer_complex(X).dims in closed form.  With h = (q^2 - 1)|K|/8,
+    delta = floor((q + 1)/4) for odd K and 0 for even K, x = (h + delta)/2 and
+    y = (h - delta)/2, the surgery orientation has (0, x, 0, y, 0, x, 0, y) for
+    K > 0 and (y, 0, x, 0, y, 0, x, 0) for K < 0; the reversed orientation has
+    dims[(-p - 3) mod 8] in degree p."""
+    q, K = X.q, X.K
+    h = (q * q - 1) * abs(K) // 8
+    delta = (q + 1) // 4 if K % 2 else 0
+    x, y = (h + delta) // 2, (h - delta) // 2
+    dims = (0, x, 0, y) * 2 if K > 0 else (y, 0, x, 0) * 2
+    if X.orientation != from_surgery(q, K).orientation:
+        dims = tuple(dims[(-p - 3) % 8] for p in range(8))
+    return dims
+
+
+def test_milnor_signature_is_four_times_casson():
+    # Fintushel-Stern (1985), lambda = sigma/8, in this normalisation, which
+    # counts 2 lambda; it shares no code with count_connections
+    assert _milnor_signature(3, 5) == -8  # the E8 fibre of Sigma(2, 3, 5)
+    for q in range(3, 202, 2):
+        for K in range(-30, 31):
+            if K:
+                X = from_surgery(q, K)
+                assert X.orientation * _milnor_signature(q, X.a[2]) == 4 * lambda_su2(q, K), \
+                    (q, K)
+
+
 def test_graded_dims_repeat_with_period_four_and_sum_to_casson():
-    # two laws of the degree histogram: dims[p] = dims[p + 4] (observed, not
-    # proved), and the Euler characteristic chi = 2 lambda (Taubes 1990), which
-    # in this normalisation reads -lambda_su2 on the surgery orientation
+    # laws of the degree histogram: dims[p] = dims[p + 4] (observed, not
+    # proved), the Euler characteristic chi = 2 lambda (Taubes 1990), which in
+    # this normalisation reads 4 chi = -orientation * sigma with sigma the
+    # Milnor-fibre signature, and the closed form of `_closed_form_dims`
     for q, K in _GRADING_CELLS:
         X = from_surgery(q, K)
-        for Y, sign in ((X, -1), (reverse_orientation(X), 1)):
+        sigma = _milnor_signature(q, X.a[2])
+        for Y in (X, reverse_orientation(X)):
             dims = build_floer_complex(Y).dims
             assert all(dims[p] == dims[p + 4] for p in range(4)), (q, K, Y.orientation, dims)
             euler = sum((-1) ** p * d for p, d in enumerate(dims))
-            assert euler == sign * lambda_su2(q, K), (q, K, Y.orientation, dims)
+            assert 4 * euler == -Y.orientation * sigma, (q, K, Y.orientation, dims)
+            assert dims == _closed_form_dims(Y), (q, K, Y.orientation, dims)
+
+
+@pytest.mark.slow
+def test_graded_dims_closed_form_sweep():
+    for q in range(3, 62, 2):
+        for K in range(-12, 13):
+            if K:
+                X = from_surgery(q, K)
+                for Y in (X, reverse_orientation(X)):
+                    assert build_floer_complex(Y).dims == _closed_form_dims(Y), \
+                        (q, K, Y.orientation)
 
 
 def test_grading_all_twenty_q9():
