@@ -117,10 +117,11 @@ def reference_Lambda(q: int, K: int) -> Fraction:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Stores q, K and the exact terms A, B, C, D; lambda_su2, lambda_su3 =
-    A + B and Lambda_su3 = A + B + C + D are derived, and 4*Lambda_su3 must be
-    an integer.  D is -(1/4) times the chain-complex correction term (zero on
-    this family, under either reading of the correction's normalization)."""
+    """Stores q, K, the exact terms A, B, C, D and lambda_su2, which changes
+    sign with the orientation; lambda_su3 = A + B and Lambda_su3 =
+    A + B + C + D are derived, and 4*Lambda_su3 must be an integer.  D is
+    -(1/4) times the chain-complex correction term (zero on this family,
+    under either reading of the correction's normalization)."""
 
     q: int
     K: int
@@ -128,14 +129,11 @@ class InvariantReport:
     B: Fraction
     C: Fraction
     D: Fraction
+    lambda_su2: Fraction
 
     def __post_init__(self):
         if (4 * self.Lambda_su3).denominator != 1:
             raise Casson3Error(f"4 * Lambda = {4 * self.Lambda_su3} is not an integer")
-
-    @property
-    def lambda_su2(self) -> Fraction:
-        return lambda_su2(self.q, self.K)
 
     @property
     def lambda_su3(self) -> Fraction:
@@ -161,15 +159,17 @@ class InvariantReport:
 
 
 def assemble_on_sphere(X: BrieskornSphere) -> InvariantReport:
-    """Report for the sphere X, with C computed from the cotangent sums on X
-    as given (either orientation); A is looked up first, so a q without
-    closed forms raises MissingClosedForm before any work."""
+    """Report for the sphere X as given (either orientation), with C computed
+    from the cotangent sums on X and lambda_su2 signed by X's orientation; A
+    is looked up first, so a q without closed forms raises MissingClosedForm
+    before any work."""
     q, K = X.q, X.K
     A = reference_A(q, K)
     B = reference_B(q, K)
     C = c_correction(X)
     D = Fraction(-1, 4) * floer_correction(build_floer_complex(X))
-    return InvariantReport(q=q, K=K, A=A, B=B, C=C, D=D)
+    return InvariantReport(q=q, K=K, A=A, B=B, C=C, D=D,
+                           lambda_su2=Fraction(-X.orientation * count_connections(q, K)))
 
 
 def assemble(q: int, K: int) -> InvariantReport:

@@ -29,9 +29,9 @@ from .seifert import BrieskornSphere, check_surgery
 
 # The memo of `enumerate_connections` keeps one enumeration, some 230 bytes a
 # connection (tracemalloc over the 84 000 of (41, 200)).  On a 2-core x86 VM
-# `rho` at (3, -100 000) and at (893, 1) took about 3.3-4.2 s, and
-# `c_correction` at (3, +-100 000) peaked at about 187 MB RSS, where the
-# per-fiber tables of a3 = 600 001 add to the enumeration.
+# `rho` (C alone) at (3, +-100 000) and at (893, 1) took about 2.7-3.4 s, and
+# peaked at 188 and 73 MB RSS; at (3, +-100 000) the per-fiber tables of
+# a3 = 600 001 add to the enumeration.
 MAX_CONNECTIONS = 200_000
 
 

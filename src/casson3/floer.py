@@ -313,7 +313,7 @@ MAX_DIM = 64
 MAX_MOVES = 10_000
 
 
-def random_complex(rng: Random, max_dim: int = 6) -> Z2ChainComplex:
+def random_complex(rng: Random, max_dim: int) -> Z2ChainComplex:
     """Random valid complex: a random boundary map is forced to zero and the
     rest are built with columns drawn from the kernel of the previous map."""
     dims = tuple(rng.randint(0, max_dim) for _ in range(8))

@@ -147,6 +147,9 @@ def test_orientation_symmetry_sample():
         b = assemble_on_sphere(reverse_orientation(X))
         assert a.Lambda_su3 == b.Lambda_su3, (q, K)
         assert a.C == b.C, (q, K)
+        # Casson's lambda(-X) = -lambda(X); the surgery orientation reads lambda_su2(q, K)
+        assert b.lambda_su2 == -a.lambda_su2, (q, K)
+        assert a.lambda_su2 == lambda_su2(q, K), (q, K)
 
 
 def test_missing_closed_form():
@@ -161,11 +164,11 @@ def test_missing_closed_form():
 def test_report_consistency_enforced():
     # the sums are derived, so only the integrality of 4 * Lambda can fail
     r = InvariantReport(q=3, K=1, A=Fraction(1), B=Fraction(1, 4), C=Fraction(0),
-                        D=Fraction(0))
+                        D=Fraction(0), lambda_su2=Fraction(2))
     assert (r.lambda_su2, r.lambda_su3, r.Lambda_su3) == (2, Fraction(5, 4), Fraction(5, 4))
     with pytest.raises(Casson3Error):
         InvariantReport(q=3, K=1, A=Fraction(1, 3), B=Fraction(0), C=Fraction(0),
-                        D=Fraction(0))
+                        D=Fraction(0), lambda_su2=Fraction(2))
 
 
 def test_report_json_dict():

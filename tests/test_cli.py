@@ -46,12 +46,17 @@ def run_traced(args):
         tracemalloc.stop()
 
 
-def run_subprocess(args):
-    """`python -m casson3.cli *args` in a child process, with this casson3 on its path."""
+def child_env():
+    """This environment, with this casson3 first on the child's path."""
     src = os.path.dirname(os.path.dirname(casson3.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_subprocess(args):
+    """`python -m casson3.cli *args` in a child process, with this casson3 on its path."""
     return subprocess.run([sys.executable, "-m", "casson3.cli", *args], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+                          text=True, env=child_env())
 
 
 def test_reps_csv_q3():
@@ -426,7 +431,7 @@ def test_every_cell_subcommand_is_refused_by_one_rule(args, capsys, monkeypatch)
     ["invariants", "--q", "9", "--K-range", "10000..10000"],  # 200 000 connections
 ], ids=" ".join)
 def test_requests_at_the_budget_stay_bounded(args):
-    # each took 5-8 s and at most 190 MB peak RSS on a 2-core x86 VM
+    # each took 2.8-4.3 s on a 2-core x86 VM, with peaks of 188, 73 and 110 MB RSS
     t0 = time.perf_counter()
     proc = run_subprocess(args)
     assert time.perf_counter() - t0 < 60.0
@@ -441,3 +446,15 @@ def test_console_entry_point():
     proc = run_subprocess(["reps", "--q", "3", "--K", "-1"])
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "q,K,L1,L2,L3,t,e"
+
+
+def test_light_modules_load_neither_numpy_nor_the_rho_layer():
+    # the package root re-exports nothing, so these imports stop short of
+    # numpy and of dedekind, whose import checks the calibration anchors
+    code = ("import sys, casson3, casson3.seifert, casson3.flat_moduli, casson3.polynomial, "
+            "casson3.knotpoly\n"
+            "loaded = {'numpy', 'casson3.dedekind'} & set(sys.modules)\n"
+            "assert not loaded, sorted(loaded)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import time
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casson3 import _kernels, dedekind, flat_moduli
+from casson3.assembly import reference_C
 from casson3.dedekind import (
     MAX_SNAP_ERROR,
     FloatEstimate,
@@ -692,6 +694,78 @@ def test_integer_aggregate_refuses_a_foreign_denominator(monkeypatch):
                         lambda c, path: RhoValue(1, 7, FloatEstimate(1 / 7, 1e-15)))
     with pytest.raises(ConventionMismatch):
         dedekind._aggregate(X, "exact")
+
+
+def _per_fiber_C(X):
+    """(number of connections, C) from per-fiber residue counts, sharing only
+    `dedekind.fiber_plan` with the computation.  On every connection
+    e = 1 (mod 2), e = 2 a3 L2 (mod q) and e = 2q L3 (mod a3), so with n2(L2)
+    the size of L2's L3 interval and n3(L3) the number of intervals holding L3,
+    sum N = n M1[1] c1 + sum n2 M2[2 a3 L2 mod q] c2 + sum n3 M3[2q L3 mod a3] c3,
+    and C = -(sum N - 3 n a^2) / (8 a^2) in either orientation."""
+    plan, _, square = dedekind.fiber_plan(X.a)
+    (_, _, c1, _, M1), (_, q, c2, _, M2), (_, a3, c3, _, M3) = plan
+    k = abs(X.K)
+    first = 2 - k % 2  # L3 = k (mod 2)
+    n = total2 = 0
+    diff = [0] * (a3 + 2)
+    for L2 in range(2 - (q - 1) // 2 % 2, q, 2):  # L2 = (q - 1)/2 (mod 2)
+        # is_admissible's inequality, a3 |q - 2 L2| < 2q L3 < 2q a3 - a3 |q - 2 L2|,
+        # whose ends are never integers: a3 |q - 2 L2| is odd
+        cut = a3 * abs(q - 2 * L2) // (2 * q)
+        lo, hi = cut + 1, a3 - cut - 1
+        lo += (lo - first) % 2
+        hi -= (hi - first) % 2
+        if lo > hi:
+            continue
+        n2 = (hi - lo) // 2 + 1
+        n += n2
+        total2 += n2 * M2[2 * a3 * L2 % q]
+        diff[lo] += 1
+        diff[hi + 2] -= 1
+    n3 = itertools.accumulate(diff[first:a3:2])
+    total3 = sum(map(operator.mul, n3, (M3[2 * q * L3 % a3] for L3 in range(first, a3, 2))))
+    total = n * M1[1] * c1 + total2 * c2 + total3 * c3
+    return n, Fraction(-(total - 3 * n * square), 8 * square)
+
+
+def test_per_fiber_c_matches_the_computation():
+    for q in range(3, 26, 2):
+        for K in (*range(-8, 0), *range(1, 9)):
+            X = from_surgery(q, K)
+            assert _per_fiber_C(X) == (flat_moduli.count_connections(q, K), c_correction(X)), \
+                (q, K)
+
+
+def _seeded_wide_cells(count, seed):
+    """(q, K) with odd q <= 401 and 0 < |K| <= 2000, inside the integer tables
+    (a3 = 2q|K| +- 1 < 2^20)."""
+    rng = random.Random(seed)
+    cells = []
+    while len(cells) < count:
+        q, K = rng.randrange(3, 402, 2), rng.choice((-1, 1)) * rng.randint(1, 2000)
+        if 2 * q * abs(K) + 1 <= _kernels.MAX_MODULUS:
+            cells.append((q, K))
+    return cells
+
+
+def _assert_per_fiber_c_is_the_closed_form(cells):
+    try:
+        for q, K in cells:
+            assert _per_fiber_C(from_surgery(q, K))[1] == reference_C(q, K), (q, K)
+    finally:
+        _clear_integer_tables()  # each table of a3 ~ 2^20 holds 8 MB
+
+
+def test_per_fiber_c_is_the_closed_form_far_past_the_budget():
+    # (401, +-300) has 12.06 M connections and (101, +-150) 382 500
+    _assert_per_fiber_c_is_the_closed_form(
+        [(401, 300), (401, -300), (101, 150), (101, -150), *_seeded_wide_cells(12, 32)])
+
+
+@pytest.mark.slow
+def test_per_fiber_c_is_the_closed_form_on_wide_cells():
+    _assert_per_fiber_c_is_the_closed_form(_seeded_wide_cells(60, 320))
 
 
 def _random_cases(count, seed):
