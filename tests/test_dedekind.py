@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from casson3 import _kernels, dedekind, flat_moduli
@@ -696,6 +696,22 @@ def test_integer_aggregate_refuses_a_foreign_denominator(monkeypatch):
         dedekind._aggregate(X, "exact")
 
 
+def _l3_intervals(q, a3, k):
+    """(L2, lo, hi) for every L2 = (q - 1)/2 (mod 2) whose admissible L3 are
+    the L3 = k (mod 2) in lo..hi, none of them if there are none: the closed
+    form of the enumeration's L3 loop."""
+    first = 2 - k % 2
+    for L2 in range(2 - (q - 1) // 2 % 2, q, 2):
+        # is_admissible's inequality, a3 |q - 2 L2| < 2q L3 < 2q a3 - a3 |q - 2 L2|,
+        # whose ends are never integers: a3 |q - 2 L2| is odd
+        cut = a3 * abs(q - 2 * L2) // (2 * q)
+        lo, hi = cut + 1, a3 - cut - 1
+        lo += (lo - first) % 2
+        hi -= (hi - first) % 2
+        if lo <= hi:
+            yield L2, lo, hi
+
+
 def _per_fiber_C(X):
     """(number of connections, C) from per-fiber residue counts, sharing only
     `dedekind.fiber_plan` with the computation.  On every connection
@@ -709,15 +725,7 @@ def _per_fiber_C(X):
     first = 2 - k % 2  # L3 = k (mod 2)
     n = total2 = 0
     diff = [0] * (a3 + 2)
-    for L2 in range(2 - (q - 1) // 2 % 2, q, 2):  # L2 = (q - 1)/2 (mod 2)
-        # is_admissible's inequality, a3 |q - 2 L2| < 2q L3 < 2q a3 - a3 |q - 2 L2|,
-        # whose ends are never integers: a3 |q - 2 L2| is odd
-        cut = a3 * abs(q - 2 * L2) // (2 * q)
-        lo, hi = cut + 1, a3 - cut - 1
-        lo += (lo - first) % 2
-        hi -= (hi - first) % 2
-        if lo > hi:
-            continue
+    for L2, lo, hi in _l3_intervals(q, a3, k):
         n2 = (hi - lo) // 2 + 1
         n += n2
         total2 += n2 * M2[2 * a3 * L2 % q]
@@ -737,14 +745,14 @@ def test_per_fiber_c_matches_the_computation():
                 (q, K)
 
 
-def _seeded_wide_cells(count, seed):
-    """(q, K) with odd q <= 401 and 0 < |K| <= 2000, inside the integer tables
-    (a3 = 2q|K| +- 1 < 2^20)."""
+def _seeded_wide_cells(count, seed, max_a3=_kernels.MAX_MODULUS):
+    """(q, K) with odd q <= 401, 0 < |K| <= 2000 and a3 = 2q|K| +- 1 <= max_a3,
+    by default inside the integer tables (a3 < 2^20)."""
     rng = random.Random(seed)
     cells = []
     while len(cells) < count:
         q, K = rng.randrange(3, 402, 2), rng.choice((-1, 1)) * rng.randint(1, 2000)
-        if 2 * q * abs(K) + 1 <= _kernels.MAX_MODULUS:
+        if 2 * q * abs(K) + 1 <= max_a3:
             cells.append((q, K))
     return cells
 
@@ -761,6 +769,16 @@ def test_per_fiber_c_is_the_closed_form_far_past_the_budget():
     # (401, +-300) has 12.06 M connections and (101, +-150) 382 500
     _assert_per_fiber_c_is_the_closed_form(
         [(401, 300), (401, -300), (101, 150), (101, -150), *_seeded_wide_cells(12, 32)])
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 200).map(lambda m: 2 * m + 1),
+       st.integers(-2000, 2000).filter(lambda K: K != 0))
+def test_per_fiber_c_is_the_closed_form_property(q, K):
+    # c_correction's own property (test_assembly.py) stops at q = 25; per
+    # fiber, C reaches the edge of the integer tables
+    assume(2 * q * abs(K) + 1 <= _kernels.MAX_MODULUS)
+    _assert_per_fiber_c_is_the_closed_form([(q, K)])
 
 
 @pytest.mark.slow

@@ -26,6 +26,7 @@ from casson3.floer import (
     zero_complex,
 )
 from casson3.seifert import from_surgery, reverse_orientation
+from test_dedekind import _clear_integer_tables, _l3_intervals, _seeded_wide_cells
 
 
 def _matrix(entries):
@@ -86,6 +87,18 @@ def test_mul_and_transpose_against_an_entry_oracle():
             assert AB.transpose() == B.transpose().mul(AT)
 
 
+def _count_matrices(monkeypatch):
+    """A list that gains the ncols of every GF2Matrix constructed from now on."""
+    built, init = [], GF2Matrix.__init__
+
+    def counting_init(M, rows, ncols):
+        built.append(ncols)
+        init(M, rows, ncols)
+
+    monkeypatch.setattr(GF2Matrix, "__init__", counting_init)
+    return built
+
+
 def test_gf2_values_are_slotted(monkeypatch):
     M = GF2Matrix(rows=(0b101, 0b011), ncols=3)
     cc = Z2ChainComplex(boundary=zero_complex((1, 0, 2, 0, 0, 1, 0, 0)).boundary)
@@ -120,18 +133,26 @@ def test_gf2_values_are_slotted(monkeypatch):
         return echelon(rows)
 
     monkeypatch.setattr(floer, "_echelon", counting)
+    # a move builds each new map once, and multiplies the 3 or 4 d.d products
+    # a new map enters: birth and death 3 maps + 4, a slide 2 + 3
+    built = _count_matrices(monkeypatch)
     rng = random.Random(44)
+    kinds = set()
     for _ in range(200):
         parent = random_complex(rng, 5)
         parent.ranks
         mv = random_move(rng, parent)
+        built.clear()
         child = apply_move(parent, mv)
+        assert len(built) == {"isotopy": 0, "handle_slide": 5, "birth": 7, "death": 7}[mv.kind], mv
+        kinds.add(mv.kind)
         calls.clear()
         assert child.ranks == tuple(len(echelon(N.rows)) for N in child.boundary)
         new = [N for N, old in zip(child.boundary, parent.boundary) if N is not old]
         assert len(calls) == len(new) == {"isotopy": 0, "handle_slide": 2,
                                           "birth": 3, "death": 3}[mv.kind], mv
         assert calls == [N.rows for N in new]
+    assert kinds == {"isotopy", "handle_slide", "birth", "death"}
 
 
 def test_rank_against_row_space_oracle():
@@ -186,13 +207,17 @@ def test_random_complex_eliminates_each_map_once(monkeypatch):
 
     monkeypatch.setattr(floer, "_echelon", counting)
     monkeypatch.setattr(GF2Matrix, "rank", counting_rank)
+    # and builds each map once from its columns: 8 maps and 8 d.d products
+    built = _count_matrices(monkeypatch)
     rng = random.Random(31)
     for _ in range(100):
         calls.clear()
         rank_calls.clear()
+        built.clear()
         cc = random_complex(rng, 6)
+        assert len(built) == 16
         ranks = cc.ranks
-        assert len(calls) == 8 and rank_calls == list(cc.boundary)
+        assert len(calls) == 8 and rank_calls == list(cc.boundary) and len(built) == 16
         assert ranks == tuple(len(echelon(N.rows)) for N in cc.boundary)
 
 
@@ -510,6 +535,76 @@ def test_graded_dims_repeat_with_period_four_and_sum_to_casson():
             euler = sum((-1) ** p * d for p, d in enumerate(dims))
             assert 4 * euler == -Y.orientation * sigma, (q, K, Y.orientation, dims)
             assert dims == _closed_form_dims(Y), (q, K, Y.orientation, dims)
+
+
+def _per_fiber_dims(X):
+    """build_floer_complex(X).dims from per-fiber sums, sharing only
+    `dedekind.fiber_plan` with the computation.  With c_i = a/a_i and
+    e = c1 + c2 L2 + c3 L3, the numerator 4 a e^2 - N of 2 a^2 mu splits as
+    C0 + U(L2) + V(L3) + 16 a^2 L2 L3, since c2 c3 = 2a.  V(L3) mod 2 a^2 is
+    the same on every L3 of its parity (the separation law, asserted here), so
+    mu = (C0 + U(L2) + V(first))/(2 a^2) + v(L3) (mod 8), with
+    v(L3) = (V(L3) - V(first))/(2 a^2), and per-class counts of v over L3
+    below each interval end give the histogram in O(q + a3)."""
+    plan, a, square = dedekind.fiber_plan(X.a)
+    (A1, _, s1, _, M1), (A2, q, s2, _, M2), (A3, a3, s3, _, M3) = plan
+    c1, c2, c3 = a // 2, a // q, a // a3
+    unit, first = 2 * square, 2 - abs(X.K) % 2
+
+    def V(L3):
+        return 4 * a * (s3 * L3 * L3 + 2 * c1 * c3 * L3) - M3[A3 * L3 % a3] * s3
+
+    v_first = V(first)
+    intervals = list(_l3_intervals(q, a3, abs(X.K)))
+    ends = {L3 for _, lo, hi in intervals for L3 in (lo, hi + 2)}
+    below, counts = {}, [0] * 8  # below[L3][r]: how many L3' < L3 have v = r (mod 8)
+    for L3 in range(first, a3 + 2, 2):
+        if L3 in ends:
+            below[L3] = counts.copy()
+        if L3 < a3:
+            v, rest = divmod(V(L3) - v_first, unit)
+            assert rest == 0, (X, L3)
+            counts[v % 8] += 1
+    dims = [0] * 8
+    for L2, lo, hi in intervals:
+        U = 4 * a * (s2 * L2 * L2 + 2 * c1 * c2 * L2) - M2[A2 * L2 % q] * s2
+        base, rest = divmod(4 * a * s1 - M1[A1] * s1 + U + v_first, unit)
+        assert rest == 0, (X, L2)  # mu is an integer
+        for r in range(8):
+            mu = base + r
+            degree = (mu + 3) % 8 if X.orientation == 1 else (-mu - 6) % 8
+            dims[degree] += below[hi + 2][r] - below[lo][r]
+    return tuple(dims)
+
+
+def test_per_fiber_dims_match_the_computation():
+    for q, K in _GRADING_CELLS:
+        X = from_surgery(q, K)
+        for Y in (X, reverse_orientation(X)):
+            assert _per_fiber_dims(Y) == build_floer_complex(Y).dims, (q, K, Y.orientation)
+
+
+def _assert_per_fiber_dims_are_the_closed_form(cells):
+    try:
+        for q, K in cells:
+            X = from_surgery(q, K)
+            for Y in (X, reverse_orientation(X)):
+                assert _per_fiber_dims(Y) == _closed_form_dims(Y), (q, K, Y.orientation)
+    finally:
+        _clear_integer_tables()
+
+
+def test_per_fiber_dims_are_the_closed_form_far_past_the_budget():
+    # (401, +-300) has 12.06 M connections
+    t0 = time.perf_counter()
+    _assert_per_fiber_dims_are_the_closed_form([(401, 300), (401, -300),
+                                                *_seeded_wide_cells(4, 16, 2 ** 18 - 1)])
+    assert time.perf_counter() - t0 < 2.0
+
+
+@pytest.mark.slow
+def test_per_fiber_dims_are_the_closed_form_on_wide_cells():
+    _assert_per_fiber_dims_are_the_closed_form(_seeded_wide_cells(30, 160))
 
 
 @pytest.mark.slow
