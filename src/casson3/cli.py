@@ -21,7 +21,6 @@ finds a MISMATCH row.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from collections import Counter
@@ -45,7 +44,6 @@ from .flat_moduli import (MAX_CONNECTIONS, FlatConnection, check_connection_budg
                           enumerate_connections)
 from .floer import (MAX_DIM, MAX_MOVES, apply_move, floer_correction, random_complex,
                     random_move)
-from .knotpoly import check_conjecture
 from .polynomial import fit_and_verify
 from .seifert import from_surgery
 
@@ -137,6 +135,7 @@ class RunConfig:
 
 def _parse_k_range(text: str) -> tuple[int, ...]:
     """The --K and --K-range type: 'a..b' or a single integer, 0 left out."""
+    import argparse
     lo, dots, hi = text.partition("..")
     try:
         lo, hi = int(lo), int(hi if dots else lo)
@@ -156,6 +155,7 @@ def _parse_k_range(text: str) -> tuple[int, ...]:
 
 def _parse_q_list(text: str) -> tuple[int, ...]:
     """The --q and --q-list type: comma-separated integers."""
+    import argparse
     try:
         qs = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
@@ -292,6 +292,7 @@ def cmd_fit(cfg: RunConfig, out) -> int:
 
 
 def cmd_conjecture(cfg: RunConfig, out) -> int:
+    from .knotpoly import check_conjecture
     reports = []
     for q in sorted(cfg.q_list):
         plus = {K: assemble(q, K).Lambda_su3 for K in cfg.k_list if K > 0}
@@ -359,6 +360,7 @@ def run(config: RunConfig, out=None) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="casson3",
         description="Exact SU(3) Casson-type invariants of 1/K surgeries on (2,q) torus knots",

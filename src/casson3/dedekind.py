@@ -58,22 +58,20 @@ and the same N gives the Floer grading (see `floer`).  A `RhoValue` holds
 rho as an integer numerator over a fixed denominator, 4a if snapped and a^2
 if exact, with the float estimate it was cross-checked against in integers
 (each `FloatEstimate` converts itself to integer ratios once).  The
-aggregate adds the numerators over L = 4 a^2, which both denominators
-divide, and builds one Fraction per sphere.  Both records are slotted
-classes whose `__init__` runs its check once, at construction; nothing
-assigns to them after it.
+aggregate checks once per denominator that it divides L = 4 a^2, adds the
+numerators over L and builds one Fraction per sphere.  Both records are
+slotted classes whose `__init__` runs its check once, at construction;
+nothing assigns to them after it.
 
 Every connection of a sphere shares its fiber constants, so `fiber_plan`
-computes them once per multiplicity triple: per fiber (a/a_i mod a_i, a_i,
-(a/a_i)^2, 2.0/a_i, the fiber's integer table of M), then a and a^2.  Each
-fiber's kernel call is made on (a/a_i mod a_i, e, a_i).  Every residue of a
-fiber draws on the same data, so both kernels fill a table of all n residues
-once per fiber: the integer table of M, which the plan takes from the cache
-of `_numerator_table` (so fibers of modulus 2 and q share one across
-spheres), and the float table of S from one FFT.  The plan and both table
-caches keep their last `_kernels.TABLE_CACHE_SIZE` entries.  `rho_adjoint`
-and `floer.r_invariant` read the plan once per connection and pass it down
-to `rho_natural_float` and `cotangent_numerator`, which read no cache.
+computes them once per multiplicity triple; each fiber's kernel call is made
+on (a/a_i mod a_i, e, a_i).  Both kernels fill a table of all n residues once
+per fiber: the integer table of M, which the plan takes from the cache of
+`_numerator_table` (so fibers of modulus 2 and q share one across spheres),
+and the float table of S from one FFT.  The plan and both table caches keep
+their last `_kernels.TABLE_CACHE_SIZE` entries.  `rho_adjoint` reads the plan
+once per connection, `floer.build_floer_complex` once per sphere, and passes
+it to `rho_natural_float` or `cotangent_numerator`, which read no cache.
 """
 from __future__ import annotations
 
@@ -115,7 +113,7 @@ class FloatEstimate:
         self.value = value
         self.error_bound = error_bound
         # (value, error_bound) as two integer ratios, converted once for every exact test
-        self.ratios = (*value.as_integer_ratio(), *error_bound.as_integer_ratio())
+        self.ratios = value.as_integer_ratio() + error_bound.as_integer_ratio()
 
 
 def floor_sums(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
@@ -285,23 +283,22 @@ def snap_rho(estimate: FloatEstimate, D: int) -> int:
     """The numerator p of the point p/D of (1/D)Z nearest the estimate x, for
     a D the caller supplies (4*a1*a2*a3 for a rho); p/D need not be reduced.
 
-    Accepted only if its error bound err is at most MAX_SNAP_ERROR,
-    |x - p/D| <= err and 3*err*d*D < 1, where d is the reduced denominator
-    of p/D, all tested in exact integers.  Two distinct rationals with
-    denominators d and v <= D are at least 1/(d*D) apart, so every other
-    candidate then lies more than 2*err from x and p/D is the only rational
-    of denominator <= D the estimate can mean.  Raises SnapFailure otherwise.
+    Accepted only if its error bound err <= MAX_SNAP_ERROR, |x - p/D| <= err
+    and 3*err*d*D < 1 for the reduced denominator d <= D of p/D (its gcd is
+    taken only if 3*err*D*D >= 1), all in exact integers.  Two distinct
+    rationals with denominators d and v <= D are at least 1/(d*D) apart, so
+    any other lies over 2*err from x: p/D is the only rational of denominator
+    <= D the estimate can mean.  Raises SnapFailure otherwise.
     """
     x, err = estimate.value, estimate.error_bound
     if err > MAX_SNAP_ERROR:
         raise SnapFailure(f"error bound {err!r} exceeds {MAX_SNAP_ERROR}")
     num, den, err_num, err_den = estimate.ratios
     p = (2 * num * D + den) // (2 * den)  # round(x * D)
-    d = D // math.gcd(p, D)
     # |x - p/D| <= err, cleared of denominators
     if abs(num * D - p * den) * err_den > err_num * den * D:
         raise SnapFailure(f"no point of (1/{D})Z within {err!r} of {x!r}")
-    if 3 * err_num * d * D >= err_den:
+    if 3 * err_num * D * D >= err_den and 3 * err_num * (D // math.gcd(p, D)) * D >= err_den:
         raise SnapFailure(f"error bound {err!r} too wide to single out {p}/{D} near {x!r}")
     return p
 
@@ -335,13 +332,15 @@ def _aggregate(X: BrieskornSphere, path: str) -> Fraction:
     every denominator divides L."""
     L = 4 * X.fiber_product ** 2
     total = 0
+    scales: dict[int, int] = {}  # denominator -> L / denominator, checked once each
     for c in enumerate_connections(X):
         rho = rho_adjoint(c, path=path)
-        scale, rest = divmod(L, rho.denominator)
-        if rest:
-            raise ConventionMismatch(f"rho {rho.exact} of {c.L} on {X} has a denominator "
-                                     f"that does not divide {L}")
-        total += rho.numerator * scale
+        if rho.denominator not in scales:
+            scales[rho.denominator], rest = divmod(L, rho.denominator)
+            if rest:
+                raise ConventionMismatch(f"rho {rho.exact} of {c.L} on {X} has a denominator "
+                                         f"that does not divide {L}")
+        total += rho.numerator * scales[rho.denominator]
     return Fraction(-X.orientation * total, 8 * L)
 
 

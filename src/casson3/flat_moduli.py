@@ -10,7 +10,8 @@ third generator's trace be reachable, namely
 together with the parity constraints L2 = m (mod 2), L3 = k (mod 2), where
 m = (q-1)/2 and k = |K|.  The bound is the exact transcription of
 |cos(pi*L3/a3)| < sin(pi*L2/a2), valid on both sides of a2/2.  Enumeration
-depends only on the multiplicities, never on the orientation.
+walks each L2's closed-form L3 interval (`l3_intervals`), with O(q + connections)
+admissibility tests, not O(q a3), and depends only on the multiplicities.
 
 A request's one work budget lives here.  A sphere has (q^2 - 1)|K|/4
 connections, which one enumeration holds, and every computation on it costs
@@ -22,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .errors import TooManyConnections
+from .errors import ConventionMismatch, TooManyConnections
 from .seifert import BrieskornSphere, check_surgery
 
 # The memo of `enumerate_connections` keeps one enumeration, some 230 bytes a
@@ -72,25 +73,29 @@ def enumerate_connections(X: BrieskornSphere) -> tuple[FlatConnection, ...]:
     return _enumerate(X, is_admissible)
 
 
+def l3_intervals(X: BrieskornSphere) -> Iterator[tuple[int, int, int]]:
+    """(L2, lo, hi) per L2 = m (mod 2), 0 < L2 < a2: its admissible L3 are the L3 = k
+    (mod 2) in lo..hi.  The bound's ends are not integers (a3|a2 - 2L2| is odd)."""
+    _, a2, a3 = X.a
+    first = 2 - abs(X.K) % 2  # the least L3 = |K| (mod 2)
+    for L2 in range(2 - (X.q - 1) // 2 % 2, a2, 2):
+        cut = a3 * abs(a2 - 2 * L2) // (2 * a2)
+        lo, hi = cut + 1, a3 - cut - 1
+        yield L2, lo + (lo - first) % 2, hi - (hi - first) % 2
+
+
 @lru_cache(maxsize=1)
 def _enumerate(X: BrieskornSphere, admissible) -> tuple[FlatConnection, ...]:
-    """Keyed on the admissibility test too, so a rebound `is_admissible` is
-    never answered from the memo of another."""
-    k, m = abs(X.K), (X.q - 1) // 2
-    a1, a2, a3 = X.a
-    a = X.fiber_product
-    c1, c2, c3 = a // a1, a // a2, a // a3
+    """Keyed on the admissibility test too, so a rebound `is_admissible` is never
+    answered from the memo of another; it must refuse the in-range L3 next to each end."""
+    c1, c2, c3 = (X.fiber_product // n for n in X.a)
     out: list[FlatConnection] = []
-    for L2 in range(1, a2):
-        if (L2 - m) % 2 != 0:
-            continue
+    for L2, lo, hi in l3_intervals(X):
+        if any(0 < L3 < X.a[2] and admissible(X, L2, L3) for L3 in (lo - 2, hi + 2)):
+            raise ConventionMismatch(f"{X}: L2={L2} admits an L3 outside {lo}..{hi}")
         base = c1 + L2 * c2
-        t = 0
-        for L3 in range(2 - k % 2, a3, 2):  # L3 = k (mod 2)
-            if not admissible(X, L2, L3):
-                continue
-            t += 1
-            out.append(FlatConnection(L=(1, L2, L3), t_index=t, e=base + L3 * c3, host=X))
+        kept = [L3 for L3 in range(lo, hi + 1, 2) if admissible(X, L2, L3)]
+        out += [FlatConnection((1, L2, L3), t, base + L3 * c3, X) for t, L3 in enumerate(kept, 1)]
     return tuple(out)
 
 

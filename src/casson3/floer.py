@@ -25,9 +25,9 @@ kernel's integers M_i = -4 a_i S(a/a_i, e, a_i) it reads
 
     2 a^2 mu_nat(e) = 4 a e^2 - sum_i M_i (a/a_i)^2,
 
-so it is computed in integers, and a right-hand side that 2 a^2 does not
-divide is refused.  The complex of an oriented sphere X places a generator
-in degree
+so it is computed in integers, from one `fiber_plan` read per sphere, and a
+right-hand side that 2 a^2 does not divide is refused.  The complex of an
+oriented sphere X places a generator in degree
 
     (mu_nat + 3) mod 8        if X carries the natural orientation,
     (-mu_nat - 6) mod 8       if X is reversed,
@@ -377,34 +377,38 @@ def random_move(rng: Random, cc: Z2ChainComplex) -> MorseMove:
 # gradings of the surgery family
 
 
-def r_invariant(a: tuple[int, int, int], e: int) -> int:
-    """2 e^2 / a + cotangent total: an exact integer for every admissible e,
-    computed as (4 a e^2 - N) / (2 a^2) from the integer N of
-    `cotangent_numerator`."""
-    plan = fiber_plan(a)
+def _mu(plan: tuple, e: int) -> int:
+    """mu_nat(e) on the sphere of `plan`; GradingFormulaUnavailable unless it is an integer."""
     _, prod, square = plan
     mu, rest = divmod(4 * prod * e * e - cotangent_numerator(plan, e), 2 * square)
     if rest:
-        raise GradingFormulaUnavailable(f"grading for a={a}, e={e} is not an integer")
+        raise GradingFormulaUnavailable(f"grading for a={prod}, e={e} is not an integer")
     return mu
+
+
+def r_invariant(a: tuple[int, int, int], e: int) -> int:
+    """2 e^2 / a + cotangent total: an exact integer for every admissible e."""
+    return _mu(fiber_plan(a), e)
+
+
+_DEGREE = {1: (1, 3), -1: (-1, -6)}  # orientation -> (s, t): degree (s * mu_nat + t) mod 8
 
 
 def floer_grading(c: FlatConnection) -> int:
     """Degree (mod 8) of the connection in its host's chain complex."""
-    X = c.host
-    mu = r_invariant(X.a, c.e)
-    if X.orientation == 1:
-        return (mu + 3) % 8
-    return (-mu - 6) % 8
+    sign, shift = _DEGREE[c.host.orientation]
+    return (sign * r_invariant(c.host.a, c.e) + shift) % 8
 
 
 def build_floer_complex(X: BrieskornSphere) -> Z2ChainComplex:
     """Generators in their grading degrees.  The degrees must share one parity
     (GradingFormulaUnavailable otherwise), so every boundary map vanishes and
     the correction term is zero."""
+    plan = fiber_plan(X.a)
+    sign, shift = _DEGREE[X.orientation]
     dims = [0] * 8
     for c in enumerate_connections(X):
-        dims[floer_grading(c)] += 1
+        dims[(sign * _mu(plan, c.e) + shift) % 8] += 1
     if any(dims[0::2]) and any(dims[1::2]):
         raise GradingFormulaUnavailable(f"the gradings of {X} fall in both parities, "
                                         f"dims {dims}; the boundary maps are not computed")

@@ -450,11 +450,16 @@ def test_console_entry_point():
 
 def test_light_modules_load_neither_numpy_nor_the_rho_layer():
     # the package root re-exports nothing, so these imports stop short of
-    # numpy and of dedekind, whose import checks the calibration anchors
-    code = ("import sys, casson3, casson3.seifert, casson3.flat_moduli, casson3.polynomial, "
-            "casson3.knotpoly\n"
-            "loaded = {'numpy', 'casson3.dedekind'} & set(sys.modules)\n"
-            "assert not loaded, sorted(loaded)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=child_env())
-    assert proc.returncode == 0, proc.stderr
+    # numpy and of dedekind, whose import checks the calibration anchors.
+    # Every invocation imports cli, which loads argparse only to build its
+    # parser and knotpoly only for `conjecture`.
+    for modules, unwanted in (("casson3, casson3.seifert, casson3.flat_moduli, "
+                               "casson3.polynomial, casson3.knotpoly",
+                               {"numpy", "casson3.dedekind"}),
+                              ("casson3.cli", {"argparse", "casson3.knotpoly"})):
+        code = (f"import sys, {modules}\n"
+                f"loaded = {unwanted!r} & set(sys.modules)\n"
+                "assert not loaded, sorted(loaded)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env())
+        assert proc.returncode == 0, (modules, proc.stderr)

@@ -1,15 +1,18 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casson3 import flat_moduli
 from casson3.dedekind import c_correction
-from casson3.errors import InvalidSurgery, TooManyConnections
+from casson3.errors import ConventionMismatch, InvalidSurgery, TooManyConnections
 from casson3.flat_moduli import (
     check_connection_budget,
     count_connections,
     enumerate_connections,
     is_admissible,
+    l3_intervals,
 )
 from casson3.floer import build_floer_complex
 from casson3.seifert import from_surgery, reverse_orientation
@@ -169,3 +172,57 @@ def test_one_enumeration_serves_c_and_the_gradings():
     build_floer_complex(X)
     info = flat_moduli._enumerate.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+
+
+def test_the_walk_asks_about_each_connection_and_the_two_ends():
+    # a scan of every right-parity (L2, L3) pair asks 2 516 times at (9, 70)
+    X = from_surgery(9, 70)
+    calls = []
+
+    def counted(X, L2, L3):
+        calls.append((L2, L3))
+        return is_admissible(X, L2, L3)
+
+    n = len(flat_moduli._enumerate.__wrapped__(X, counted))
+    branches = len(list(l3_intervals(X)))
+    assert n == count_connections(9, 70) == 1400 and branches == 4
+    assert n <= len(calls) <= n + 2 * branches
+    assert len(set(calls)) == len(calls)
+
+
+def _scanned(X):
+    """{(L2, L3): admissible} over every pair 0 < L2 < a2, 0 < L3 < a3."""
+    _, a2, a3 = X.a
+    return {(L2, L3) for L2 in range(1, a2) for L3 in range(1, a3) if is_admissible(X, L2, L3)}
+
+
+def test_the_walk_is_the_brute_force_scan():
+    for q in range(3, 26, 2):
+        for K in (*range(-8, 0), *range(1, 9)):
+            X = from_surgery(q, K)
+            scanned = _scanned(X)
+            walked = [(L2, L3) for L2, lo, hi in l3_intervals(X) for L3 in range(lo, hi + 1, 2)]
+            assert walked == sorted(scanned), (q, K)
+            for Y in (X, reverse_orientation(X)):
+                assert [(c.L[1], c.L[2]) for c in enumerate_connections(Y)] == walked, Y
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 200).map(lambda i: 2 * i + 1), st.integers(1, 2000),
+       st.sampled_from((1, -1)))
+def test_interval_sizes_sum_to_the_count(q, k, sign):
+    # the count cross-check in O(q) per sphere, with no enumeration
+    X = from_surgery(q, sign * k)
+    total = 0
+    for L2, lo, hi in l3_intervals(X):
+        assert 0 < lo and hi < X.a[2] and (lo - k) % 2 == (hi - k) % 2 == 0, (L2, lo, hi)
+        total += max(0, (hi - lo) // 2 + 1)
+    assert total == count_connections(q, sign * k)
+
+
+def test_a_test_that_admits_outside_the_interval_is_refused(monkeypatch):
+    X = from_surgery(3, 2)  # L2 = 1 walks L3 = 2..8 of 0 < L3 < 11
+    assert list(l3_intervals(X)) == [(1, 2, 8)]
+    monkeypatch.setattr(flat_moduli, "is_admissible", lambda X, L2, L3: True)
+    with pytest.raises(ConventionMismatch, match=r"q=3, K=2.*L2=1 admits an L3 outside 2\.\.8"):
+        enumerate_connections(X)

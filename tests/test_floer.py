@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -471,6 +472,26 @@ def _grading_cells(seed):
 _GRADING_CELLS = _grading_cells(26)
 
 
+def test_dims_count_the_gradings_of_each_connection():
+    for q, K in _GRADING_CELLS:
+        X = from_surgery(q, K)
+        for Y in (X, reverse_orientation(X)):
+            degrees = Counter(floer_grading(c) for c in enumerate_connections(Y))
+            assert build_floer_complex(Y).dims == tuple(degrees[p] for p in range(8)), Y
+
+
+def test_the_complex_reads_the_plan_once():
+    def reads():
+        info = dedekind.fiber_plan.cache_info()
+        return info.hits + info.misses
+
+    for X in (from_surgery(9, 70), reverse_orientation(from_surgery(7, -3))):
+        enumerate_connections(X)
+        before = reads()
+        build_floer_complex(X)
+        assert reads() - before == 1, X
+
+
 def test_grading_parity_by_surgery_sign():
     for q, K in _GRADING_CELLS:
         X = from_surgery(q, K)
@@ -658,8 +679,9 @@ def test_build_floer_complex():
 def test_mixed_parity_gradings_are_refused(monkeypatch):
     # the zero boundary maps rest on the degrees sharing one parity
     X = from_surgery(3, 2)
-    assert [c.t_index for c in enumerate_connections(X)] == [1, 2, 3, 4]
-    monkeypatch.setattr(floer, "floer_grading", lambda c: c.t_index)
+    mu = {c.e: c.t_index for c in enumerate_connections(X)}
+    assert sorted(mu.values()) == [1, 2, 3, 4]
+    monkeypatch.setattr(floer, "_mu", lambda plan, e: mu[e])
     with pytest.raises(GradingFormulaUnavailable):
         build_floer_complex(X)
 
