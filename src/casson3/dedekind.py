@@ -36,53 +36,40 @@ equals the integer one (ConventionMismatch otherwise).
                 N(s) = sum_r p_r p_{(-A r - e s) mod n} and
                 p = [n-1, 1, 3, ..., 2n-3].
 
-The integer kernel never forms that convolution per residue.  Every residue
-of a fiber (A, n) draws on one G(t) = sum_r p_r p_{(t - A r) mod n}, since
-N(s) = G(-e s), so `_numerator_table` fills M for all n residues in O(n)
-from the exact differences of G.  ``cot_sum_exact`` (M as the rational S)
-and ``cot_sum_lattice`` are independent references for the tests; no
-computation calls them.  Both expand the residue (-A r - e s) mod n through
-a floor, which leaves a polynomial part in closed form, two boundary terms
-and one weighted floor sum sum_r (2r-1) floor((-A r - e s)/n), i.e. a
-weighted count of lattice points under a line.  ``cot_sum_exact`` evaluates
-it in O(log n) with the Euclid-like recursion of `floor_sums`, the
-reciprocity step behind Dedekind sums (Rademacher 1964; Knuth, TAOCP vol. 2,
-3.3.3); ``cot_sum_lattice`` counts it term by term in O(n).
+The integer kernel never forms that convolution per residue: `_kernels`
+fills M for all n residues of a fiber in O(n), and its module docstring
+states both per-fiber tables, the sphere plan, N, the modulus bound and the
+cache policy.  ``cot_sum_exact`` (M as the rational S) and
+``cot_sum_lattice`` are independent references for the tests; no computation
+calls them.  Both expand the residue (-A r - e s) mod n through a floor,
+which leaves a polynomial part in closed form, two boundary terms and one
+weighted floor sum sum_r (2r-1) floor((-A r - e s)/n), i.e. a weighted count
+of lattice points under a line.  ``cot_sum_exact`` evaluates it in O(log n)
+with the Euclid-like recursion of `floor_sums`, the reciprocity step behind
+Dedekind sums (Rademacher 1964; Knuth, TAOCP vol. 2, 3.3.3);
+``cot_sum_lattice`` counts it term by term in O(n).
 
-The exact arithmetic stays in integers until one Fraction per sphere.
-With a = a1*a2*a3 and M_i the numerator of fiber i,
-
-    N = sum_i M_i (a/a_i)^2,   rho_nat(e) = (N - 3 a^2) / a^2,
-
-and the same N gives the Floer grading (see `floer`).  A `RhoValue` holds
-rho as an integer numerator over a fixed denominator, 4a if snapped and a^2
-if exact, with the float estimate it was cross-checked against in integers
-(each `FloatEstimate` converts itself to integer ratios once).  The
-aggregate checks once per denominator that it divides L = 4 a^2, adds the
-numerators over L and builds one Fraction per sphere.  Both records are
-slotted classes whose `__init__` runs its check once, at construction;
-nothing assigns to them after it.
-
-Every connection of a sphere shares its fiber constants, so `fiber_plan`
-computes them once per multiplicity triple; each fiber's kernel call is made
-on (a/a_i mod a_i, e, a_i).  Both kernels fill a table of all n residues once
-per fiber: the integer table of M, which the plan takes from the cache of
-`_numerator_table` (so fibers of modulus 2 and q share one across spheres),
-and the float table of S from one FFT.  The plan and both table caches keep
-their last `_kernels.TABLE_CACHE_SIZE` entries.  `rho_adjoint` reads the plan
-once per connection, `floer.build_floer_complex` once per sphere, and passes
-it to `rho_natural_float` or `cotangent_numerator`, which read no cache.
+The exact arithmetic stays in integers until one Fraction per sphere:
+rho_nat(e) = (N - 3 a^2) / a^2 with a = a1*a2*a3 and the integer N = sum_i
+M_i (a/a_i)^2 of `_kernels`.  A `RhoValue` holds rho as an integer numerator
+over a fixed denominator, 4a if snapped and a^2 if exact, with the float
+estimate it was cross-checked against in integers (each `FloatEstimate`
+converts itself to integer ratios once).  The aggregate checks once per
+denominator that it divides L = 4 a^2, adds the numerators over L and builds
+one Fraction per sphere.  Both records are slotted classes whose `__init__`
+runs its check once, at construction; nothing assigns to them after it.
+`rho_adjoint` reads the sphere's `_kernels.fiber_plan` once per connection
+and passes it to `rho_natural_float` or `cotangent_numerator`, which read no
+cache; each fiber's kernel call is made on (a/a_i mod a_i, e, a_i).
 """
 from __future__ import annotations
 
 import math
-from array import array
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from . import _kernels
+from ._kernels import cotangent_numerator, fiber_plan
 from .errors import ConventionMismatch, SnapFailure
 from .flat_moduli import FlatConnection, enumerate_connections
 from .seifert import BrieskornSphere, from_surgery
@@ -186,26 +173,11 @@ def _cot_sum_numerator(A: int, e: int, n: int, weighted_floor_sum) -> int:
     return 2 * N(0) - N(1) - N(-1)
 
 
-@lru_cache(maxsize=_kernels.TABLE_CACHE_SIZE)
-def _numerator_table(A: int, n: int) -> array:
-    """M(e) = -4n * S(A, e, n) for every residue 0 <= e < n, in O(n).
-
-    M(e) = 2 G(0) - G(e) - G(-e) needs only D(t) = G(t) - G(0), and since
-    p_{k+1} - p_k = 2 except at k = 0 and k = n - 1, G(t+1) - G(t) =
-    2n(n-1) - n (p_{t/A} + p_{(t+1)/A}), indices mod n.  |D|, |M| <= 8n^3 <
-    2^63 for n <= `_kernels.MAX_MODULUS` < 2^20, so the int64 steps are
-    exact; a larger n is refused before anything is built.
-    """
-    _kernels.check_modulus(n)
-    p = np.arange(-1, 2 * n - 2, 2, dtype=np.int64)
-    p[0] = n - 1
-    r = np.arange(n, dtype=np.int64)
-    hit = p[r * pow(A, -1, n) % n]  # p_{t/A} for t = 0..n-1
-    D = np.cumsum(np.r_[0, 2 * n * (n - 1) - n * (hit[:-1] + hit[1:])])
-    return array("q", (-D - D[-r % n]).tobytes())
+# maxsize of the two reference memos, keyed on residues; no computation calls them.
+CACHE_SIZE = 2 ** 14
 
 
-@lru_cache(maxsize=_kernels.CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def cot_sum_exact(A: int, e: int, n: int) -> Fraction:
     """S(A, e, n) = -M / (4n) as a rational, M from the floor-sum recursion: a
     reference for the tests and the kernel benchmark, which no computation
@@ -213,30 +185,12 @@ def cot_sum_exact(A: int, e: int, n: int) -> Fraction:
     return Fraction(-_cot_sum_numerator(A, e, n, _weighted_floor_sum_euclid), 4 * n)
 
 
-@lru_cache(maxsize=_kernels.CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def cot_sum_lattice(A: int, e: int, n: int) -> Fraction:
     """S(A, e, n) with the weighted floor sum counted term by term in O(n): a
     reference wrapper that checks the floor-sum recursion of `cot_sum_exact`,
     with which it shares every other step.  Requires gcd(A, n) = 1."""
     return Fraction(-_cot_sum_numerator(A, e, n, _weighted_floor_sum_loop), 4 * n)
-
-
-@lru_cache(maxsize=_kernels.TABLE_CACHE_SIZE)
-def fiber_plan(a: tuple[int, int, int]) -> tuple[tuple, int, int]:
-    """The constants every connection of the sphere shares: per fiber
-    (a/a_i mod a_i, a_i, (a/a_i)^2, 2.0/a_i, the integer table M of that
-    fiber from `_numerator_table`), then a = a1*a2*a3 and a^2."""
-    prod = a[0] * a[1] * a[2]
-    fibers = tuple(((prod // n) % n, n, (prod // n) ** 2, 2.0 / n) for n in a)
-    return tuple((*f, _numerator_table(f[0], f[1])) for f in fibers), prod, prod * prod
-
-
-def cotangent_numerator(plan: tuple, e: int) -> int:
-    """N = sum_i M_i * (a/a_i)^2 on the sphere of `plan`, so that the cotangent
-    total sum_i (2/a_i) S(a/a_i, e, a_i) is -N / (2 a^2), a = a1*a2*a3.  Each
-    M_i is read off its fiber's table as a Python int: no product overflows."""
-    (_, n1, c1, _, M1), (_, n2, c2, _, M2), (_, n3, c3, _, M3) = plan[0]
-    return M1[e % n1] * c1 + M2[e % n2] * c2 + M3[e % n3] * c3
 
 
 def rho_natural_float(plan: tuple, e: int, sign: int) -> FloatEstimate:

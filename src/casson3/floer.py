@@ -20,14 +20,11 @@ maps carry the ranks their parent read.
 
 Gradings:  mu_nat(e) = 2 e^2/a + sum_i (2/a_i) S(a/a_i, e, a_i) is an exact
 integer for a flat connection with invariant e on the naturally oriented
-sphere (it reproduces the classical {1, 5} for Sigma(2,3,5)).  With the
-kernel's integers M_i = -4 a_i S(a/a_i, e, a_i) it reads
-
-    2 a^2 mu_nat(e) = 4 a e^2 - sum_i M_i (a/a_i)^2,
-
-so it is computed in integers, from one `fiber_plan` read per sphere, and a
-right-hand side that 2 a^2 does not divide is refused.  The complex of an
-oriented sphere X places a generator in degree
+sphere (it reproduces the classical {1, 5} for Sigma(2,3,5)).  It is computed
+in integers as 2 a^2 mu_nat(e) = 4 a e^2 - N, with N = sum_i M_i (a/a_i)^2 of
+the kernel seam `_kernels`, from one `_kernels.fiber_plan` read per sphere,
+and a right-hand side that 2 a^2 does not divide is refused.  The complex of
+an oriented sphere X places a generator in degree
 
     (mu_nat + 3) mod 8        if X carries the natural orientation,
     (-mu_nat - 6) mod 8       if X is reversed,
@@ -43,7 +40,7 @@ from operator import is_not
 from random import Random
 from typing import Iterable, Optional
 
-from .dedekind import cotangent_numerator, fiber_plan
+from ._kernels import cotangent_numerator, fiber_plan
 from .errors import GradingFormulaUnavailable, InapplicableMove
 from .flat_moduli import FlatConnection, enumerate_connections
 from .seifert import BrieskornSphere

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -452,14 +453,36 @@ def test_light_modules_load_neither_numpy_nor_the_rho_layer():
     # the package root re-exports nothing, so these imports stop short of
     # numpy and of dedekind, whose import checks the calibration anchors.
     # Every invocation imports cli, which loads argparse only to build its
-    # parser and knotpoly only for `conjecture`.
+    # parser and knotpoly only for `conjecture`.  The gradings read the
+    # per-fiber tables from the kernel seam `_kernels`, not from the rho layer.
     for modules, unwanted in (("casson3, casson3.seifert, casson3.flat_moduli, "
                                "casson3.polynomial, casson3.knotpoly",
                                {"numpy", "casson3.dedekind"}),
-                              ("casson3.cli", {"argparse", "casson3.knotpoly"})):
+                              ("casson3.cli", {"argparse", "casson3.knotpoly"}),
+                              ("casson3.floer", {"casson3.dedekind"})):
         code = (f"import sys, {modules}\n"
                 f"loaded = {unwanted!r} & set(sys.modules)\n"
                 "assert not loaded, sorted(loaded)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=child_env())
         assert proc.returncode == 0, (modules, proc.stderr)
+
+
+def test_only_the_kernel_seam_imports_numpy():
+    # every per-fiber table is built in `_kernels`; no other module needs numpy
+    package = os.path.dirname(casson3.__file__)
+    importers = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as f:
+                tree = ast.parse(f.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    roots = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    roots = [node.module]
+                else:
+                    continue
+                if any(root.partition(".")[0] == "numpy" for root in roots):
+                    importers.add(name)
+    assert importers == {"_kernels.py"}

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from casson3 import _kernels, dedekind, flat_moduli
+from casson3._kernels import cotangent_numerator
 from casson3.assembly import reference_C
 from casson3.dedekind import (
     MAX_SNAP_ERROR,
@@ -20,7 +21,6 @@ from casson3.dedekind import (
     c_correction,
     cot_sum_exact,
     cot_sum_lattice,
-    cotangent_numerator,
     floor_sums,
     rho_adjoint,
     rho_natural_float,
@@ -94,7 +94,7 @@ def _coprime_args(draw, max_n):
 def _assert_table_matches_references(A, n, lattice_residues):
     """The O(n) table, the O(log n) floor-sum recursion and the O(n) floor
     loop are three derivations of M = -4n S(A, e, n)."""
-    table = dedekind._numerator_table.__wrapped__(A % n, n)
+    table = _kernels._numerator_table.__wrapped__(A % n, n)
     assert len(table) == n
     for e in range(n):
         M = _numerator(A, e, n)
@@ -106,14 +106,14 @@ def _assert_table_matches_references(A, n, lattice_residues):
 
 def _numerator(A, e, n):
     """M = -4n * S(A, e, n), read off the cached integer table of the fiber."""
-    return dedekind._numerator_table(A % n, n)[e % n]
+    return _kernels._numerator_table(A % n, n)[e % n]
 
 
 def _clear_integer_tables():
     """Drop every cached plan and integer table, so a corrupted table is
     never read again."""
-    dedekind.fiber_plan.cache_clear()
-    dedekind._numerator_table.cache_clear()
+    _kernels.fiber_plan.cache_clear()
+    _kernels._numerator_table.cache_clear()
 
 
 def _units(n, count, seed):
@@ -218,17 +218,17 @@ def test_kernel_caches_stay_bounded():
     # the reference memos: distinct raw keys at n = 7 are cheap to evaluate
     memos = (cot_sum_exact, cot_sum_lattice)
     # the per-fiber tables, integer and float: one entry per distinct (A, n)
-    tables = (dedekind._numerator_table, _kernels._fiber)
+    tables = (_kernels._numerator_table, _kernels._fiber)
     try:
         for memo in memos:
-            for e in range(_kernels.CACHE_SIZE + 100):
+            for e in range(dedekind.CACHE_SIZE + 100):
                 memo(3, e, 7)
             info = memo.cache_info()
-            assert info.maxsize == _kernels.CACHE_SIZE
+            assert info.maxsize == dedekind.CACHE_SIZE
             assert info.currsize <= info.maxsize
         for n in range(2, _kernels.TABLE_CACHE_SIZE + 12):
             for A in (1, n - 1):
-                dedekind._numerator_table(A, n)
+                _kernels._numerator_table(A, n)
                 _kernels.cot_sum(A, 1, n)
         for table in tables:
             info = table.cache_info()
@@ -260,9 +260,9 @@ def test_numerator_table_refuses_a_modulus_past_int64():
     # 8 n^3 reaches 2^63 at n = 2^20; the largest modulus below is still exact
     n = 2 ** 20 - 1
     assert _numerator(2, n // 2, n) == -4 * n * cot_sum_exact.__wrapped__(2, n // 2, n)
-    dedekind._numerator_table.cache_clear()
+    _kernels._numerator_table.cache_clear()
     with pytest.raises(TooManyConnections, match="int64"):
-        dedekind._numerator_table(1, 2 ** 20)
+        _kernels._numerator_table(1, 2 ** 20)
 
 
 def test_a_corrupt_numerator_table_is_refused():
@@ -272,7 +272,7 @@ def test_a_corrupt_numerator_table_is_refused():
     X = from_surgery(5, -2)
     try:
         for c in enumerate_connections(X)[:4]:
-            for _, n, _, _, table in dedekind.fiber_plan(X.a)[0]:
+            for _, n, _, _, table in _kernels.fiber_plan(X.a)[0]:
                 table[c.e % n] += 1
                 try:
                     with pytest.raises(ConventionMismatch):
@@ -284,7 +284,7 @@ def test_a_corrupt_numerator_table_is_refused():
     finally:
         _clear_integer_tables()
     square = X.fiber_product ** 2
-    N = cotangent_numerator(dedekind.fiber_plan(X.a), c.e)
+    N = cotangent_numerator(_kernels.fiber_plan(X.a), c.e)
     assert rho_adjoint(c).exact == Fraction(X.orientation * (N - 3 * square), square)
 
 
@@ -298,9 +298,9 @@ def test_the_plan_reads_the_shared_integer_tables():
     want = rho_adjoint(c).exact
     _clear_integer_tables()
     try:
-        plan_x, plan_y = dedekind.fiber_plan(X.a)[0], dedekind.fiber_plan(Y.a)[0]
+        plan_x, plan_y = _kernels.fiber_plan(X.a)[0], _kernels.fiber_plan(Y.a)[0]
         for A, n, _, _, table in plan_x + plan_y:
-            assert table is dedekind._numerator_table(A, n), n
+            assert table is _kernels._numerator_table(A, n), n
         assert plan_x[0][4] is plan_y[0][4] and plan_x[1][4] is plan_y[1][4]
         _, n, _, _, table = plan_x[2]
         table[c.e % n] += 1
@@ -316,10 +316,10 @@ def test_each_call_reads_the_plan_once(monkeypatch):
     # rho_adjoint on either path, snapped or escalated, and r_invariant each
     # look the sphere's plan up once and pass it down
     def reads_during(call):
-        info = dedekind.fiber_plan.cache_info()
+        info = _kernels.fiber_plan.cache_info()
         before = info.hits + info.misses
         result = call()
-        info = dedekind.fiber_plan.cache_info()
+        info = _kernels.fiber_plan.cache_info()
         return info.hits + info.misses - before, result
 
     X = from_surgery(7, -3)
@@ -360,7 +360,7 @@ def test_vanishing_sine_factors():
     # e = 0 mod every a_i kills each term; only the constant survives
     a = (2, 3, 5)
     e = 2 * 3 * 5
-    assert cotangent_numerator(dedekind.fiber_plan(a), e) == 0
+    assert cotangent_numerator(_kernels.fiber_plan(a), e) == 0
     natural = reverse_orientation(from_surgery(3, 1))  # Sigma(2,3,5), orientation +1
     assert natural.a == a and natural.orientation == 1
     # -2 * (3/2) over a^2, global sign frozen
@@ -471,7 +471,7 @@ def test_snap_denominators_divide_4a():
         for K in (1, -1, 3, -4, 7):
             X = from_surgery(q, K)
             bound = 4 * X.fiber_product
-            plan = dedekind.fiber_plan(X.a)
+            plan = _kernels.fiber_plan(X.a)
             square = plan[2]
             for c in enumerate_connections(X):
                 N = cotangent_numerator(plan, c.e)
@@ -482,7 +482,7 @@ def test_snap_denominators_divide_4a():
 def test_c_is_refused_before_enumeration(monkeypatch):
     monkeypatch.setattr(flat_moduli, "MAX_CONNECTIONS", 3)
     # a call of any of these raises TypeError: no connection and no kernel table is built
-    for module, name in ((flat_moduli, "_enumerate"), (dedekind, "_numerator_table"),
+    for module, name in ((flat_moduli, "_enumerate"), (_kernels, "_numerator_table"),
                          (_kernels, "_fiber")):
         monkeypatch.setattr(module, name, None)
     with pytest.raises(TooManyConnections, match="4 flat connections"):
@@ -551,7 +551,7 @@ def test_float_estimate_total_tracks_components():
     X = from_surgery(9, -4)
     prod = X.fiber_product
     for c in enumerate_connections(X)[:5]:
-        est = rho_natural_float(dedekind.fiber_plan(X.a), c.e, 1)
+        est = rho_natural_float(_kernels.fiber_plan(X.a), c.e, 1)
         reference = -3 - 2 * sum(Fraction(2, ai) * cot_sum_exact(prod // ai, c.e, ai)
                                  for ai in X.a)
         assert abs(Fraction(est.value) - reference) <= Fraction(est.error_bound)
@@ -587,7 +587,7 @@ def test_fiber_plan_matches_the_sums_it_replaces():
         X, e = c.host, c.e
         prod = X.fiber_product
         want = sum(-4 * ai * cot_sum_exact(prod // ai, e, ai) * (prod // ai) ** 2 for ai in X.a)
-        plan = dedekind.fiber_plan(X.a)
+        plan = _kernels.fiber_plan(X.a)
         assert cotangent_numerator(plan, e) == want, (X, c.L)
         rho = X.orientation * (want - 3 * prod ** 2)
         exact = rho_adjoint(c, path="exact")
@@ -609,7 +609,7 @@ def test_fiber_plan_matches_the_sums_it_replaces():
                     float_path.float_check):
             assert (est.value.hex(), est.error_bound.hex()) == (value.hex(), bound.hex()), (X, c.L)
     assert snapped > 0
-    info = dedekind.fiber_plan.cache_info()
+    info = _kernels.fiber_plan.cache_info()
     assert info.maxsize == _kernels.TABLE_CACHE_SIZE
     assert info.currsize <= info.maxsize
 
@@ -619,7 +619,7 @@ def test_exact_rho_is_cross_checked_against_the_float_kernel():
     # beyond the float bound, so the cross-check must refuse it
     X = from_surgery(5, -2)
     try:
-        for *_, table in dedekind.fiber_plan(X.a)[0]:
+        for *_, table in _kernels.fiber_plan(X.a)[0]:
             for r in range(len(table)):
                 table[r] += 1
         for c in enumerate_connections(X):
@@ -712,29 +712,60 @@ def _l3_intervals(q, a3, k):
             yield L2, lo, hi
 
 
-def _per_fiber_C(X):
-    """(number of connections, C) from per-fiber residue counts, sharing only
-    `dedekind.fiber_plan` with the computation.  On every connection
-    e = 1 (mod 2), e = 2 a3 L2 (mod q) and e = 2q L3 (mod a3), so with n2(L2)
-    the size of L2's L3 interval and n3(L3) the number of intervals holding L3,
-    sum N = n M1[1] c1 + sum n2 M2[2 a3 L2 mod q] c2 + sum n3 M3[2q L3 mod a3] c3,
-    and C = -(sum N - 3 n a^2) / (8 a^2) in either orientation."""
-    plan, _, square = dedekind.fiber_plan(X.a)
-    (_, _, c1, _, M1), (_, q, c2, _, M2), (_, a3, c3, _, M3) = plan
+def _residue_counts(X):
+    """(number of connections, per fiber (residues, counts)): how many
+    connections have e = r (mod a_i) for each residue r that occurs.  On every
+    connection e = 1 (mod 2), e = 2 a3 L2 (mod q) and e = 2q L3 (mod a3), so
+    with n2(L2) the size of L2's L3 interval and n3(L3) the number of intervals
+    holding L3, the counts are n, n2 and n3.  The a3 fiber's pair is lazy."""
+    _, q, a3 = X.a
     k = abs(X.K)
     first = 2 - k % 2  # L3 = k (mod 2)
-    n = total2 = 0
+    residues2, counts2 = [], []
     diff = [0] * (a3 + 2)
     for L2, lo, hi in _l3_intervals(q, a3, k):
-        n2 = (hi - lo) // 2 + 1
-        n += n2
-        total2 += n2 * M2[2 * a3 * L2 % q]
+        residues2.append(2 * a3 * L2 % q)
+        counts2.append((hi - lo) // 2 + 1)
         diff[lo] += 1
         diff[hi + 2] -= 1
-    n3 = itertools.accumulate(diff[first:a3:2])
-    total3 = sum(map(operator.mul, n3, (M3[2 * q * L3 % a3] for L3 in range(first, a3, 2))))
-    total = n * M1[1] * c1 + total2 * c2 + total3 * c3
+    n = sum(counts2)
+    residues3 = (2 * q * L3 % a3 for L3 in range(first, a3, 2))
+    return n, (([1], [n]), (residues2, counts2),
+               (residues3, itertools.accumulate(diff[first:a3:2])))
+
+
+def _per_fiber_C(X):
+    """(number of connections, C) from per-fiber residue counts, sharing only
+    `_kernels.fiber_plan` with the computation:
+    sum N = sum_i c_i sum_r n_i(r) M_i[r] over the counts of `_residue_counts`,
+    and C = -(sum N - 3 n a^2) / (8 a^2) in either orientation."""
+    plan, _, square = _kernels.fiber_plan(X.a)
+    n, fibers = _residue_counts(X)
+    total = sum(c * sum(map(operator.mul, counts, map(M.__getitem__, residues)))
+                for (_, _, c, _, M), (residues, counts) in zip(plan, fibers))
     return n, Fraction(-(total - 3 * n * square), 8 * square)
+
+
+def _assert_float_fibers_bound_the_integer_sums(X):
+    """Per fiber (A, m) of X, with the residue counts n(r) of `_residue_counts`:
+    sum_r n(r) S(r), read off the FFT table `_kernels._fiber(A, m)` and summed
+    exactly, is within sum_r n(r) times that table's one error bound of the
+    integer value -sum_r n(r) M(r) / (4m)."""
+    plan = _kernels.fiber_plan(X.a)[0]
+    for (A, m, _, _, M), (residues, counts) in zip(plan, _residue_counts(X)[1]):
+        S, bound = _kernels._fiber(A, m)
+        num, den = 0, 1  # the float sum, exactly: num / den with den a power of 2
+        exact = total = 0
+        for r, k in zip(residues, counts):
+            p, d = S[r].as_integer_ratio()
+            if d > den:
+                num, den = num * (d // den), d
+            num += k * p * (den // d)
+            exact += k * M[r]
+            total += k
+        # |num/den + exact/(4m)| <= total * bound, cleared of denominators
+        b_num, b_den = bound.as_integer_ratio()
+        assert abs(4 * m * num + exact * den) * b_den <= total * b_num * 4 * m * den, (X, m)
 
 
 def test_per_fiber_c_matches_the_computation():
@@ -784,6 +815,27 @@ def test_per_fiber_c_is_the_closed_form_property(q, K):
 @pytest.mark.slow
 def test_per_fiber_c_is_the_closed_form_on_wide_cells():
     _assert_per_fiber_c_is_the_closed_form(_seeded_wide_cells(60, 320))
+
+
+def _assert_float_fibers_bound_the_integer_sums_on(cells):
+    try:
+        for q, K in cells:
+            _assert_float_fibers_bound_the_integer_sums(from_surgery(q, K))
+    finally:
+        _clear_integer_tables()
+        _kernels._fiber.cache_clear()
+
+
+def test_float_fibers_bound_the_integer_sums():
+    # each FFT table's one bound, summed over the connections' residues, holds
+    # at (401, +-300) (12.06 M connections) and on seeded cells with a3 < 2^18
+    _assert_float_fibers_bound_the_integer_sums_on(
+        [(401, 300), (401, -300), *_seeded_wide_cells(4, 33, 2 ** 18)])
+
+
+@pytest.mark.slow
+def test_float_fibers_bound_the_integer_sums_on_wide_cells():
+    _assert_float_fibers_bound_the_integer_sums_on(_seeded_wide_cells(30, 330))
 
 
 def _random_cases(count, seed):

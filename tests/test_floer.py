@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from casson3 import dedekind, floer
+from casson3 import _kernels, floer
 from casson3.assembly import lambda_su2
 from casson3.dedekind import cot_sum_exact
 from casson3.errors import GradingFormulaUnavailable, InapplicableMove
@@ -447,15 +447,14 @@ def test_grading_refuses_a_non_integer():
     # which 2 a^2 cannot divide
     X = from_surgery(7, -2)
     try:
-        for *_, table in dedekind.fiber_plan(X.a)[0]:
+        for *_, table in _kernels.fiber_plan(X.a)[0]:
             for r in range(len(table)):
                 table[r] += 1
         for c in enumerate_connections(X):
             with pytest.raises(GradingFormulaUnavailable):
                 r_invariant(X.a, c.e)
     finally:
-        dedekind.fiber_plan.cache_clear()
-        dedekind._numerator_table.cache_clear()
+        _clear_integer_tables()
 
 
 def _grading_cells(seed):
@@ -482,7 +481,7 @@ def test_dims_count_the_gradings_of_each_connection():
 
 def test_the_complex_reads_the_plan_once():
     def reads():
-        info = dedekind.fiber_plan.cache_info()
+        info = _kernels.fiber_plan.cache_info()
         return info.hits + info.misses
 
     for X in (from_surgery(9, 70), reverse_orientation(from_surgery(7, -3))):
@@ -560,14 +559,14 @@ def test_graded_dims_repeat_with_period_four_and_sum_to_casson():
 
 def _per_fiber_dims(X):
     """build_floer_complex(X).dims from per-fiber sums, sharing only
-    `dedekind.fiber_plan` with the computation.  With c_i = a/a_i and
+    `_kernels.fiber_plan` with the computation.  With c_i = a/a_i and
     e = c1 + c2 L2 + c3 L3, the numerator 4 a e^2 - N of 2 a^2 mu splits as
     C0 + U(L2) + V(L3) + 16 a^2 L2 L3, since c2 c3 = 2a.  V(L3) mod 2 a^2 is
     the same on every L3 of its parity (the separation law, asserted here), so
     mu = (C0 + U(L2) + V(first))/(2 a^2) + v(L3) (mod 8), with
     v(L3) = (V(L3) - V(first))/(2 a^2), and per-class counts of v over L3
     below each interval end give the histogram in O(q + a3)."""
-    plan, a, square = dedekind.fiber_plan(X.a)
+    plan, a, square = _kernels.fiber_plan(X.a)
     (A1, _, s1, _, M1), (A2, q, s2, _, M2), (A3, a3, s3, _, M3) = plan
     c1, c2, c3 = a // 2, a // q, a // a3
     unit, first = 2 * square, 2 - abs(X.K) % 2
