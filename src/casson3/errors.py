@@ -29,7 +29,7 @@ class InapplicableMove(Casson3Error):
 
 
 class GradingFormulaUnavailable(Casson3Error):
-    """No grading formula is implemented for this sphere."""
+    """A grading mu is not an integer (`floer._mu`), or the degrees span both parities."""
 
 
 class MissingClosedForm(Casson3Error):

@@ -9,9 +9,9 @@ third generator's trace be reachable, namely
 
 together with the parity constraints L2 = m (mod 2), L3 = k (mod 2), where
 m = (q-1)/2 and k = |K|.  The bound is the exact transcription of
-|cos(pi*L3/a3)| < sin(pi*L2/a2), valid on both sides of a2/2.  Enumeration
-walks each L2's closed-form L3 interval (`l3_intervals`), with O(q + connections)
-admissibility tests, not O(q a3), and depends only on the multiplicities.
+|cos(pi*L3/a3)| < sin(pi*L2/a2), valid on both sides of a2/2.  Enumeration walks
+each L2's closed-form L3 interval (`l3_intervals`), asking the test only at its ends
+and just past them, O(q) tests, not O(q a3); it depends only on the multiplicities.
 
 A request's one work budget lives here.  A sphere has (q^2 - 1)|K|/4
 connections, which one enumeration holds, and every computation on it costs
@@ -65,9 +65,9 @@ def is_admissible(X: BrieskornSphere, L2: int, L3: int) -> bool:
 def enumerate_connections(X: BrieskornSphere) -> tuple[FlatConnection, ...]:
     """All admissible triples, sorted by (L2, L3), with t ranking L3 within L2.
 
-    Raises TooManyConnections when there would be more than MAX_CONNECTIONS.
-    The last sphere's enumeration is memoised, so the aggregates of C and the
-    Floer gradings share one; the budget is checked on every call.
+    Raises TooManyConnections past MAX_CONNECTIONS, and ConventionMismatch if
+    `is_admissible` disagrees at a branch's ends.  The last sphere's enumeration is
+    memoised (C and the gradings share one); the budget is checked on every call.
     """
     check_connection_budget([(X.q, X.K)])
     return _enumerate(X, is_admissible)
@@ -86,16 +86,18 @@ def l3_intervals(X: BrieskornSphere) -> Iterator[tuple[int, int, int]]:
 
 @lru_cache(maxsize=1)
 def _enumerate(X: BrieskornSphere, admissible) -> tuple[FlatConnection, ...]:
-    """Keyed on the admissibility test too, so a rebound `is_admissible` is never
-    answered from the memo of another; it must refuse the in-range L3 next to each end."""
+    """The admissible L3 of one L2 and parity form an interval, so the walk equals the test
+    once it admits lo and hi and refuses the in-range L3 just past each.  Keyed on the test
+    too, so a rebound `is_admissible` is never answered from the memo of another."""
     c1, c2, c3 = (X.fiber_product // n for n in X.a)
     out: list[FlatConnection] = []
     for L2, lo, hi in l3_intervals(X):
+        if not all(admissible(X, L2, L3) for L3 in {lo, hi}):
+            raise ConventionMismatch(f"{X}: L2={L2} refuses an end of {lo}..{hi}")
         if any(0 < L3 < X.a[2] and admissible(X, L2, L3) for L3 in (lo - 2, hi + 2)):
             raise ConventionMismatch(f"{X}: L2={L2} admits an L3 outside {lo}..{hi}")
-        base = c1 + L2 * c2
-        kept = [L3 for L3 in range(lo, hi + 1, 2) if admissible(X, L2, L3)]
-        out += [FlatConnection((1, L2, L3), t, base + L3 * c3, X) for t, L3 in enumerate(kept, 1)]
+        out += [FlatConnection((1, L2, L3), t, c1 + L2 * c2 + L3 * c3, X)
+                for t, L3 in enumerate(range(lo, hi + 1, 2), 1)]
     return tuple(out)
 
 

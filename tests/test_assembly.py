@@ -82,6 +82,29 @@ def test_reference_c_is_lambda_minus_a_minus_b():
                 reference_Lambda(q, K) - reference_A(q, K) - reference_B(q, K), (q, K)
 
 
+def _predicted_Lambda(q, K):
+    """Lambda at every odd q, from an observation with no free parameter:
+
+        (N^2 - 3N/4) K^2 + (-delta(q) (3q^2 + 3sq - 8)/4 + sign(K) N/8) K,
+
+    N = (q^2 - 1)/4, delta(q) = floor((q + 1)/4), s = +-1 for q = +-1 (mod 4).
+    Its constants (those of 4 mean(B) = -5 beta - delta) were read off the same
+    stored rows the test checks it on, so the test pins the statement and is
+    not evidence for it.  Beyond q = 9 it predicts B = Lambda - A - C."""
+    N = Fraction(q * q - 1, 4)
+    delta, s = (q + 1) // 4, 1 if q % 4 == 1 else -1
+    linear = -delta * Fraction(3 * q * q + 3 * s * q - 8, 4) + (1 if K > 0 else -1) * N / 8
+    return (N * N - 3 * N / 4) * K * K + linear * K
+
+
+def test_predicted_lambda_is_the_stored_rows():
+    for q in SUPPORTED_Q:
+        for K in (k for k in range(-40, 41) if k):
+            predicted = _predicted_Lambda(q, K)
+            assert predicted == reference_Lambda(q, K), (q, K)
+            assert predicted - reference_A(q, K) - reference_C(q, K) == reference_B(q, K), (q, K)
+
+
 def test_reference_c_fit_is_rederived_from_the_computation():
     # reference_C made as its docstring says: for each sign and odd q in
     # 3..17, the cleared numerator of the computed C fitted as a cubic in K

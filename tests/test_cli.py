@@ -469,9 +469,11 @@ def test_light_modules_load_neither_numpy_nor_the_rho_layer():
 
 
 def test_only_the_kernel_seam_imports_numpy():
-    # every per-fiber table is built in `_kernels`; no other module needs numpy
+    # every per-fiber table is built in `_kernels`; no other module needs numpy.
+    # The enumeration must not load it either: `flat_moduli` imports neither
+    # `_kernels` nor `dedekind` (which imports `flat_moduli`)
     package = os.path.dirname(casson3.__file__)
-    importers = set()
+    importers, enumeration_imports = set(), set()
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name)) as f:
@@ -479,10 +481,17 @@ def test_only_the_kernel_seam_imports_numpy():
             for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
                     roots = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom) and not node.level:
-                    roots = [node.module]
+                elif isinstance(node, ast.ImportFrom):
+                    # `from . import x` and `from .x import y` read casson3.x, casson3.x.y
+                    base = ".".join(filter(None, ("casson3" if node.level else "", node.module)))
+                    roots = [f"{base}.{alias.name}" for alias in node.names]
                 else:
                     continue
                 if any(root.partition(".")[0] == "numpy" for root in roots):
                     importers.add(name)
+                if name == "flat_moduli.py":
+                    enumeration_imports |= {root.split(".")[1] for root in roots
+                                            if root.startswith("casson3.")}
     assert importers == {"_kernels.py"}
+    assert enumeration_imports >= {"errors", "seifert"}
+    assert not enumeration_imports & {"_kernels", "dedekind"}

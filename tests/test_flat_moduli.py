@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -160,7 +161,8 @@ def test_enumeration_memo_serves_the_last_sphere(monkeypatch):
     monkeypatch.undo()
     # a rebound admissibility test is never answered from the memo
     monkeypatch.setattr(flat_moduli, "is_admissible", lambda X, L2, L3: False)
-    assert enumerate_connections(X) == ()
+    with pytest.raises(ConventionMismatch):
+        enumerate_connections(X)
     monkeypatch.undo()
     assert enumerate_connections(X) == memo
 
@@ -174,8 +176,9 @@ def test_one_enumeration_serves_c_and_the_gradings():
     assert (info.misses, info.hits) == (1, 2)
 
 
-def test_the_walk_asks_about_each_connection_and_the_two_ends():
-    # a scan of every right-parity (L2, L3) pair asks 2 516 times at (9, 70)
+def test_the_walk_asks_at_most_4_points_a_branch_16_at_9_70():
+    # a scan of every right-parity (L2, L3) pair asks 2 516 times at (9, 70); the
+    # walk asks each branch's two ends and the in-range L3 just past each, none twice
     X = from_surgery(9, 70)
     calls = []
 
@@ -184,10 +187,15 @@ def test_the_walk_asks_about_each_connection_and_the_two_ends():
         return is_admissible(X, L2, L3)
 
     n = len(flat_moduli._enumerate.__wrapped__(X, counted))
-    branches = len(list(l3_intervals(X)))
-    assert n == count_connections(9, 70) == 1400 and branches == 4
-    assert n <= len(calls) <= n + 2 * branches
-    assert len(set(calls)) == len(calls)
+    branches = list(l3_intervals(X))
+    assert n == count_connections(9, 70) == 1400 and len(branches) == 4
+    assert len(calls) == len(set(calls)) == 16
+    for L2, lo, hi in branches:
+        assert {L3 for b, L3 in calls if b == L2} == {lo - 2, lo, hi, hi + 2}
+    # (3, 2) has one branch, 2..8 of 0 < L3 < 11: both ends admitted, 10 refused
+    calls.clear()
+    assert len(flat_moduli._enumerate.__wrapped__(from_surgery(3, 2), counted)) == 4
+    assert sorted(calls) == [(1, 2), (1, 8), (1, 10)]
 
 
 def _scanned(X):
@@ -226,3 +234,64 @@ def test_a_test_that_admits_outside_the_interval_is_refused(monkeypatch):
     monkeypatch.setattr(flat_moduli, "is_admissible", lambda X, L2, L3: True)
     with pytest.raises(ConventionMismatch, match=r"q=3, K=2.*L2=1 admits an L3 outside 2\.\.8"):
         enumerate_connections(X)
+
+
+@pytest.mark.parametrize("refused", [(2, 1), (2, 7), (4, 3), (4, 5)])
+def test_a_test_that_refuses_an_end_is_refused(monkeypatch, refused):
+    # (5, 1) walks L3 = 1..7 on L2 = 2 and 3..5 on L2 = 4; a test that refuses an
+    # end disagrees with the walk, and the error names the sphere and the branch
+    X = from_surgery(5, 1)
+    monkeypatch.setattr(flat_moduli, "is_admissible",
+                        lambda X, L2, L3: (L2, L3) != refused and is_admissible(X, L2, L3))
+    ends = {2: r"1\.\.7", 4: r"3\.\.5"}[refused[0]]
+    with pytest.raises(ConventionMismatch,
+                       match=rf"q=5, K=1.*L2={refused[0]} refuses an end of {ends}"):
+        enumerate_connections(X)
+
+
+def _interlacing_pairs(q, K):
+    """Counter of (L2, L3) over the rank-2 solutions of the fiber relations, by brute force.
+
+    With r = a3 = 2q|K| - sign K, alpha = {0, a/q} and gamma = {0, g/r} for 0 < a < q and
+    0 < g < r, and each of the two sigma with 2 sigma = a/q + g/r + 1/2 (mod 1), a triple
+    counts when the angles of sigma - gamma lie one in each open arc (0, a/q), (a/q, 1).
+    It maps to L2 = a or q - a, whichever is (q - 1)/2 (mod 2), and to L3 = g or r - g,
+    whichever is |K| (mod 2).  Angles are integers in units of 1/(4qr); nothing here is
+    read from the walk or the admissibility test."""
+    r = 2 * q * abs(K) - (1 if K > 0 else -1)
+    unit, m, k = 4 * q * r, (q - 1) // 2, abs(K)
+    pairs = Counter()
+    for a in range(1, q):
+        cut = 4 * r * a
+        L2 = a if (a - m) % 2 == 0 else q - a
+        for g in range(1, r):
+            shift = 4 * q * g
+            L3 = g if (g - k) % 2 == 0 else r - g
+            sigma = (cut + shift + 2 * q * r) % unit // 2
+            for x in (sigma, sigma + unit // 2):
+                y = (x - shift) % unit
+                if 0 not in (x, y) and cut not in (x, y) and (x < cut) != (y < cut):
+                    pairs[L2, L3] += 1
+    return pairs
+
+
+def _check_interlacing(q, K):
+    pairs = _interlacing_pairs(q, K)
+    assert sum(pairs.values()) == 8 * count_connections(q, K), (q, K)
+    walked = [(c.L[1], c.L[2]) for c in enumerate_connections(from_surgery(q, K))]
+    assert pairs == Counter({pair: 8 for pair in walked}), (q, K)
+
+
+def test_the_interlacing_count_is_the_enumeration():
+    # each flat SU(2) connection is 8 solutions of the rank-2 relations
+    for q in range(3, 16, 2):
+        for K in (-3, -2, -1, 1, 2, 3):
+            _check_interlacing(q, K)
+
+
+@pytest.mark.slow
+def test_the_interlacing_count_is_the_enumeration_to_q_39():
+    # deselected by default; run with `python -m pytest -m slow`
+    for q in range(3, 40, 2):
+        for K in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5):
+            _check_interlacing(q, K)
