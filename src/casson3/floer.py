@@ -24,7 +24,8 @@ sphere (it reproduces the classical {1, 5} for Sigma(2,3,5)).  It is computed
 in integers as 2 a^2 mu_nat(e) = 4 a e^2 - N, with N = sum_i M_i (a/a_i)^2 of
 the kernel seam `_kernels`, from one `_kernels.fiber_plan` read per sphere,
 and a right-hand side that 2 a^2 does not divide is refused.  The complex of
-an oriented sphere X places a generator in degree
+an oriented sphere X (`build_floer_complex`, the one place this rule is applied)
+places a generator in degree
 
     (mu_nat + 3) mod 8        if X carries the natural orientation,
     (-mu_nat - 6) mod 8       if X is reversed,
@@ -42,7 +43,7 @@ from typing import Iterable, Optional
 
 from ._kernels import cotangent_numerator, fiber_plan
 from .errors import GradingFormulaUnavailable, InapplicableMove
-from .flat_moduli import FlatConnection, enumerate_connections
+from .flat_moduli import enumerate_connections
 from .seifert import BrieskornSphere
 
 
@@ -388,21 +389,12 @@ def r_invariant(a: tuple[int, int, int], e: int) -> int:
     return _mu(fiber_plan(a), e)
 
 
-_DEGREE = {1: (1, 3), -1: (-1, -6)}  # orientation -> (s, t): degree (s * mu_nat + t) mod 8
-
-
-def floer_grading(c: FlatConnection) -> int:
-    """Degree (mod 8) of the connection in its host's chain complex."""
-    sign, shift = _DEGREE[c.host.orientation]
-    return (sign * r_invariant(c.host.a, c.e) + shift) % 8
-
-
 def build_floer_complex(X: BrieskornSphere) -> Z2ChainComplex:
     """Generators in their grading degrees.  The degrees must share one parity
     (GradingFormulaUnavailable otherwise), so every boundary map vanishes and
     the correction term is zero."""
     plan = fiber_plan(X.a)
-    sign, shift = _DEGREE[X.orientation]
+    sign, shift = (1, 3) if X.orientation == 1 else (-1, -6)  # see the module docstring
     dims = [0] * 8
     for c in enumerate_connections(X):
         dims[(sign * _mu(plan, c.e) + shift) % 8] += 1

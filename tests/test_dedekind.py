@@ -696,34 +696,20 @@ def test_integer_aggregate_refuses_a_foreign_denominator(monkeypatch):
         dedekind._aggregate(X, "exact")
 
 
-def _l3_intervals(q, a3, k):
-    """(L2, lo, hi) for every L2 = (q - 1)/2 (mod 2) whose admissible L3 are
-    the L3 = k (mod 2) in lo..hi, none of them if there are none: the closed
-    form of the enumeration's L3 loop."""
-    first = 2 - k % 2
-    for L2 in range(2 - (q - 1) // 2 % 2, q, 2):
-        # is_admissible's inequality, a3 |q - 2 L2| < 2q L3 < 2q a3 - a3 |q - 2 L2|,
-        # whose ends are never integers: a3 |q - 2 L2| is odd
-        cut = a3 * abs(q - 2 * L2) // (2 * q)
-        lo, hi = cut + 1, a3 - cut - 1
-        lo += (lo - first) % 2
-        hi -= (hi - first) % 2
-        if lo <= hi:
-            yield L2, lo, hi
-
-
 def _residue_counts(X):
     """(number of connections, per fiber (residues, counts)): how many
     connections have e = r (mod a_i) for each residue r that occurs.  On every
     connection e = 1 (mod 2), e = 2 a3 L2 (mod q) and e = 2q L3 (mod a3), so
     with n2(L2) the size of L2's L3 interval and n3(L3) the number of intervals
-    holding L3, the counts are n, n2 and n3.  The a3 fiber's pair is lazy."""
+    holding L3, the counts are n, n2 and n3.  The a3 fiber's pair is lazy.  The
+    intervals are the computation's own walk `flat_moduli.l3_intervals`, which
+    test_flat_moduli checks against oracles that share none of its code: the
+    brute-force scan, the interval sizes and the interlacing count."""
     _, q, a3 = X.a
-    k = abs(X.K)
-    first = 2 - k % 2  # L3 = k (mod 2)
+    first = 2 - abs(X.K) % 2  # L3 = K (mod 2)
     residues2, counts2 = [], []
     diff = [0] * (a3 + 2)
-    for L2, lo, hi in _l3_intervals(q, a3, k):
+    for L2, lo, hi in flat_moduli.l3_intervals(X):
         residues2.append(2 * a3 * L2 % q)
         counts2.append((hi - lo) // 2 + 1)
         diff[lo] += 1
@@ -735,8 +721,9 @@ def _residue_counts(X):
 
 
 def _per_fiber_C(X):
-    """(number of connections, C) from per-fiber residue counts, sharing only
-    `_kernels.fiber_plan` with the computation:
+    """(number of connections, C) from per-fiber residue counts, sharing
+    `_kernels.fiber_plan` and, through `_residue_counts`, the L3 walk
+    `flat_moduli.l3_intervals` with the computation:
     sum N = sum_i c_i sum_r n_i(r) M_i[r] over the counts of `_residue_counts`,
     and C = -(sum N - 3 n a^2) / (8 a^2) in either orientation."""
     plan, _, square = _kernels.fiber_plan(X.a)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casson3 import flat_moduli
+from casson3.assembly import reference_A
 from casson3.dedekind import c_correction
 from casson3.errors import ConventionMismatch, InvalidSurgery, TooManyConnections
 from casson3.flat_moduli import (
@@ -219,12 +220,14 @@ def test_the_walk_is_the_brute_force_scan():
 @given(st.integers(1, 200).map(lambda i: 2 * i + 1), st.integers(1, 2000),
        st.sampled_from((1, -1)))
 def test_interval_sizes_sum_to_the_count(q, k, sign):
-    # the count cross-check in O(q) per sphere, with no enumeration
+    # the count cross-check in O(q) per sphere, with no enumeration.  No branch is
+    # empty, which `_enumerate`'s end check needs: L2's open interval has length
+    # a3 (1 - |q - 2 L2|/q) >= 2 a3/q >= 4 - 2/q > 3, so it holds an L3 of each parity
     X = from_surgery(q, sign * k)
     total = 0
     for L2, lo, hi in l3_intervals(X):
-        assert 0 < lo and hi < X.a[2] and (lo - k) % 2 == (hi - k) % 2 == 0, (L2, lo, hi)
-        total += max(0, (hi - lo) // 2 + 1)
+        assert 0 < lo <= hi < X.a[2] and (lo - k) % 2 == (hi - k) % 2 == 0, (L2, lo, hi)
+        total += (hi - lo) // 2 + 1
     assert total == count_connections(q, sign * k)
 
 
@@ -295,3 +298,67 @@ def test_the_interlacing_count_is_the_enumeration_to_q_39():
     for q in range(3, 40, 2):
         for K in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5):
             _check_interlacing(q, K)
+
+
+def _interlacing_triples(q, K):
+    """Number of rank-3 solutions of the fiber relations, by brute force: 9 A.
+
+    With r = a3 = 2q|K| - sign K, alpha = {0, a1/q, a2/q} for 0 < a1 < a2 < q,
+    gamma = {0, g1/r, g2/r} for 0 < g1 < g2 < r, and each of the three sigma with
+    3 sigma = sum alpha + sum gamma + 1/2 (mod 1), a triple counts when the angles of
+    sigma - gamma lie one in each of the three open arcs of alpha (the
+    interlacing criterion of Agnihotri and Woodward, 1998, cited from memory).
+    Angles are integers in units of 1/(18qr); nothing here is read from the walk,
+    the admissibility test or the kernel seam.  No angle of sigma - gamma meets
+    alpha: that would make 3 sigma = T (mod 18qr) equal 3 (alpha_j + gamma_i), which
+    is 0 (mod 18), while T is 9 (mod 18) since q and r are odd."""
+    r = 2 * q * abs(K) - (1 if K > 0 else -1)
+    unit = 18 * q * r
+    count = 0
+    for a1 in range(1, q):
+        x1 = 18 * r * a1
+        for a2 in range(a1 + 1, q):
+            x2 = 18 * r * a2
+            for g1 in range(1, r):
+                y1 = 18 * q * g1
+                for g2 in range(g1 + 1, r):
+                    y2 = 18 * q * g2
+                    T = (x1 + x2 + y1 + y2 + unit // 2) % unit  # 9 (mod 18)
+                    for sigma in (T // 3, (T + unit) // 3, (T + 2 * unit) // 3):
+                        arcs = 0  # bit i: an angle lies in the i-th arc of alpha
+                        for x in (sigma, (sigma - y1) % unit, (sigma - y2) % unit):
+                            arcs |= 1 << ((x > x1) + (x > x2))
+                        count += arcs == 7
+    return count
+
+
+def _fitted_A(q, K):
+    """A = alpha K^2 - beta K with alpha = (q^2 - 1)(q^2 - 3)/16 and beta =
+    (q - 1)(q^2 + q - 3)/12 for q = 1 (mod 4), (q + 1)(q^2 - q - 3)/12 for q = 3
+    (mod 4): fitted on the stored rows of q in {3, 5, 7, 9}, not derived."""
+    alpha = (q * q - 1) * (q * q - 3) // 16
+    beta = ((q - 1) * (q * q + q - 3) if q % 4 == 1 else (q + 1) * (q * q - q - 3)) // 12
+    return alpha * K * K - beta * K
+
+
+def test_the_rank_3_interlacing_count_is_9_A():
+    # Sigma(2,3,5), the sphere at (3, 1), has the binary icosahedral group as its
+    # fundamental group, with two irreducible SU(2) and two irreducible SU(3)
+    # representations: an anchor that no counter shares
+    assert _interlacing_triples(3, 1) == 9 * 2
+    assert count_connections(3, 1) == 2
+    for q in (3, 5, 7):
+        for K in (-3, -2, -1, 1, 2, 3):
+            assert _interlacing_triples(q, K) == 9 * reference_A(q, K), (q, K)
+
+
+@pytest.mark.slow
+def test_the_rank_3_interlacing_count_is_9_A_to_q_13():
+    # deselected by default; run with `python -m pytest -m slow`
+    for q in (3, 5, 7, 9):
+        for K in (-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6):
+            assert _interlacing_triples(q, K) == 9 * reference_A(q, K) == 9 * _fitted_A(q, K), \
+                (q, K)
+    for q in (11, 13):
+        for K in (-2, -1, 1, 2):
+            assert _interlacing_triples(q, K) == 9 * _fitted_A(q, K), (q, K)

@@ -1,6 +1,5 @@
 import random
 import time
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,7 @@ from casson3 import _kernels, floer
 from casson3.assembly import lambda_su2
 from casson3.dedekind import cot_sum_exact
 from casson3.errors import GradingFormulaUnavailable, InapplicableMove
-from casson3.flat_moduli import enumerate_connections
+from casson3.flat_moduli import enumerate_connections, l3_intervals
 from casson3.floer import (
     GF2Matrix,
     MorseMove,
@@ -18,7 +17,6 @@ from casson3.floer import (
     build_floer_complex,
     dual_reflect,
     floer_correction,
-    floer_grading,
     homology_ranks,
     nullspace,
     r_invariant,
@@ -27,7 +25,7 @@ from casson3.floer import (
     zero_complex,
 )
 from casson3.seifert import from_surgery, reverse_orientation
-from test_dedekind import _clear_integer_tables, _l3_intervals, _seeded_wide_cells
+from test_dedekind import _clear_integer_tables, _seeded_wide_cells
 
 
 def _matrix(entries):
@@ -471,14 +469,6 @@ def _grading_cells(seed):
 _GRADING_CELLS = _grading_cells(26)
 
 
-def test_dims_count_the_gradings_of_each_connection():
-    for q, K in _GRADING_CELLS:
-        X = from_surgery(q, K)
-        for Y in (X, reverse_orientation(X)):
-            degrees = Counter(floer_grading(c) for c in enumerate_connections(Y))
-            assert build_floer_complex(Y).dims == tuple(degrees[p] for p in range(8)), Y
-
-
 def test_the_complex_reads_the_plan_once():
     def reads():
         info = _kernels.fiber_plan.cache_info()
@@ -492,11 +482,10 @@ def test_the_complex_reads_the_plan_once():
 
 
 def test_grading_parity_by_surgery_sign():
+    # the even degrees are empty for K > 0, the odd ones for K < 0
     for q, K in _GRADING_CELLS:
-        X = from_surgery(q, K)
-        for c in enumerate_connections(X):
-            g = floer_grading(c)
-            assert g % 2 == (1 if K > 0 else 0), (q, K, c.L, g)
+        dims = build_floer_complex(from_surgery(q, K)).dims
+        assert not any(dims[0::2] if K > 0 else dims[1::2]), (q, K, dims)
 
 
 def _milnor_signature(q, a3):
@@ -558,8 +547,10 @@ def test_graded_dims_repeat_with_period_four_and_sum_to_casson():
 
 
 def _per_fiber_dims(X):
-    """build_floer_complex(X).dims from per-fiber sums, sharing only
-    `_kernels.fiber_plan` with the computation.  With c_i = a/a_i and
+    """build_floer_complex(X).dims from per-fiber sums, sharing with the
+    computation `_kernels.fiber_plan` and the L3 walk `flat_moduli.l3_intervals`,
+    which oracles that share none of its code check (test_flat_moduli's
+    brute-force scan, interval sizes and interlacing count).  With c_i = a/a_i and
     e = c1 + c2 L2 + c3 L3, the numerator 4 a e^2 - N of 2 a^2 mu splits as
     C0 + U(L2) + V(L3) + 16 a^2 L2 L3, since c2 c3 = 2a.  V(L3) mod 2 a^2 is
     the same on every L3 of its parity (the separation law, asserted here), so
@@ -575,7 +566,7 @@ def _per_fiber_dims(X):
         return 4 * a * (s3 * L3 * L3 + 2 * c1 * c3 * L3) - M3[A3 * L3 % a3] * s3
 
     v_first = V(first)
-    intervals = list(_l3_intervals(q, a3, abs(X.K)))
+    intervals = list(l3_intervals(X))
     ends = {L3 for _, lo, hi in intervals for L3 in (lo, hi + 2)}
     below, counts = {}, [0] * 8  # below[L3][r]: how many L3' < L3 have v = r (mod 8)
     for L3 in range(first, a3 + 2, 2):
@@ -638,18 +629,7 @@ def test_graded_dims_closed_form_sweep():
                         (q, K, Y.orientation)
 
 
-def test_grading_all_twenty_q9():
-    X = from_surgery(9, 1)
-    gradings = [floer_grading(c) for c in enumerate_connections(X)]
-    assert len(gradings) == 20
-    assert all(g % 2 == 1 for g in gradings)
-
-
 def test_reversed_host_gradings_follow_duality():
-    X = from_surgery(3, 1)
-    Y = reverse_orientation(X)
-    for cx, cy in zip(enumerate_connections(X), enumerate_connections(Y)):
-        assert floer_grading(cy) == (-3 - floer_grading(cx)) % 8
     # reversing the host's orientation is dual_reflect on the whole complex
     for q in range(3, 14, 2):
         for K in [k for k in range(-6, 7) if k]:
@@ -659,20 +639,12 @@ def test_reversed_host_gradings_follow_duality():
 
 
 def test_build_floer_complex():
-    cc = build_floer_complex(from_surgery(3, 1))
-    assert sum(cc.dims) == 2
-    assert all(d == 0 for p, d in enumerate(cc.dims) if p % 2 == 0)
-    assert floer_correction(cc) == 0
-
-    cc = build_floer_complex(from_surgery(5, -2))
-    assert sum(cc.dims) == 12
-    assert all(d == 0 for p, d in enumerate(cc.dims) if p % 2 == 1)
-    assert floer_correction(cc) == 0
-
-    cc = build_floer_complex(from_surgery(9, 3))
-    assert sum(cc.dims) == 60
-    assert all(d == 0 for p, d in enumerate(cc.dims) if p % 2 == 0)
-    assert floer_correction(cc) == 0
+    # (q, K, generators): all in odd degrees for K > 0, all in even ones for K < 0
+    for q, K, n in [(3, 1, 2), (5, -2, 12), (9, 1, 20), (9, 3, 60)]:
+        cc = build_floer_complex(from_surgery(q, K))
+        assert sum(cc.dims) == n, (q, K)
+        assert not any(cc.dims[0::2] if K > 0 else cc.dims[1::2]), (q, K, cc.dims)
+        assert floer_correction(cc) == 0
 
 
 def test_mixed_parity_gradings_are_refused(monkeypatch):
