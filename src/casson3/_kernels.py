@@ -2,7 +2,7 @@
 
 A connection with invariant e on Sigma(a1, a2, a3), a = a1*a2*a3, reads the
 cotangent sum S(A, e, n) of `dedekind` on its three fibers (a/a_i mod a_i,
-a_i).  Each fiber (A, n) has two tables of all n residues, each built once:
+a_i).  Each fiber (A, n) has two tables of all n residues, both built once:
 
 * float   - with w_m = cot(pi*A*m/n) * cot(pi*m/n) for 0 < m < n and
             w_0 = 0, only the sine factor of S depends on e, and sin^2 x =
@@ -17,30 +17,31 @@ a_i).  Each fiber (A, n) has two tables of all n residues, each built once:
 
 `fiber_plan(a)` holds, once per multiplicity triple, what every connection of
 the sphere shares: per fiber (a/a_i mod a_i, a_i, (a/a_i)^2, 2.0/a_i, the
-integer table M_i), then a and a^2.  Its tables come from the cache of
-`_numerator_table`, so fibers of modulus 2 and q share one across spheres.
+integer table M_i), then a and a^2.  Its tables come from `fiber_tables`,
+so fibers of modulus 2 and q share one across spheres.
 `cotangent_numerator(plan, e)` reads N = sum_i M_i (a/a_i)^2, so the
 cotangent total sum_i (2/a_i) S(a/a_i, e, a_i) is -N / (2 a^2).  The same N
 gives the exact rho of `dedekind`, rho_nat(e) = (N - 3 a^2) / a^2, and the
 grading of `floer`, 2 a^2 mu_nat(e) = 4 a e^2 - N.  `dedekind` reads the plan
 once per connection and `floer` once per sphere; neither builds a table.
 
-Both tables refuse a modulus over MAX_MODULUS = 2^20 - 1 (`check_modulus`,
-TooManyConnections) before anything is built.  The integer table steps in
+`fiber_tables` refuses a modulus over MAX_MODULUS = 2^20 - 1
+(TooManyConnections) before anything is built.  The integer table steps in
 int64 through D(t) = G(t) - G(0) and M, and |D|, |M| <= 8n^3 < 2^63 for
 n < 2^20, so every step is exact.  The connection budget keeps every sphere's
 a3 = 2q|K| +- 1 <= 600 001, so only a hand-built connection can reach it.
 
-Cache policy: `_numerator_table`, `_fiber` and `fiber_plan` (whose entry keeps
-its sphere's 3 integer tables alive) each keep their last TABLE_CACHE_SIZE
-entries.  A cell's fibers have moduli 2 (shared by every cell), q (shared by
-the cells of one q and sign of K) and a3.  8 keeps the shared tables warm only
-in a sweep ordered by (q, K): the 105 fibers of the 96 cells q <= 9, |K| <= 12
-missed 108 times in that order, and 162 times in the shuffled order of a
-table-grid pass (seed 5).  An entry holds 8*n bytes, float or integer.  The
-connection budget bounds the a3 summed over a request's spheres by about
-600 001 (q = 3), so one table is at most about 4.8 MB; the q <= 9, |K| <= 80
-tables take under 12 KB each.
+Cache policy: `fiber_tables` builds both tables of a fiber on a miss into one
+dict of (M, S, bound), which `cot_sum` and `fiber_plan` read.  Before a build
+it drops the oldest entries (insertion order) while the held moduli, n + 32
+per entry, would pass TABLE_BUDGET = 8 * MAX_MODULUS.  An entry takes 17n
+bytes for its two arrays (8n each, over-allocated by 1/16) and about 480
+more (< 17 * 32), so the cache holds under 17 * TABLE_BUDGET bytes, 136 MiB,
+what 8 tables of each kind at MAX_MODULUS take, or any number of small ones
+(the 96 cells q <= 9, |K| <= 12 build each of their 105 fibers once, in any
+order).  A hit is one bare `dict.get`, as `cot_sum` runs 3 times per
+connection: LRU reordering would cost more than the rare rebuild.  The
+PLAN_CACHE_SIZE plans `fiber_plan` keeps hold their M tables past eviction.
 """
 from __future__ import annotations
 
@@ -53,18 +54,13 @@ import numpy as np
 from .errors import TooManyConnections
 
 EPS = float(np.finfo(np.float64).eps)
-TABLE_CACHE_SIZE = 8  # maxsize of each of the three caches (module docstring)
 MAX_MODULUS = 2 ** 20 - 1  # largest modulus of either table (module docstring)
+TABLE_BUDGET = 8 * MAX_MODULUS  # held moduli of the table cache (module docstring)
+PLAN_CACHE_SIZE = 8  # plans `fiber_plan` keeps
+
+_tables: dict[tuple[int, int], tuple[array | None, array, float]] = {}  # (A, n) -> (M, S, bound)
 
 
-def check_modulus(n: int) -> None:
-    """Raise TooManyConnections for a fiber modulus over MAX_MODULUS."""
-    if n > MAX_MODULUS:
-        raise TooManyConnections(f"modulus {n} is past the int64 range of the per-fiber "
-                                 f"tables, whose largest modulus is {MAX_MODULUS}")
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _fiber(A: int, n: int) -> tuple[array, float]:
     """(S(A, e, n) for every residue 0 <= e < n, one error bound for them all).
 
@@ -81,7 +77,6 @@ def _fiber(A: int, n: int) -> tuple[array, float]:
     error stayed under 0.06 of it on every unit A for n <= 400 and on sampled
     fibers up to n = 600 001.
     """
-    check_modulus(n)
     x = np.pi * np.arange(1, n // 2 + 1) / n
     half = np.cos(x) / np.sin(x)
     cot = np.concatenate(([np.nan], half, -half[:(n - 1) // 2][::-1]))
@@ -92,17 +87,6 @@ def _fiber(A: int, n: int) -> tuple[array, float]:
     return array("d", ((F[0] - F) / 2).tobytes()), bound
 
 
-def cot_sum(A: int, e: int, n: int) -> tuple[float, float]:
-    """(value, conservative error bound) of the cotangent sum, read off the
-    table of the fiber (A mod n, n).  Needs gcd(A, n) = 1 for a finite value."""
-    values, bound = _fiber(A % n, n)
-    return values[e % n], bound
-
-
-cot_sum_numpy = cot_sum
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _numerator_table(A: int, n: int) -> array:
     """M(e) = -4n * S(A, e, n) for every residue 0 <= e < n, in O(n).
 
@@ -111,7 +95,6 @@ def _numerator_table(A: int, n: int) -> array:
     2n(n-1) - n (p_{t/A} + p_{(t+1)/A}), indices mod n.  The int64 steps are
     exact up to MAX_MODULUS (module docstring); a larger n is refused first.
     """
-    check_modulus(n)
     p = np.arange(-1, 2 * n - 2, 2, dtype=np.int64)
     p[0] = n - 1
     r = np.arange(n, dtype=np.int64)
@@ -120,13 +103,37 @@ def _numerator_table(A: int, n: int) -> array:
     return array("q", (-D - D[-r % n]).tobytes())
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def fiber_tables(A: int, n: int) -> tuple[array | None, array, float]:
+    """(M, S, bound) of the fiber (A, n), 0 <= A < n, built on a miss after
+    the oldest entries the budget needs are dropped (module docstring)."""
+    if (A, n) not in _tables:
+        if n > MAX_MODULUS:
+            raise TooManyConnections(f"modulus {n} is past the int64 range of the per-fiber "
+                                     f"tables, whose largest modulus is {MAX_MODULUS}")
+        while sum(m + 32 for _, m in _tables) + n + 32 > TABLE_BUDGET:
+            del _tables[next(iter(_tables))]
+        _tables[A, n] = (_numerator_table(A, n) if math.gcd(A, n) == 1 else None,
+                         *_fiber(A, n))  # a non-unit A has a pole: no M, and S is nan
+    return _tables[A, n]
+
+
+def cot_sum(A: int, e: int, n: int) -> tuple[float, float]:
+    """(value, conservative error bound) of the cotangent sum, read off the
+    table of the fiber (A mod n, n).  Needs gcd(A, n) = 1 for a finite value."""
+    _, values, bound = _tables.get((A % n, n)) or fiber_tables(A % n, n)
+    return values[e % n], bound
+
+
+cot_sum_numpy = cot_sum
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def fiber_plan(a: tuple[int, int, int]) -> tuple[tuple, int, int]:
     """The sphere's plan: per fiber (a/a_i mod a_i, a_i, (a/a_i)^2, 2.0/a_i,
-    its table M from `_numerator_table`), then a = a1*a2*a3 and a^2."""
+    its table M from `fiber_tables`), then a = a1*a2*a3 and a^2."""
     prod = a[0] * a[1] * a[2]
     fibers = tuple(((prod // n) % n, n, (prod // n) ** 2, 2.0 / n) for n in a)
-    return tuple((*f, _numerator_table(f[0], f[1])) for f in fibers), prod, prod * prod
+    return tuple((*f, fiber_tables(f[0], f[1])[0]) for f in fibers), prod, prod * prod
 
 
 def cotangent_numerator(plan: tuple, e: int) -> int:

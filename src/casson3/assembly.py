@@ -15,12 +15,14 @@ Reference values for golden comparisons: Lambda is stored, like A and B,
 for the q of the table (SUPPORTED_Q) only; C has one closed form for every
 odd q >= 3 (`reference_C`), fitted by exact interpolation and checked
 against the computation, not derived.  B and C are cubics in K over one
-factor, `cleared_denominator`.  4 * Lambda is always an integer.
+factor, `cleared_denominator`.  4 * Lambda is always an integer; a report
+forms Lambda once, on construction, where that is checked.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .dedekind import c_correction
 from .errors import Casson3Error, MissingClosedForm
@@ -75,10 +77,10 @@ def _forms(q: int) -> dict:
                                 f"supported: {SUPPORTED_Q}") from None
 
 
-def lambda_su2(q: int, K: int) -> Fraction:
-    """SU(2) Casson invariant of the surgery sphere: the flat connections
-    counted with the sign of K."""
-    return Fraction((1 if K > 0 else -1) * count_connections(q, K))
+def lambda_su2(X: BrieskornSphere) -> Fraction:
+    """SU(2) Casson invariant of the oriented sphere X: its flat connections
+    counted with the sign -orientation, the sign of K on `from_surgery`'s."""
+    return Fraction(-X.orientation * count_connections(X.q, X.K))
 
 
 def reference_A(q: int, K: int) -> Fraction:
@@ -119,9 +121,9 @@ def reference_Lambda(q: int, K: int) -> Fraction:
 class InvariantReport:
     """Stores q, K, the exact terms A, B, C, D and lambda_su2, which changes
     sign with the orientation; lambda_su3 = A + B and Lambda_su3 =
-    A + B + C + D are derived, and 4*Lambda_su3 must be an integer.  D is
-    -(1/4) times the chain-complex correction term (zero on this family,
-    under either reading of the correction's normalization)."""
+    A + B + C + D (formed once) are derived, and 4*Lambda_su3 must be an
+    integer.  D is -(1/4) times the chain-complex correction term (zero on
+    this family, under either reading of the correction's normalization)."""
 
     q: int
     K: int
@@ -132,14 +134,14 @@ class InvariantReport:
     lambda_su2: Fraction
 
     def __post_init__(self):
-        if (4 * self.Lambda_su3).denominator != 1:
+        if 4 % self.Lambda_su3.denominator:
             raise Casson3Error(f"4 * Lambda = {4 * self.Lambda_su3} is not an integer")
 
     @property
     def lambda_su3(self) -> Fraction:
         return self.A + self.B
 
-    @property
+    @cached_property
     def Lambda_su3(self) -> Fraction:
         return self.A + self.B + self.C + self.D
 
@@ -154,22 +156,21 @@ class InvariantReport:
             "lambda_su2": str(self.lambda_su2),
             "lambda_su3": str(self.lambda_su3),
             "Lambda_su3": str(self.Lambda_su3),
-            "four_Lambda_integral": (4 * self.Lambda_su3).denominator == 1,
+            "four_Lambda_integral": 4 % self.Lambda_su3.denominator == 0,
         }
 
 
 def assemble_on_sphere(X: BrieskornSphere) -> InvariantReport:
     """Report for the sphere X as given (either orientation), with C computed
-    from the cotangent sums on X and lambda_su2 signed by X's orientation; A
+    from the cotangent sums on X and `lambda_su2` of X as oriented; A
     is looked up first, so a q without closed forms raises MissingClosedForm
     before any work."""
     q, K = X.q, X.K
     A = reference_A(q, K)
     B = reference_B(q, K)
     C = c_correction(X)
-    D = Fraction(-1, 4) * floer_correction(build_floer_complex(X))
-    return InvariantReport(q=q, K=K, A=A, B=B, C=C, D=D,
-                           lambda_su2=Fraction(-X.orientation * count_connections(q, K)))
+    D = Fraction(-floer_correction(build_floer_complex(X)), 4)
+    return InvariantReport(q=q, K=K, A=A, B=B, C=C, D=D, lambda_su2=lambda_su2(X))
 
 
 def assemble(q: int, K: int) -> InvariantReport:

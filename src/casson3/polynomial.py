@@ -59,10 +59,12 @@ class RationalPoly:
                 yield n, self.coeffs[n]
 
     def __call__(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
+        """Horner's rule over the integers, reduced to a Fraction once."""
+        p, q = x.numerator, x.denominator
+        num, den = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            num, den = num * p * c.denominator + c.numerator * den * q, den * q * c.denominator
+        return Fraction(num, den)
 
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
         pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)

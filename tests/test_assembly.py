@@ -20,6 +20,7 @@ from casson3.assembly import (
 )
 from casson3.dedekind import c_correction
 from casson3.errors import Casson3Error, InvalidSurgery, MissingClosedForm
+from casson3.flat_moduli import count_connections
 from casson3.polynomial import fit_and_verify
 from casson3.seifert import from_surgery, reverse_orientation
 
@@ -136,12 +137,13 @@ def test_c_closed_form_matches_the_computation(q, K):
 
 
 def test_lambda_su2():
-    assert lambda_su2(3, 1) == 2
-    assert lambda_su2(5, -2) == -12
+    assert lambda_su2(from_surgery(3, 1)) == 2
+    assert lambda_su2(from_surgery(5, -2)) == -12
+    assert lambda_su2(reverse_orientation(from_surgery(5, -2))) == 12
     with pytest.raises(InvalidSurgery):
-        lambda_su2(5, 0)
+        lambda_su2(from_surgery(5, 0))
     with pytest.raises(InvalidSurgery):
-        lambda_su2(4, 1)
+        lambda_su2(from_surgery(4, 1))
 
 
 def test_lambda_su3_small_perturbation_variant():
@@ -170,9 +172,10 @@ def test_orientation_symmetry_sample():
         b = assemble_on_sphere(reverse_orientation(X))
         assert a.Lambda_su3 == b.Lambda_su3, (q, K)
         assert a.C == b.C, (q, K)
-        # Casson's lambda(-X) = -lambda(X); the surgery orientation reads lambda_su2(q, K)
+        # Casson's lambda(-X) = -lambda(X); the surgery orientation counts the
+        # connections with the sign of K
         assert b.lambda_su2 == -a.lambda_su2, (q, K)
-        assert a.lambda_su2 == lambda_su2(q, K), (q, K)
+        assert a.lambda_su2 == (1 if K > 0 else -1) * count_connections(q, K), (q, K)
 
 
 def test_missing_closed_form():

@@ -1,3 +1,5 @@
+import collections
+import io
 import itertools
 import math
 import operator
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from casson3 import _kernels, dedekind, flat_moduli
+from casson3 import _kernels, cli, dedekind, flat_moduli
 from casson3._kernels import cotangent_numerator
 from casson3.assembly import reference_C
 from casson3.dedekind import (
@@ -94,7 +96,7 @@ def _coprime_args(draw, max_n):
 def _assert_table_matches_references(A, n, lattice_residues):
     """The O(n) table, the O(log n) floor-sum recursion and the O(n) floor
     loop are three derivations of M = -4n S(A, e, n)."""
-    table = _kernels._numerator_table.__wrapped__(A % n, n)
+    table = _kernels._numerator_table(A % n, n)
     assert len(table) == n
     for e in range(n):
         M = _numerator(A, e, n)
@@ -106,14 +108,14 @@ def _assert_table_matches_references(A, n, lattice_residues):
 
 def _numerator(A, e, n):
     """M = -4n * S(A, e, n), read off the cached integer table of the fiber."""
-    return _kernels._numerator_table(A % n, n)[e % n]
+    return _kernels.fiber_tables(A % n, n)[0][e % n]
 
 
 def _clear_integer_tables():
-    """Drop every cached plan and integer table, so a corrupted table is
+    """Drop every cached plan and per-fiber table, so a corrupted table is
     never read again."""
     _kernels.fiber_plan.cache_clear()
-    _kernels._numerator_table.cache_clear()
+    _kernels._tables.clear()
 
 
 def _units(n, count, seed):
@@ -214,11 +216,9 @@ def test_float_kernel_refuses_a_fiber_with_a_common_factor():
             FloatEstimate(value, bound)
 
 
-def test_kernel_caches_stay_bounded():
+def test_kernel_caches_stay_bounded(monkeypatch):
     # the reference memos: distinct raw keys at n = 7 are cheap to evaluate
     memos = (cot_sum_exact, cot_sum_lattice)
-    # the per-fiber tables, integer and float: one entry per distinct (A, n)
-    tables = (_kernels._numerator_table, _kernels._fiber)
     try:
         for memo in memos:
             for e in range(dedekind.CACHE_SIZE + 100):
@@ -226,18 +226,61 @@ def test_kernel_caches_stay_bounded():
             info = memo.cache_info()
             assert info.maxsize == dedekind.CACHE_SIZE
             assert info.currsize <= info.maxsize
-        for n in range(2, _kernels.TABLE_CACHE_SIZE + 12):
-            for A in (1, n - 1):
-                _kernels._numerator_table(A, n)
-                _kernels.cot_sum(A, 1, n)
-        for table in tables:
-            info = table.cache_info()
-            assert info.maxsize == _kernels.TABLE_CACHE_SIZE
-            assert info.currsize <= info.maxsize
-            assert info.misses > _kernels.TABLE_CACHE_SIZE
     finally:
-        for cache in (*memos, *tables):
-            cache.cache_clear()
+        for memo in memos:
+            memo.cache_clear()
+    # the per-fiber tables, under a small budget: each miss drops the oldest
+    # entries, a hit does not renew one, and the held moduli, n + 32 per
+    # entry, stay within the budget
+    assert _kernels.TABLE_BUDGET == 8 * _kernels.MAX_MODULUS
+    _clear_integer_tables()
+    monkeypatch.setattr(_kernels, "TABLE_BUDGET", 400)
+    try:
+        added = []
+        for n in range(11, 100, 2):
+            if added:
+                oldest = next(iter(_kernels._tables))
+                _kernels.cot_sum(oldest[0], 1, oldest[1])  # a hit on the oldest entry
+            _kernels.cot_sum(1, 1, n)
+            added.append((1, n))
+            held = list(_kernels._tables)
+            assert held == added[-len(held):], n
+            assert sum(m + 32 for _, m in held) <= 400, n
+        assert 1 < len(held) < len(added)
+        # a hit is a lookup alone: it never reaches the builder
+        _, S, bound = _kernels._tables[1, n]
+        monkeypatch.setattr(_kernels, "fiber_tables", None)
+        assert _kernels.cot_sum(1, n + 2, n) == (S[2], bound)
+    finally:
+        _clear_integer_tables()
+
+
+def test_a_shuffled_grid_builds_each_fiber_once(monkeypatch):
+    # the 96 cells q <= 9, |K| <= 12 share 105 fibers: modulus 2, q for each
+    # q and sign of K, and each cell's a3.  Run through the CLI in a seeded
+    # shuffle, each fiber's integer and float tables are built exactly once.
+    grid = [(q, K) for q in (3, 5, 7, 9) for K in range(-12, 13) if K]
+    fibers = {((X.fiber_product // n) % n, n)
+              for X in (from_surgery(q, K) for q, K in grid) for n in X.a}
+    assert len(fibers) == 105
+    builds = {}
+    for name in ("_numerator_table", "_fiber"):
+        build, seen = getattr(_kernels, name), builds.setdefault(name, collections.Counter())
+
+        def counted(A, n, build=build, seen=seen):
+            seen[A, n] += 1
+            return build(A, n)
+        monkeypatch.setattr(_kernels, name, counted)
+    random.Random(5).shuffle(grid)
+    _clear_integer_tables()
+    try:
+        for q, K in grid:
+            out = io.StringIO()
+            assert cli.run(cli.RunConfig("table", q_list=(q,), k_list=(K,), fmt="json"), out) == 0
+    finally:
+        _clear_integer_tables()
+    for name, seen in builds.items():
+        assert set(seen) == fibers and set(seen.values()) == {1}, name
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7, 9, 1009, 1399])
@@ -259,10 +302,11 @@ def test_numerator_table_matches_the_loop_on_every_residue(n):
 def test_numerator_table_refuses_a_modulus_past_int64():
     # 8 n^3 reaches 2^63 at n = 2^20; the largest modulus below is still exact
     n = 2 ** 20 - 1
-    assert _numerator(2, n // 2, n) == -4 * n * cot_sum_exact.__wrapped__(2, n // 2, n)
-    _kernels._numerator_table.cache_clear()
+    M = _kernels._numerator_table(2, n)[n // 2]
+    assert M == -4 * n * cot_sum_exact.__wrapped__(2, n // 2, n)
     with pytest.raises(TooManyConnections, match="int64"):
-        _kernels._numerator_table(1, 2 ** 20)
+        _kernels.fiber_tables(1, 2 ** 20)
+    assert (1, 2 ** 20) not in _kernels._tables
 
 
 def test_a_corrupt_numerator_table_is_refused():
@@ -300,7 +344,7 @@ def test_the_plan_reads_the_shared_integer_tables():
     try:
         plan_x, plan_y = _kernels.fiber_plan(X.a)[0], _kernels.fiber_plan(Y.a)[0]
         for A, n, _, _, table in plan_x + plan_y:
-            assert table is _kernels._numerator_table(A, n), n
+            assert table is _kernels.fiber_tables(A, n)[0], n
         assert plan_x[0][4] is plan_y[0][4] and plan_x[1][4] is plan_y[1][4]
         _, n, _, _, table = plan_x[2]
         table[c.e % n] += 1
@@ -610,7 +654,7 @@ def test_fiber_plan_matches_the_sums_it_replaces():
             assert (est.value.hex(), est.error_bound.hex()) == (value.hex(), bound.hex()), (X, c.L)
     assert snapped > 0
     info = _kernels.fiber_plan.cache_info()
-    assert info.maxsize == _kernels.TABLE_CACHE_SIZE
+    assert info.maxsize == _kernels.PLAN_CACHE_SIZE
     assert info.currsize <= info.maxsize
 
 
@@ -735,12 +779,12 @@ def _per_fiber_C(X):
 
 def _assert_float_fibers_bound_the_integer_sums(X):
     """Per fiber (A, m) of X, with the residue counts n(r) of `_residue_counts`:
-    sum_r n(r) S(r), read off the FFT table `_kernels._fiber(A, m)` and summed
+    sum_r n(r) S(r), read off the FFT table of `_kernels.fiber_tables(A, m)`, summed
     exactly, is within sum_r n(r) times that table's one error bound of the
     integer value -sum_r n(r) M(r) / (4m)."""
     plan = _kernels.fiber_plan(X.a)[0]
     for (A, m, _, _, M), (residues, counts) in zip(plan, _residue_counts(X)[1]):
-        S, bound = _kernels._fiber(A, m)
+        _, S, bound = _kernels.fiber_tables(A, m)
         num, den = 0, 1  # the float sum, exactly: num / den with den a power of 2
         exact = total = 0
         for r, k in zip(residues, counts):
@@ -810,7 +854,6 @@ def _assert_float_fibers_bound_the_integer_sums_on(cells):
             _assert_float_fibers_bound_the_integer_sums(from_surgery(q, K))
     finally:
         _clear_integer_tables()
-        _kernels._fiber.cache_clear()
 
 
 def test_float_fibers_bound_the_integer_sums():

@@ -526,7 +526,7 @@ def test_milnor_signature_is_four_times_casson():
         for K in range(-30, 31):
             if K:
                 X = from_surgery(q, K)
-                assert X.orientation * _milnor_signature(q, X.a[2]) == 4 * lambda_su2(q, K), \
+                assert X.orientation * _milnor_signature(q, X.a[2]) == 4 * lambda_su2(X), \
                     (q, K)
 
 

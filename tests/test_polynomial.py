@@ -23,9 +23,17 @@ nonzero = rationals.filter(bool)
 polys = st.builds(RationalPoly, st.lists(rationals, max_size=6).map(tuple))
 
 
+def _term_by_term(p, x):
+    """sum_i c_i x^i, each power formed and summed in Fractions: the oracle
+    of the integer Horner rule in `RationalPoly.__call__`."""
+    return sum((c * Fraction(x) ** i for i, c in enumerate(p.coeffs)), Fraction(0))
+
+
 @_PROPERTY
-@given(polys, polys, rationals)
-def test_evaluation_is_a_ring_map(a, b, x):
+@given(polys, polys, rationals, st.integers(-20, 20))
+def test_evaluation_is_a_ring_map(a, b, x, k):
+    for v in (x, k):
+        assert a(v) == _term_by_term(a, v) and type(a(v)) is Fraction, v
     assert (a + b)(x) == a(x) + b(x)
     assert (a - b)(x) == a(x) - b(x)
     assert (a * b)(x) == a(x) * b(x)
