@@ -40,8 +40,9 @@ more (< 17 * 32), so the cache holds under 17 * TABLE_BUDGET bytes, 136 MiB,
 what 8 tables of each kind at MAX_MODULUS take, or any number of small ones
 (the 96 cells q <= 9, |K| <= 12 build each of their 105 fibers once, in any
 order).  A hit is one bare `dict.get`, as `cot_sum` runs 3 times per
-connection: LRU reordering would cost more than the rare rebuild.  The
-PLAN_CACHE_SIZE plans `fiber_plan` keeps hold their M tables past eviction.
+connection: LRU reordering would cost more than the rare rebuild.
+`fiber_plan` keeps only the last sphere's plan (every caller reads one sphere
+at a time), whose three M tables add at most 26 MiB past eviction.
 """
 from __future__ import annotations
 
@@ -56,7 +57,6 @@ from .errors import TooManyConnections
 EPS = float(np.finfo(np.float64).eps)
 MAX_MODULUS = 2 ** 20 - 1  # largest modulus of either table (module docstring)
 TABLE_BUDGET = 8 * MAX_MODULUS  # held moduli of the table cache (module docstring)
-PLAN_CACHE_SIZE = 8  # plans `fiber_plan` keeps
 
 _tables: dict[tuple[int, int], tuple[array | None, array, float]] = {}  # (A, n) -> (M, S, bound)
 
@@ -127,7 +127,7 @@ def cot_sum(A: int, e: int, n: int) -> tuple[float, float]:
 cot_sum_numpy = cot_sum
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
+@lru_cache(maxsize=1)
 def fiber_plan(a: tuple[int, int, int]) -> tuple[tuple, int, int]:
     """The sphere's plan: per fiber (a/a_i mod a_i, a_i, (a/a_i)^2, 2.0/a_i,
     its table M from `fiber_tables`), then a = a1*a2*a3 and a^2."""

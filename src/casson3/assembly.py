@@ -69,7 +69,8 @@ def cleared_denominator(q: int, K: int) -> int:
     return 4 * q * (2 * q * K - 1)
 
 
-def _forms(q: int) -> dict:
+def _forms(q: int, K: int) -> dict:
+    check_surgery(q, K)
     try:
         return _TABLE[q]
     except KeyError:
@@ -84,13 +85,11 @@ def lambda_su2(X: BrieskornSphere) -> Fraction:
 
 
 def reference_A(q: int, K: int) -> Fraction:
-    check_surgery(q, K)
-    return _forms(q)["A"](K)
+    return _forms(q, K)["A"](K)
 
 
 def reference_B(q: int, K: int) -> Fraction:
-    check_surgery(q, K)
-    return _forms(q)["B"](K) / cleared_denominator(q, K)
+    return _forms(q, K)["B"](K) / cleared_denominator(q, K)
 
 
 def reference_C(q: int, K: int) -> Fraction:
@@ -113,8 +112,7 @@ def reference_C(q: int, K: int) -> Fraction:
 
 
 def reference_Lambda(q: int, K: int) -> Fraction:
-    check_surgery(q, K)
-    return _forms(q)["Lambda+" if K > 0 else "Lambda-"](K)
+    return _forms(q, K)["Lambda+" if K > 0 else "Lambda-"](K)
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,21 @@
 """Batch command-line front end.
 
-`_OPTIONS` is the one option table, and `_SUBCOMMANDS` gives each subcommand
-its handler, formats, summary and flags.  The parser is built from the two;
-`RunConfig`, the one validator, reads the same tables and refuses a field no
-flag of its subcommand sets.  Output is deterministic for a fixed configuration:
-rationals are serialized as exact "p/q" strings, JSON objects carry the
-schema tag "casson3/1", and rows are emitted in sorted (q, K) order.  `fit`
-reports the least degree that fits its samples.
+`_OPTIONS`, the one option table, maps each RunConfig field to its flags: --q
+and --q-list both set q_list, --K and --K-range k_list.  `_SUBCOMMANDS` gives
+each subcommand its handler, formats, summary and fields.  The parser is built
+from the two, so a subcommand takes each flag of its fields spelled exactly (no
+prefix matching) and no other; `RunConfig`, the one validator, refuses a field
+its subcommand does not take.  Either refusal is a usage error under the
+subcommand's usage line.  Output is deterministic: rationals are exact "p/q"
+strings, JSON objects carry the schema tag "casson3/1", and rows come in sorted
+(q, K) order.  `fit` reports the least degree that fits its samples.
 
-Work bound: one rule for every subcommand.  `run` sums the flat connections
-of the request's spheres (`_cells`) and checks the sum against
-MAX_CONNECTIONS (`flat_moduli`) once, before the handler starts (exit 1).
-`floer-sim` has no cells and is bounded by MAX_DIM and MAX_MOVES.  A |K| of
---K or --K-range, or a --samples, over MAX_CONNECTIONS // 2 is a usage error,
-refused before anything is built; that rule alone bounds `fit` of A or B,
-which reads stored forms and enumerates no connection.
+Work bound: one rule for every subcommand.  `run` sums the flat connections of
+the request's spheres (`_cells`) and checks the sum against MAX_CONNECTIONS
+(`flat_moduli`) once, before the handler starts (exit 1).  `floer-sim` has no
+cells and is bounded by MAX_DIM and MAX_MOVES.  A |K| of k_list, or a
+--samples, over MAX_CONNECTIONS // 2 is a usage error, refused before anything
+is built; that rule alone bounds `fit` of A or B, which enumerates nothing.
 
 Exit codes: 0 success, 1 computation error, 2 usage error, 3 when `table`
 finds a MISMATCH row.
@@ -63,8 +64,8 @@ _TARGETS = {
 class RunConfig:
     """Validated run description: one subcommand plus its options, with every
     default.  It is the only validator (the parser sets no default and requires
-    no option), and it refuses a field off its default that no flag of the
-    subcommand sets, so a config built in code prints, or refuses, what the
+    no option), and it refuses a field off its default that its subcommand
+    does not take, so a config built in code prints, or refuses, what the
     command line with the same settings does.  fmt None is the subcommand's
     first format; `table` and `conjecture` without q cover SUPPORTED_Q, and
     `table` without K covers -6..6, `fit` sign*1..samples, `conjecture` +-1..samples.
@@ -86,8 +87,8 @@ class RunConfig:
     def __post_init__(self):
         if self.subcommand not in _SUBCOMMANDS:
             raise ValueError(f"no subcommand {self.subcommand!r}")
-        _, formats, _, flags = _SUBCOMMANDS[self.subcommand]
-        takes = {"subcommand", "fmt"} | {_OPTIONS[flag]["dest"] for flag in flags}
+        _, formats, _, takes = _SUBCOMMANDS[self.subcommand]
+        takes = {"subcommand", "fmt", *takes}
         for field in fields(self):
             if field.name not in takes and getattr(self, field.name) != field.default:
                 raise ValueError(f"{self.subcommand} takes no {field.name}")
@@ -165,20 +166,19 @@ def _parse_q_list(text: str) -> tuple[int, ...]:
     return qs
 
 
-_Q = {"dest": "q_list", "type": _parse_q_list, "help": "odd q >= 3, comma separated"}
-_K = {"dest": "k_list", "type": _parse_k_range, "help": "K or a..b range, excluding 0"}
-
-# flag -> argparse settings; dest is the RunConfig field the flag sets
+# RunConfig field -> (its flags, argparse settings): the one option table
 _OPTIONS = {
-    "--q": _Q, "--q-list": _Q,
-    "--K": _K, "--K-range": _K,
-    "--per-connection": {"dest": "per_connection", "action": "store_true"},
-    "--sign": {"dest": "sign", "choices": ("+", "-")},
-    "--target": {"dest": "target", "choices": _TARGETS},
-    "--samples": {"dest": "samples", "type": int},
-    "--seed": {"dest": "seed", "type": int},
-    "--moves": {"dest": "moves", "type": int},
-    "--max-dim": {"dest": "max_dim", "type": int},
+    "q_list": (("--q", "--q-list"),
+               {"type": _parse_q_list, "help": "odd q >= 3, comma separated"}),
+    "k_list": (("--K", "--K-range"),
+               {"type": _parse_k_range, "help": "K or a..b range, excluding 0"}),
+    "per_connection": (("--per-connection",), {"action": "store_true"}),
+    "sign": (("--sign",), {"choices": ("+", "-")}),
+    "target": (("--target",), {"choices": _TARGETS}),
+    "samples": (("--samples",), {"type": int}),
+    "seed": (("--seed",), {"type": int}),
+    "moves": (("--moves",), {"type": int}),
+    "max_dim": (("--max-dim",), {"type": int}),
 }
 
 
@@ -328,22 +328,22 @@ def cmd_floer_sim(cfg: RunConfig, out) -> int:
     return 0
 
 
-# subcommand (on the command line "_" is "-") -> (handler, formats, summary, flags)
+# subcommand (on the command line "_" is "-") -> (handler, formats, summary, fields)
 _SUBCOMMANDS = {
     "reps": (cmd_reps, ("csv", "json"), "enumerate irreducible SU(2) rotation numbers",
-             ("--q", "--K")),
+             ("q_list", "k_list")),
     "rho": (cmd_rho, ("csv", "json"), "adjoint rho invariants / aggregate correction C",
-            ("--q", "--K", "--per-connection")),
+            ("q_list", "k_list", "per_connection")),
     "invariants": (cmd_invariants, ("csv", "json", "markdown-table"),
-                   "full invariant reports", ("--q", "--K-range")),
+                   "full invariant reports", ("q_list", "k_list")),
     "table": (cmd_table, ("csv", "json", "markdown-table"),
-              "computed values against the reference closed forms", ("--q", "--K-range")),
+              "computed values against the reference closed forms", ("q_list", "k_list")),
     "fit": (cmd_fit, ("json",), "exact polynomial reconstruction of one target",
-            ("--q", "--sign", "--target", "--samples")),
+            ("q_list", "sign", "target", "samples")),
     "conjecture": (cmd_conjecture, ("json", "markdown-table"),
-                   "quadratic-difference report per q", ("--q-list", "--samples")),
+                   "quadratic-difference report per q", ("q_list", "samples")),
     "floer_sim": (cmd_floer_sim, ("json",), "audit transcript of random chain-complex moves",
-                  ("--seed", "--moves", "--max-dim")),
+                  ("seed", "moves", "max_dim")),
 }
 
 
@@ -362,20 +362,20 @@ def run(config: RunConfig, out=None) -> int:
 def build_parser() -> argparse.ArgumentParser:
     import argparse
     parser = argparse.ArgumentParser(
-        prog="casson3",
+        prog="casson3", allow_abbrev=False,
         description="Exact SU(3) Casson-type invariants of 1/K surgeries on (2,q) torus knots",
     )
     parser.add_argument("--version", action="version", version=f"casson3 {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, formats, summary, flags) in _SUBCOMMANDS.items():
+    for name, (_, formats, summary, takes) in _SUBCOMMANDS.items():
         # an option the user leaves out stays off the namespace, so RunConfig
         # supplies its default
-        p = sub.add_parser(name.replace("_", "-"), help=summary,
+        p = sub.add_parser(name.replace("_", "-"), help=summary, allow_abbrev=False,
                            argument_default=argparse.SUPPRESS)
         p.add_argument("--format", dest="fmt", choices=formats)
-        for flag in flags:
-            p.add_argument(flag, **_OPTIONS[flag])
-        # subcommand: the RunConfig name; usage_error: how main reports a refused config
+        for field in takes:
+            p.add_argument(*_OPTIONS[field][0], dest=field, **_OPTIONS[field][1])
+        # subcommand: the RunConfig name; usage_error: how main reports a usage error
         p.set_defaults(subcommand=name, usage_error=p.error)
     return parser
 
@@ -385,7 +385,7 @@ def _normalize_argv(argv: Sequence[str]) -> list[str]:
     the leading dash of a negative range as an option."""
     out: list[str] = []
     for tok in argv:
-        if out and _OPTIONS.get(out[-1]) is _K:
+        if out and out[-1] in _OPTIONS["k_list"][0]:
             out[-1] += f"={tok}"
         else:
             out.append(tok)
@@ -394,10 +394,12 @@ def _normalize_argv(argv: Sequence[str]) -> list[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = vars(build_parser().parse_args(_normalize_argv(argv)))
-    usage_error = args.pop("usage_error")
+    args, unknown = build_parser().parse_known_args(_normalize_argv(argv))
+    usage_error = vars(args).pop("usage_error")
     try:
-        config = RunConfig(**args)
+        if unknown:
+            raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+        config = RunConfig(**vars(args))
     except ValueError as exc:
         usage_error(str(exc))  # exits 2
     try:

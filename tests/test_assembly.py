@@ -185,6 +185,13 @@ def test_missing_closed_form():
         reference_A(11, 1)
     with pytest.raises(InvalidSurgery):
         assemble(3, 0)
+    # each stored column refuses an invalid surgery before it looks q up
+    for reference in (reference_A, reference_B, reference_Lambda):
+        for q, K in ((11, 0), (4, 1), (1, 1)):
+            with pytest.raises(InvalidSurgery):
+                reference(q, K)
+        with pytest.raises(MissingClosedForm):
+            reference(11, 1)
 
 
 def test_report_consistency_enforced():

@@ -299,6 +299,24 @@ def test_usage_errors_exit_2(capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: casson3 reps ")
     assert err.endswith("casson3 reps: error: reps needs q and K\n")
+    # so is a flag the subcommand does not take, or a prefix of one it does:
+    # every flag is taken spelled exactly
+    for args in (["table", "--q", "3", "--K-r", "-2..2"], ["conjecture", "--samp", "3"],
+                 ["reps", "--q", "3", "--K", "1", "--target", "A"],
+                 ["rho", "--q", "3", "--K", "1", "--per"], ["fit", "--q", "5", "--K", "1"],
+                 ["--bogus", "floer-sim"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2, args
+        err = capsys.readouterr().err
+        subcommand = next(a for a in args if not a.startswith("-"))
+        assert err.startswith(f"usage: casson3 {subcommand} "), (args, err)
+        assert f"casson3 {subcommand}: error: unrecognized arguments: " in err, (args, err)
+    # with no subcommand, a prefix of --version is not --version
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--vers"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: casson3 [-h]")
 
 
 def test_k_beyond_every_budget_exit_2(capsys):
@@ -328,6 +346,26 @@ def test_config_in_code_matches_command_line():
         out = io.StringIO()
         assert run(config, out) == 0
         assert run_cli(args) == (0, out.getvalue()), args
+    # both flags of q, --q and --q-list, and both of K, --K and --K-range, print the
+    # same bytes on every subcommand that takes the field
+    for config, args in (
+        (RunConfig("reps", q_list=(3, 5), k_list=(-1, 1)),
+         ["reps", "{q}", "3,5", "{K}", "-1..1"]),
+        (RunConfig("rho", q_list=(3,), k_list=(-2, -1, 1, 2)), ["rho", "{q}", "3", "{K}", "-2..2"]),
+        (RunConfig("invariants", q_list=(3,), k_list=(-1, 1, 2)),
+         ["invariants", "{q}", "3", "{K}", "-1..2"]),
+        (RunConfig("table", q_list=(5,), k_list=(-2, -1, 1, 2)),
+         ["table", "{q}", "5", "{K}", "-2..2"]),
+        (RunConfig("fit", q_list=(5,), sign="-"), ["fit", "{q}", "5", "--sign", "-"]),
+        (RunConfig("conjecture", q_list=(3, 5), samples=4),
+         ["conjecture", "{q}", "3,5", "--samples", "4"]),
+    ):
+        out = io.StringIO()
+        assert run(config, out) == 0
+        for q_flag in ("--q", "--q-list"):
+            for k_flag in ("--K", "--K-range"):
+                spelt = [{"{q}": q_flag, "{K}": k_flag}.get(a, a) for a in args]
+                assert run_cli(spelt) == (0, out.getvalue()), spelt
     # a misspelt or removed option is refused, never replaced by its default
     for subcommand, fields in (("floer_sim", {"sed": 3}),
                                ("rho", {"q_list": (5,), "k_list": (1,), "path": "exact"}),

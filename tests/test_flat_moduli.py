@@ -341,6 +341,48 @@ def _fitted_A(q, K):
     return alpha * K * K - beta * K
 
 
+def _box_count_A(q, K):
+    """A in O(q^2) per cell, whatever K: the interlacing solutions counted as lattice
+    points in a box on a plane.
+
+    Angles are integers in units of 1/(6qr), r = 2q|K| - sign K.  An x2 class
+    0 < a1 < a2 < q has alpha = (0, x1, x2) = (0, 6r a1, 6r a2), whose open arcs end at
+    (x1, x2, 6qr).  A solution puts one beta = sigma - gamma in each arc.  Each beta's
+    displacement from its arc's start is under the arc's length, the three lengths sum
+    to 1 and the displacements to 1/2 (mod 1), so they sum to 1/2 exactly: sum beta =
+    T = 3qr + x1 + x2.  The three beta lie in one coset c + 6qZ (gamma is in (1/r)Z), so
+    3c = T (mod 6q) and c = T/3 + 2qj (mod 6q), j = 0, 1, 2.  With beta_k = c + 6q m_k,
+    each m_k runs over an interval and sum m = (T - 3c)/(6q).  The points of that box on
+    that plane are counted by inclusion-exclusion over the 8 sets of its upper faces,
+    f(m) being twice C(m + 2, 2); the last term is always 0, as T is below the sum of
+    the arc ends.  Each set of beta is 3 solutions, one per choice of sigma among them,
+    and the solutions number 9A, so A is a third of the sets.  Nothing here is read
+    from src.  With the coarser 1/(2qr) lattice sigma is lost and the count agrees
+    only at q = 3."""
+    r = 2 * q * abs(K) - (1 if K > 0 else -1)
+    step, twice = 6 * q, 0  # twice the number of beta sets
+
+    def f(m):
+        return (m + 1) * (m + 2) if m >= 0 else 0
+
+    for a1 in range(1, q):
+        x1 = 6 * r * a1
+        for a2 in range(a1 + 1, q):
+            x2 = 6 * r * a2
+            T = 3 * q * r + x1 + x2
+            for j in range(3):
+                c = (T // 3 + 2 * q * j) % step
+                lo0, lo1, lo2 = -c // step + 1, (x1 - c) // step + 1, (x2 - c) // step + 1
+                w0 = (x1 - c - 1) // step + 1 - lo0  # the box's widths
+                w1 = (x2 - c - 1) // step + 1 - lo1
+                w2 = (step * r - c - 1) // step + 1 - lo2
+                n = (T - 3 * c) // step - lo0 - lo1 - lo2
+                twice += (f(n) - f(n - w0) - f(n - w1) - f(n - w2) + f(n - w0 - w1)
+                          + f(n - w0 - w2) + f(n - w1 - w2) - f(n - w0 - w1 - w2))
+    assert twice % 6 == 0, (q, K)
+    return twice // 6
+
+
 def test_the_rank_3_interlacing_count_is_9_A():
     # Sigma(2,3,5), the sphere at (3, 1), has the binary icosahedral group as its
     # fundamental group, with two irreducible SU(2) and two irreducible SU(3)
@@ -349,7 +391,8 @@ def test_the_rank_3_interlacing_count_is_9_A():
     assert count_connections(3, 1) == 2
     for q in (3, 5, 7):
         for K in (-3, -2, -1, 1, 2, 3):
-            assert _interlacing_triples(q, K) == 9 * reference_A(q, K), (q, K)
+            assert _interlacing_triples(q, K) == 9 * reference_A(q, K) == 9 * _box_count_A(q, K), \
+                (q, K)
 
 
 @pytest.mark.slow
@@ -361,4 +404,27 @@ def test_the_rank_3_interlacing_count_is_9_A_to_q_13():
                 (q, K)
     for q in (11, 13):
         for K in (-2, -1, 1, 2):
-            assert _interlacing_triples(q, K) == 9 * _fitted_A(q, K), (q, K)
+            assert _interlacing_triples(q, K) == 9 * _fitted_A(q, K) == 9 * _box_count_A(q, K), \
+                (q, K)
+
+
+def test_the_box_count_is_A():
+    # every stored cell, and the fitted form past the stored q
+    for q in (3, 5, 7, 9):
+        for K in range(-40, 41):
+            if K:
+                assert _box_count_A(q, K) == reference_A(q, K), (q, K)
+    for q in range(3, 26, 2):
+        for K in (-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6):
+            assert _box_count_A(q, K) == _fitted_A(q, K), (q, K)
+
+
+@pytest.mark.slow
+def test_the_box_count_is_the_fitted_A_to_q_61():
+    # deselected by default; run with `python -m pytest -m slow`; about 3 s
+    for q in range(3, 62, 2):
+        for K in range(-12, 13):
+            if K:
+                assert _box_count_A(q, K) == _fitted_A(q, K), (q, K)
+    for K in (-300, 300):
+        assert _box_count_A(401, K) == _fitted_A(401, K), K
